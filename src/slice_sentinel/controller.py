@@ -630,17 +630,22 @@ class SecurityManager:
         if now_ms - self._last_audit_ms < self.config.audit_interval_ms:
             return []
         self._last_audit_ms = now_ms
-        results = []
-        for node_id in sorted(self.fabric.nodes):
-            if self.fabric.nodes[node_id].kind != NodeKind.HOST:
-                results.append(self.audit_now(node_id))
-        return results
+        switches = sorted(
+            node_id for node_id, node in self.fabric.nodes.items() if node.kind != NodeKind.HOST
+        )
+        # Audits append only audit and corrective entries, never installs or
+        # deletes, so one fold before the first audit is the trusted state of
+        # every switch for the whole tick.
+        trusted = self.log.expected_switch_states(switches)
+        return [self._audit(node_id, trusted[node_id]) for node_id in switches]
 
     def audit_now(self, node_id: str) -> sf.AuditResult:
         """Compare the switch's reported rules with the log-derived trusted
         state; on any variation alert the administrator and restore."""
+        return self._audit(node_id, self.log.expected_switch_state(node_id))
+
+    def _audit(self, node_id: str, trusted: pol.TrustedReport) -> sf.AuditResult:
         observed = report_flow_rules(self.fabric, node_id)
-        trusted = self.log.expected_switch_state(node_id)
         result = sf.audit_flow_rules(trusted, observed)
         self.log.append(
             {
@@ -674,39 +679,15 @@ class SecurityManager:
         # install/delete history) is left untouched.
         for rule in result.extra_rules:
             apply_flow_mod(self.fabric, node_id, FlowMod.delete(rule.rule_id), Provenance.CONTROLLER)
-        for rule in result.missing_rules:
-            apply_flow_mod(
-                self.fabric,
-                node_id,
-                FlowMod.add(
-                    FlowRule(
-                        rule_id=rule.rule_id, match=rule.match,
-                        action=rule.action, priority=rule.priority,
-                    )
-                ),
-                Provenance.CONTROLLER,
-            )
-        for expected, _observed in result.modified_rules:
-            apply_flow_mod(
-                self.fabric,
-                node_id,
-                FlowMod.add(
-                    FlowRule(
-                        rule_id=expected.rule_id, match=expected.match,
-                        action=expected.action, priority=expected.priority,
-                    )
-                ),
-                Provenance.CONTROLLER,
-            )
+        reinstalled = [*result.missing_rules, *(e for e, _o in result.modified_rules)]
+        for rule in reinstalled:
+            apply_flow_mod(self.fabric, node_id, FlowMod.add(rule.to_rule()), Provenance.CONTROLLER)
         self.log.append(
             {
                 "type": pol.EV_CORRECTIVE_ACTION,
                 "node": node_id,
                 "deleted": [r.rule_id for r in result.extra_rules],
-                "reinstalled": sorted(
-                    [r.rule_id for r in result.missing_rules]
-                    + [e.rule_id for e, _o in result.modified_rules]
-                ),
+                "reinstalled": sorted(r.rule_id for r in reinstalled),
                 "time_ms": self.fabric.clock_ms,
             }
         )

@@ -216,6 +216,12 @@ class ReportedRule:
             priority=d["priority"],
         )
 
+    def to_rule(self) -> FlowRule:
+        """The controller-provenance flow rule this report describes."""
+        return FlowRule(
+            rule_id=self.rule_id, match=self.match, action=self.action, priority=self.priority
+        )
+
 
 def canonical_rule_order(rules: Iterable[ReportedRule]) -> tuple[ReportedRule, ...]:
     """Priority descending, then rule id ascending. Shared by every report."""
@@ -628,7 +634,11 @@ def _apply_ciphers(
     next_is_host: bool,
     time_ms: int,
     events: list[TraceEvent],
-) -> tuple[bytes, bool]:
+) -> tuple[Optional[bytes], bool]:
+    """Run the node's cipher for this flow, if any, on the outgoing payload.
+
+    The payload comes back as ``None`` when an envelope fails authentication.
+    """
     entry = fabric.flow_ciphers.get(node_id, {}).get(flow_id)
     if entry is None:
         return payload, encrypted
@@ -642,10 +652,14 @@ def _apply_ciphers(
         )
         encrypted = True
     elif mode == "decrypt" and encrypted and next_is_host:
-        from .security_functions import CipherEnvelope  # local import: avoid cycle
+        # local import: avoid cycle
+        from .security_functions import AuthenticationError, CipherEnvelope
 
-        envelope = CipherEnvelope.from_bytes(payload)
-        payload = cipher.decrypt(envelope)
+        try:
+            envelope = CipherEnvelope.from_bytes(payload)
+            payload = cipher.decrypt(envelope)
+        except AuthenticationError:
+            return None, encrypted
         events.append(
             TraceEvent(kind="decrypt", node=node_id, time_ms=time_ms,
                        detail={"flow_id": flow_id, "key_id": envelope.key_id})
@@ -705,11 +719,15 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
             return ForwardingTrace(work.flow_id, events, Dropped(node=at, reason="dead-port"))
         peer_id, peer_port, latency = link
         peer = fabric.nodes[peer_id]
-        work.payload, encrypted = _apply_ciphers(
+        payload, encrypted = _apply_ciphers(
             fabric, at, work.flow_id, work.payload, encrypted,
             next_is_host=(peer.kind == NodeKind.HOST),
             time_ms=work.virtual_timestamp, events=events,
         )
+        if payload is None:
+            fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
+            return ForwardingTrace(work.flow_id, events, Dropped(node=at, reason="auth-failed"))
+        work.payload = payload
         work.virtual_timestamp += latency
         events.append(
             TraceEvent(

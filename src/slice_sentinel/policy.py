@@ -14,13 +14,12 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .fabric import (
     VLAN_MAX,
     VLAN_MIN,
     FlowTable,
-    FlowRule,
     ReportedRule,
     canonical_json,
     canonical_rule_order,
@@ -438,27 +437,29 @@ class ActivityLog:
 
     def expected_switch_state(self, node_id: str) -> TrustedReport:
         """Fold rule install/delete events for a node into a canonical report."""
+        return self.expected_switch_states([node_id])[node_id]
+
+    def expected_switch_states(self, node_ids: Iterable[str]) -> dict[str, TrustedReport]:
+        """Verify the whole chain once, then fold every listed node in one pass."""
         if not self.verify():
             raise LogIntegrityError("activity log hash chain is broken")
-        table = FlowTable()
+        tables = {node_id: FlowTable() for node_id in node_ids}
         for entry in self.entries:
             event = entry.event
-            if event.get("node") != node_id:
+            table = tables.get(event.get("node"))
+            if table is None:
                 continue
             if event["type"] == EV_RULE_INSTALLED:
-                reported = ReportedRule.from_dict(event["rule"])
-                table.add(
-                    FlowRule(
-                        rule_id=reported.rule_id,
-                        match=reported.match,
-                        action=reported.action,
-                        priority=reported.priority,
-                    )
-                )
+                table.add(ReportedRule.from_dict(event["rule"]).to_rule())
             elif event["type"] == EV_RULE_DELETED:
                 table.delete(event["rule_id"])
-        rules = canonical_rule_order(r.reported() for r in table.rules())
-        return TrustedReport(node_id=node_id, rules=rules)
+        return {
+            node_id: TrustedReport(
+                node_id=node_id,
+                rules=canonical_rule_order(r.reported() for r in table.rules()),
+            )
+            for node_id, table in tables.items()
+        }
 
     # -- persistence (JSON lines, one entry per line) ------------------------
 

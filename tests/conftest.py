@@ -36,8 +36,7 @@ def signature_doc():
     return _load_config("signatures.json")
 
 
-@pytest.fixture
-def world(topology_doc, policy_doc, signature_doc):
+def build_world(topology_doc, policy_doc, signature_doc):
     fabric = build_topology(topology_doc)
     repo = load_policies(policy_doc)
     manager = SecurityManager(
@@ -51,17 +50,13 @@ def world(topology_doc, policy_doc, signature_doc):
 
 
 @pytest.fixture
+def world(topology_doc, policy_doc, signature_doc):
+    return build_world(topology_doc, policy_doc, signature_doc)
+
+
+@pytest.fixture
 def handover_world(handover_topology_doc, policy_doc, signature_doc):
-    fabric = build_topology(handover_topology_doc)
-    repo = load_policies(policy_doc)
-    manager = SecurityManager(
-        fabric,
-        repo,
-        signatures=parse_signatures(signature_doc),
-        config=ManagerConfig(),
-        seed=0,
-    )
-    return fabric, repo, manager
+    return build_world(handover_topology_doc, policy_doc, signature_doc)
 
 
 def drive(fabric, manager, packet, ingress, feedback=True):

@@ -1,6 +1,8 @@
 """Security manager tests: flow setup, alert handling, attestation gating,
 handover and key provisioning."""
 
+from dataclasses import replace
+
 import pytest
 
 from slice_sentinel.controller import ProvisioningError, UnknownDeviceError
@@ -11,6 +13,7 @@ from slice_sentinel.fabric import (
     FlowKey,
     FlowMod,
     FlowRule,
+    NodeKind,
     Packet,
     Provenance,
     apply_flow_mod,
@@ -19,11 +22,13 @@ from slice_sentinel.fabric import (
 )
 from slice_sentinel.policy import (
     EV_PROFILE_EXTRACTED,
+    LogEntry,
+    LogIntegrityError,
     extract_profile,
 )
 from slice_sentinel.security_functions import Alert, TrustVerdict
 
-from conftest import drive
+from conftest import build_world, drive
 
 
 def ue_packet(ue: int, dst_ip: str, flow: str, payload: bytes = b"data", ts: int = 0) -> Packet:
@@ -198,6 +203,77 @@ class TestAlertHandling:
         assert manager.audit_now("OVS1").clean
         ids = [r.rule_id for r in report_flow_rules(fabric, "OVS1").rules]
         assert "atk-3346" not in ids
+
+
+def churned_world(topology_doc, policy_doc, signature_doc):
+    """Two installed flows, then three external flow-mods on two switches."""
+    fabric, repo, manager = build_world(topology_doc, policy_doc, signature_doc)
+    _trace, ue1 = drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
+    _trace, ue2 = drive(fabric, manager, ue_packet(2, "10.0.0.7", "f-ue2"), ("OVS1", 2))
+    extra = FlowRule("atk-extra", FlowKey(src_ip="10.0.0.66"), Drop(), priority=50)
+    apply_flow_mod(fabric, "OVS1", FlowMod.add(extra), Provenance.EXTERNAL)
+    deleted = next(rid for node, rid in ue1.installed_rules if node == "CORE1")
+    apply_flow_mod(fabric, "CORE1", FlowMod.delete(deleted), Provenance.EXTERNAL)
+    changed_id = next(rid for node, rid in ue2.installed_rules if node == "OVS1")
+    original = next(r for r in fabric.nodes["OVS1"].table.rules() if r.rule_id == changed_id)
+    changed = replace(original, action=Drop())
+    apply_flow_mod(fabric, "OVS1", FlowMod.add(changed), Provenance.EXTERNAL)
+    return fabric, repo, manager
+
+
+def switches_of(fabric) -> list[str]:
+    return sorted(n for n, node in fabric.nodes.items() if node.kind != NodeKind.HOST)
+
+
+class TestTickAudit:
+    def test_tick_equals_one_audit_now_per_switch(self, topology_doc, policy_doc, signature_doc):
+        _fabric, _repo, ticked = churned_world(topology_doc, policy_doc, signature_doc)
+        fabric, _repo, audited = churned_world(topology_doc, policy_doc, signature_doc)
+        by_tick = ticked.tick(now_ms=ticked.config.audit_interval_ms)
+        by_audit = [audited.audit_now(node) for node in switches_of(fabric)]
+        assert [r.to_dict() for r in by_tick] == [r.to_dict() for r in by_audit]
+        found = {
+            (r.node, kind)
+            for r in by_tick
+            for kind, rules in (
+                ("extra", r.extra_rules), ("missing", r.missing_rules), ("modified", r.modified_rules)
+            )
+            if rules
+        }
+        assert found == {("OVS1", "extra"), ("OVS1", "modified"), ("CORE1", "missing")}
+        assert ticked.log.to_jsonl() == audited.log.to_jsonl()
+        assert ticked.admin_alerts == audited.admin_alerts
+
+    def test_tick_verifies_the_log_once(self, world, monkeypatch):
+        fabric, _repo, manager = world
+        verify = manager.log.verify
+        calls = []
+
+        def counting_verify():
+            calls.append(1)
+            return verify()
+
+        monkeypatch.setattr(manager.log, "verify", counting_verify)
+        results = manager.tick(now_ms=manager.config.audit_interval_ms)
+        assert len(results) == len(switches_of(fabric)) > 1
+        assert len(calls) == 1
+
+    def test_tampered_log_fails_the_tick_before_any_audit(
+        self, topology_doc, policy_doc, signature_doc
+    ):
+        fabric, _repo, manager = churned_world(topology_doc, policy_doc, signature_doc)
+        idx = len(manager.log) // 2
+        entry = manager.log.entries[idx]
+        forged = dict(entry.event, time_ms=entry.event.get("time_ms", 0) + 1)
+        manager.log.entries[idx] = LogEntry(entry.seq, forged, entry.prev_hash, entry.entry_hash)
+        entries = len(manager.log)
+        tables = {n: node.table.rules() for n, node in fabric.nodes.items()}
+        alerts = list(manager.admin_alerts)
+        with pytest.raises(LogIntegrityError):
+            manager.tick(now_ms=manager.config.audit_interval_ms)
+        assert len(manager.log) == entries
+        assert {n: node.table.rules() for n, node in fabric.nodes.items()} == tables
+        assert manager.admin_alerts == alerts
 
 
 class TestAttestationGate:

@@ -25,6 +25,7 @@ from slice_sentinel.fabric import (
     measure_attestation,
     report_flow_rules,
 )
+from slice_sentinel.security_functions import FlowCipher, KeyGenerator
 
 
 def small_topology() -> dict:
@@ -171,6 +172,34 @@ class TestInjectPacket:
         )
         trace = inject_packet(fabric, ue_packet(), ingress=("OVS1", 1))
         assert trace.outcome == Dropped(node="CORE1", reason="no-matching-rule")
+
+    def test_envelope_failing_authentication_at_egress_is_a_drop(self):
+        # Both keys are "key-000001", but they come from different seeds.
+        fabric = build_topology(small_topology())
+        match = FlowKey(src_ip="10.0.0.1", dst_ip="10.0.0.8")
+        for node, rule_id in (("OVS1", "r1"), ("CORE1", "r2")):
+            apply_flow_mod(
+                fabric, node,
+                FlowMod.add(FlowRule(rule_id, match, Forward(port=2, slice_id=200), priority=10)),
+            )
+        endpoints = ("OVS1", "CORE1")
+        fabric.set_flow_cipher(
+            "OVS1", "secret", "encrypt", FlowCipher(KeyGenerator(seed=1).generate(endpoints))
+        )
+        fabric.set_flow_cipher(
+            "CORE1", "secret", "decrypt", FlowCipher(KeyGenerator(seed=2).generate(endpoints))
+        )
+        trace = inject_packet(fabric, ue_packet(flow_id="secret"), ingress=("OVS1", 1))
+        assert trace.outcome == Dropped(node="CORE1", reason="auth-failed")
+        assert fabric.clock_ms == 1
+        outcomes = [trace.outcome] + [
+            inject_packet(fabric, ue_packet(flow_id=flow), ingress=("OVS1", 1)).outcome
+            for flow in ("plain", "secret")
+        ]
+        delivered = [o for o in outcomes if isinstance(o, Delivered)]
+        dropped = [o for o in outcomes if isinstance(o, Dropped)]
+        assert len(delivered) == 1 and len(dropped) == 2
+        assert len(outcomes) == len(delivered) + len(dropped)
 
 
 class TestPriorityMatching:

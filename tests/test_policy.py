@@ -242,7 +242,7 @@ class TestReplayEquivalence:
                 table = [r for r in table if r.rule_id != event["rule_id"]]
         return sorted(table, key=lambda r: (-r.priority, r.rule_id))
 
-    def test_fold_matches_naive_replay_on_large_random_log(self):
+    def _random_log(self):
         rng = random.Random(7)
         log = ActivityLog()
         events = []
@@ -257,9 +257,30 @@ class TestReplayEquivalence:
                 event = rule_event(node, rule_id, priority=rng.randint(0, 4))
             events.append(event)
             log.append(event)
+        return log, events
+
+    def test_fold_matches_naive_replay_on_large_random_log(self):
+        log, events = self._random_log()
         for node in ("OVS1", "OVS2"):
             folded = list(log.expected_switch_state(node).rules)
             assert folded == self._naive_replay(events, node)
+
+    def test_one_pass_fold_of_many_nodes_matches_naive_replay(self):
+        log, events = self._random_log()
+        reports = log.expected_switch_states(["OVS1", "OVS2", "OVS9"])
+        assert list(reports) == ["OVS1", "OVS2", "OVS9"]
+        for node, report in reports.items():
+            assert report.node_id == node
+            assert list(report.rules) == self._naive_replay(events, node)
+        assert reports["OVS9"].rules == ()
+
+    def test_one_pass_fold_rejects_an_entry_replaced_in_place(self):
+        log, _events = self._random_log()
+        entry = log.entries[5000]
+        forged = dict(entry.event, node="OVS2" if entry.event["node"] == "OVS1" else "OVS1")
+        log.entries[5000] = LogEntry(entry.seq, forged, entry.prev_hash, entry.entry_hash)
+        with pytest.raises(LogIntegrityError):
+            log.expected_switch_states(["OVS1", "OVS2"])
 
 
 @settings(max_examples=50, deadline=None)
