@@ -72,10 +72,6 @@ class NaiveBayesClassifier(ParamsMixin):
         X = check_matrix(X)
         return np.array([self.predict_one(row)[0] for row in X])
 
-    def predict_proba(self, X) -> np.ndarray:
-        X = check_matrix(X)
-        return np.vstack([self.predict_one(row)[1] for row in X])
-
 
 # ---------------------------------------------------------------------------
 # Decision tree

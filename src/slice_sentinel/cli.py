@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--packets", type=int, default=100)
     bench_p.add_argument("--seed", type=int, default=0)
     bench_p.add_argument("--out", default="out")
-    bench_p.add_argument("--verbose", action="store_true")
     bench_p.set_defaults(fn=cmd_bench)
 
     ml_p = sub.add_parser("ml", help="train and evaluate a traffic classifier")
@@ -331,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     ml_p.add_argument("--max-depth", type=int, default=None)
     ml_p.add_argument("--seed", type=int, default=0)
     ml_p.add_argument("--out", default="out")
-    ml_p.add_argument("--verbose", action="store_true")
     ml_p.set_defaults(fn=cmd_ml)
 
     audit_p = sub.add_parser("audit", help="audit one switch against its trusted state")

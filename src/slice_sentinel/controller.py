@@ -77,9 +77,6 @@ class SecurityDeployment:
     node: str
     access: sf.SliceAccessState
     validator: sf.FlowValidatorState
-    secured_flows: dict[str, str] = field(default_factory=dict)  # flow_id -> key_id
-    encryption_enabled: bool = False
-    deployed_at: int = 0
     covered_users: set[str] = field(default_factory=set)
 
 
@@ -374,14 +371,11 @@ class SecurityManager:
                     window_ms=self.config.anomaly_window_ms,
                     threshold=self.config.anomaly_threshold,
                 ),
-                deployed_at=self.fabric.clock_ms,
             )
         if profile is not None:
             for device in sorted(profile.device_ids()):
                 pairs = dep.access.allowed.setdefault(device, set())
                 pairs.update(profile.allowed_pairs(device))
-            if profile.requires_confidentiality():
-                dep.encryption_enabled = True
             dep.covered_users.add(profile.user_id)
         return dep
 
@@ -414,7 +408,10 @@ class SecurityManager:
         flow_id = header.flow_id or f"{header.src_ip}->{header.dst_ip}"
 
         if not cfg.security_enabled:
-            return self._new_flow_plain(punt, flow_id, cost)
+            # Baseline reactive forwarding: no security functions at all.
+            return self._route_flow(
+                punt, flow_id, "permitted", self.requested_pair(header.dst_ip), header.dst_ip, cost
+            )
 
         dep = self.deployments.get(punt.node)
         user_id = self.repository.user_of_device(device)
@@ -485,23 +482,41 @@ class SecurityManager:
             )
 
         if verdict == sf.AccessVerdict.PERMIT:
-            slice_id, service = requested
-            reqs = self.repository.security_reqs(device, requested)
-            dst_ip = header.dst_ip
-            final_verdict = "permitted"
-        else:  # ROUTE_GENERIC
-            slice_id = self.config.generic_slice
-            service = "generic"
-            reqs = frozenset()
-            dst_ip = self._generic_host_ip() or header.dst_ip
-            final_verdict = "generic"
+            return self._route_flow(
+                punt, flow_id, "permitted", requested, header.dst_ip, cost,
+                user_id=user_id, reqs=self.repository.security_reqs(device, requested),
+                extraction=extraction,
+            )
+        # ROUTE_GENERIC
+        return self._route_flow(
+            punt, flow_id, "generic", (cfg.generic_slice, "generic"),
+            self._generic_host_ip() or header.dst_ip, cost,
+            user_id=user_id, extraction=extraction,
+        )
 
-        dst_node = self.fabric.host_by_ip(dst_ip)
+    def _route_flow(
+        self,
+        punt: PuntEvent,
+        flow_id: str,
+        verdict: str,
+        pair: tuple[int, str],
+        route_ip: str,
+        cost: int,
+        user_id: Optional[str] = None,
+        reqs: frozenset[str] = frozenset(),
+        extraction: bool = False,
+    ) -> FlowDecision:
+        """Route an admitted flow toward ``route_ip`` on ``pair``: path,
+        record and bidirectional rules.  Adds path and install costs."""
+        cfg = self.config
+        header = punt.header
+        device = header.src_mac
+        dst_node = self.fabric.host_by_ip(route_ip)
         if dst_node is None:
             return FlowDecision(
                 flow_id=flow_id, device_id=device, verdict="error",
                 extraction_performed=extraction, cost_us=cost,
-                error=f"no host for destination {dst_ip}",
+                error=f"no host for destination {route_ip}",
             )
         path = self.fabric.shortest_path(punt.node, dst_node)
         cost += cfg.path_compute_us
@@ -511,6 +526,7 @@ class SecurityManager:
                 extraction_performed=extraction, cost_us=cost,
                 error=f"no route from {punt.node} to {dst_node}",
             )
+        slice_id, service = pair
         record = FlowRecord(
             flow_id=flow_id,
             device_id=device,
@@ -528,44 +544,9 @@ class SecurityManager:
         cost += installed * cfg.rule_install_us
         self.flows[flow_id] = record
         return FlowDecision(
-            flow_id=flow_id, device_id=device, verdict=final_verdict,
+            flow_id=flow_id, device_id=device, verdict=verdict,
             slice_id=slice_id, service=service, installed_rules=list(record.rules),
             extraction_performed=extraction, cost_us=cost,
-        )
-
-    def _new_flow_plain(self, punt: PuntEvent, flow_id: str, cost: int) -> FlowDecision:
-        """Baseline reactive forwarding: no security functions at all."""
-        cfg = self.config
-        header = punt.header
-        requested = self.repository.service_at(header.dst_ip)
-        slice_id = requested[0] if requested else self.config.generic_slice
-        service = requested[1] if requested else "generic"
-        dst_node = self.fabric.host_by_ip(header.dst_ip)
-        if dst_node is None:
-            return FlowDecision(
-                flow_id=flow_id, device_id=header.src_mac, verdict="error",
-                cost_us=cost, error=f"no host for destination {header.dst_ip}",
-            )
-        path = self.fabric.shortest_path(punt.node, dst_node)
-        cost += cfg.path_compute_us
-        if path is None:
-            return FlowDecision(
-                flow_id=flow_id, device_id=header.src_mac, verdict="error",
-                cost_us=cost, error="no route",
-            )
-        record = FlowRecord(
-            flow_id=flow_id, device_id=header.src_mac, user_id=None,
-            src_ip=header.src_ip, dst_ip=header.dst_ip, slice_id=slice_id,
-            service=service, security_reqs=frozenset(), edge=punt.node,
-            ingress_port=punt.port, path=tuple(path),
-        )
-        installed = self._install_path_rules(record)
-        cost += installed * cfg.rule_install_us
-        self.flows[flow_id] = record
-        return FlowDecision(
-            flow_id=flow_id, device_id=header.src_mac, verdict="permitted",
-            slice_id=slice_id, service=service, installed_rules=list(record.rules),
-            cost_us=cost,
         )
 
     def _generic_host_ip(self) -> Optional[str]:
@@ -613,17 +594,23 @@ class SecurityManager:
                 self._delete_rule(node, rule_id, self.fabric.clock_ms)
                 replaced += 1
             record.rules.clear()
-            drop = FlowRule(
-                rule_id=self._next_rule_id(),
-                match=FlowKey(src_ip=record.src_ip, dst_ip=record.dst_ip),
-                action=Drop(),
-                priority=100,
-            )
-            self._install_rule(record.edge, drop, self.fabric.clock_ms)
-            record.rules.append((record.edge, drop.rule_id))
+            self._contain(record, record.edge)
         return ReconfigAction(
             kind="blacklisted", device_id=device, rules_replaced=replaced
         )
+
+    def _contain(self, record: FlowRecord, edge: str) -> None:
+        """Anchor a flow of a blacklisted device at ``edge`` behind one
+        priority-100 drop rule."""
+        drop = FlowRule(
+            rule_id=self._next_rule_id(),
+            match=FlowKey(src_ip=record.src_ip, dst_ip=record.dst_ip),
+            action=Drop(),
+            priority=100,
+        )
+        self._install_rule(edge, drop, self.fabric.clock_ms)
+        record.edge = edge
+        record.rules.append((edge, drop.rule_id))
 
     def tick(self, now_ms: int) -> list[sf.AuditResult]:
         """Periodic duties: audit every switch once per audit interval."""
@@ -768,15 +755,7 @@ class SecurityManager:
             record.rules.clear()
             if blacklisted:
                 # Carry the containment, not the connectivity.
-                drop = FlowRule(
-                    rule_id=self._next_rule_id(),
-                    match=FlowKey(src_ip=record.src_ip, dst_ip=record.dst_ip),
-                    action=Drop(),
-                    priority=100,
-                )
-                self._install_rule(to_edge, drop, self.fabric.clock_ms)
-                record.edge = to_edge
-                record.rules.append((to_edge, drop.rule_id))
+                self._contain(record, to_edge)
                 continue
             dst_node = self.fabric.host_by_ip(record.dst_ip)
             src_node = self.fabric.host_by_ip(record.src_ip)
@@ -857,7 +836,4 @@ class SecurityManager:
                 }
             )
         record.key_id = key.key_id
-        dep = self.deployments.get(ingress)
-        if dep is not None:
-            dep.secured_flows[flow_id] = key.key_id
         return key.key_id

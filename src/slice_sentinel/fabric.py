@@ -446,9 +446,6 @@ class Fabric:
                 return node.node_id
         return None
 
-    def edge_nodes(self) -> list[str]:
-        return sorted(n.node_id for n in self.nodes.values() if n.kind == NodeKind.EDGE)
-
     def port_toward(self, node_id: str, peer_id: str) -> Optional[int]:
         for port, (peer, _pport, _lat) in sorted(self.node(node_id).ports.items()):
             if peer == peer_id:
@@ -572,11 +569,6 @@ def build_topology(config: dict) -> Fabric:
     return fabric
 
 
-def load_topology(path) -> Fabric:
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_topology(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # Fabric operations
 # ---------------------------------------------------------------------------
@@ -698,25 +690,25 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
         node = fabric.nodes[at]
         rule = node.table.lookup(work)
         if rule is None:
-            fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
-            return ForwardingTrace(work.flow_id, events, Dropped(node=at, reason="no-matching-rule"))
+            outcome = Dropped(node=at, reason="no-matching-rule")
+            break
         if isinstance(rule.action, PuntToController):
             punt = PuntEvent(node=at, port=_port, header=work.header(), time_ms=work.virtual_timestamp)
             fabric.punt_events.append(punt)
             events.append(TraceEvent(kind="punt", node=at, time_ms=work.virtual_timestamp,
                                      detail={"flow_id": work.flow_id}))
-            fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
-            return ForwardingTrace(work.flow_id, events, Punted(node=at))
+            outcome = Punted(node=at)
+            break
         if isinstance(rule.action, Drop):
-            fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
-            return ForwardingTrace(work.flow_id, events, Dropped(node=at, reason=f"drop-rule:{rule.rule_id}"))
+            outcome = Dropped(node=at, reason=f"drop-rule:{rule.rule_id}")
+            break
 
         # Forward
         work.slice_id = rule.action.slice_id
         link = node.ports.get(rule.action.port)
         if link is None:
-            fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
-            return ForwardingTrace(work.flow_id, events, Dropped(node=at, reason="dead-port"))
+            outcome = Dropped(node=at, reason="dead-port")
+            break
         peer_id, peer_port, latency = link
         peer = fabric.nodes[peer_id]
         payload, encrypted = _apply_ciphers(
@@ -725,8 +717,8 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
             time_ms=work.virtual_timestamp, events=events,
         )
         if payload is None:
-            fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
-            return ForwardingTrace(work.flow_id, events, Dropped(node=at, reason="auth-failed"))
+            outcome = Dropped(node=at, reason="auth-failed")
+            break
         work.payload = payload
         work.virtual_timestamp += latency
         events.append(
@@ -740,12 +732,15 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
             )
         )
         if peer.kind == NodeKind.HOST:
-            fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
             slice_def = fabric.slices.get(work.slice_id) if work.slice_id is not None else None
             if work.slice_id is not None and (slice_def is None or peer_id not in slice_def.hosts):
-                return ForwardingTrace(work.flow_id, events, Dropped(node=at, reason="slice-violation"))
-            return ForwardingTrace(work.flow_id, events, Delivered(host=peer_id))
+                outcome = Dropped(node=at, reason="slice-violation")
+            else:
+                outcome = Delivered(host=peer_id)
+            break
         at = peer_id
+    else:
+        outcome = Dropped(node=at, reason="hop-limit")
 
     fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
-    return ForwardingTrace(work.flow_id, events, Dropped(node=at, reason="hop-limit"))
+    return ForwardingTrace(work.flow_id, events, outcome)

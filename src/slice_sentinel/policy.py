@@ -3,9 +3,9 @@
 The policy repository stores per-device slice/service authorizations in the
 JSON shape used by the controller (``hostip``/``hostmac``/``destip``/
 ``dstmac``/``Slice-id``/``Service`` field names), indexes them by device and
-by user, and answers flow authorization queries.  The activity log is a
-hash-chained, tamper-evident record of controller actions from which the
-expected state of any switch can be reconstructed.
+by user, and answers the lookups the security manager makes at flow setup.
+The activity log is a hash-chained, tamper-evident record of controller
+actions from which the expected state of any switch can be reconstructed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .fabric import (
     VLAN_MAX,
@@ -54,8 +54,6 @@ class PolicyAction:
     service: str
     slice_id: int
     security_reqs: frozenset[str] = frozenset()
-    whitelist: tuple[str, ...] = ()
-    blacklist: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -69,17 +67,12 @@ class PolicyRule:
     actions: tuple[PolicyAction, ...]
     dest_mac: Optional[str] = None
     flow_id: Optional[str] = None
-    request_id: Optional[str] = None
     device_type: str = "unknown"
 
     @property
     def device_id(self) -> str:
         # The MAC is the authoritative device identity; the IP may change.
         return self.device_mac
-
-    @property
-    def services(self) -> frozenset[str]:
-        return frozenset(a.service for a in self.actions)
 
 
 def _parse_slice_id(raw) -> int:
@@ -102,12 +95,16 @@ def _parse_action(raw: dict, policy_id: str) -> PolicyAction:
     bad = reqs - VALID_SECURITY_REQS
     if bad:
         raise PolicyError(f"policy {policy_id!r}: unknown security requirements {sorted(bad)}")
+    lists = sorted(k for k in ("whitelist", "blacklist") if k in raw)
+    if lists:
+        raise PolicyError(
+            f"policy {policy_id!r}: per-destination {' and '.join(lists)} is not enforced; "
+            "remove it from the action"
+        )
     return PolicyAction(
         service=raw["Service"],
         slice_id=_parse_slice_id(raw["Slice-id"]),
         security_reqs=reqs,
-        whitelist=tuple(raw.get("whitelist", [])),
-        blacklist=tuple(raw.get("blacklist", [])),
     )
 
 
@@ -136,33 +133,8 @@ def parse_policy_rule(raw: dict) -> PolicyRule:
         user=user,
         contract_id=str(raw.get("contract_id", f"contract-{user.user_id}")),
         actions=actions,
-        request_id=raw.get("request_id"),
         device_type=raw.get("device_type", "unknown"),
     )
-
-
-# ---------------------------------------------------------------------------
-# Match results
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Authorized:
-    slice_id: int
-    service: str
-    security_reqs: frozenset[str]
-
-
-@dataclass(frozen=True)
-class Unauthorized:
-    device_id: str
-
-
-@dataclass(frozen=True)
-class Unknown:
-    pass
-
-
-MatchResult = Union[Authorized, Unauthorized, Unknown]
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +154,6 @@ class ServiceContract:
     devices: tuple[DeviceBinding, ...]
     # device_id -> {(slice_id, service)}
     allowed: dict
-    # service -> security requirement set
-    security_reqs: dict
 
 
 @dataclass(frozen=True)
@@ -201,19 +171,6 @@ class SecurityProfile:
             pairs.update(contract.allowed.get(device_id, ()))
         return frozenset(pairs)
 
-    def security_reqs_for(self, service: str) -> frozenset[str]:
-        reqs: set[str] = set()
-        for contract in self.contracts:
-            reqs.update(contract.security_reqs.get(service, ()))
-        return frozenset(reqs)
-
-    def requires_confidentiality(self) -> bool:
-        return any(
-            "confidentiality" in reqs
-            for c in self.contracts
-            for reqs in c.security_reqs.values()
-        )
-
 
 # ---------------------------------------------------------------------------
 # Repository
@@ -230,15 +187,27 @@ class PolicyRepository:
         self._service_at: dict[str, tuple[int, str]] = {}
 
     def register(self, rule: PolicyRule) -> None:
-        """Add one rule; used by loading and by out-of-band registration."""
+        """Add one rule; used by loading and by out-of-band registration.
+
+        A destination IP hosts one (slice, service): a rule whose first action
+        maps a known destination to another pair is rejected before any index
+        changes.
+        """
         if rule.policy_id in self._by_id:
             raise PolicyError(f"duplicate policy id {rule.policy_id!r}")
+        action = rule.actions[0]
+        pair = (action.slice_id, action.service)
+        hosted = self._service_at.get(rule.dest_ip)
+        if hosted is not None and hosted != pair:
+            raise PolicyError(
+                f"policy {rule.policy_id!r}: destination {rule.dest_ip} already hosts "
+                f"{hosted}, cannot also host {pair}"
+            )
         self.rules.append(rule)
         self._by_id[rule.policy_id] = rule
         self._by_mac.setdefault(rule.device_mac, []).append(rule)
         self._by_user.setdefault(rule.user.user_id, []).append(rule)
-        action = rule.actions[0]
-        self._service_at.setdefault(rule.dest_ip, (action.slice_id, action.service))
+        self._service_at[rule.dest_ip] = pair
 
     def user_of_device(self, device_mac: str) -> Optional[str]:
         rules = self._by_mac.get(device_mac)
@@ -259,26 +228,6 @@ class PolicyRepository:
         """The (slice, service) a destination IP hosts, if any rule names it."""
         return self._service_at.get(dest_ip)
 
-    def match(self, src_ip: str, src_mac: str, dst_ip: str) -> MatchResult:
-        """Total, pure flow-to-policy match.
-
-        Authorized when some rule of the source device covers the destination
-        service; Unauthorized when the device is registered but the pair is
-        not allowed; Unknown when the device is not registered at all.
-        """
-        rules = self._by_mac.get(src_mac)
-        if not rules:
-            return Unknown()
-        for rule in rules:
-            if rule.dest_ip == dst_ip:
-                action = rule.actions[0]
-                return Authorized(
-                    slice_id=action.slice_id,
-                    service=action.service,
-                    security_reqs=action.security_reqs,
-                )
-        return Unauthorized(device_id=src_mac)
-
 
 def load_policies(document: list) -> PolicyRepository:
     """Build a repository from a parsed policy JSON array."""
@@ -288,11 +237,6 @@ def load_policies(document: list) -> PolicyRepository:
     for raw in document:
         repo.register(parse_policy_rule(raw))
     return repo
-
-
-def load_policies_file(path) -> PolicyRepository:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_policies(json.load(fh))
 
 
 def extract_profile(repo: PolicyRepository, user_id: str) -> Optional[SecurityProfile]:
@@ -312,13 +256,11 @@ def extract_profile(repo: PolicyRepository, user_id: str) -> Optional[SecurityPr
         contract_rules = by_contract[contract_id]
         devices: dict[str, str] = {}
         allowed: dict[str, set] = {}
-        reqs: dict[str, set] = {}
         for rule in contract_rules:
             devices.setdefault(rule.device_id, rule.device_type)
             pairs = allowed.setdefault(rule.device_id, set())
             for action in rule.actions:
                 pairs.add((action.slice_id, action.service))
-                reqs.setdefault(action.service, set()).update(action.security_reqs)
         contracts.append(
             ServiceContract(
                 contract_id=contract_id,
@@ -327,7 +269,6 @@ def extract_profile(repo: PolicyRepository, user_id: str) -> Optional[SecurityPr
                     DeviceBinding(device_id=d, device_type=t) for d, t in sorted(devices.items())
                 ),
                 allowed={d: frozenset(p) for d, p in allowed.items()},
-                security_reqs={s: frozenset(r) for s, r in reqs.items()},
             )
         )
     return SecurityProfile(user_id=user_id, contracts=tuple(contracts))

@@ -270,8 +270,20 @@ def _merged(*streams) -> list[tuple[int, int, str, Packet, tuple[str, int]]]:
     return [(t, i, name, packet, ingress) for t, _o, i, name, packet, ingress in events]
 
 
-def _alerts_to_dicts(alerts: list[sf.Alert]) -> list[dict]:
-    return [a.to_dict() for a in alerts]
+def _driver_report(scenario_id: str, seed: int, driver: TrafficDriver, verdict: bool,
+                   details: dict, audits=()) -> ScenarioReport:
+    """The report of a scenario that drove traffic: totals, alerts and flow
+    setup times come from the driver, per-stream counts lead the details."""
+    return ScenarioReport(
+        scenario_id=scenario_id,
+        seed=seed,
+        packets=driver.packet_totals(),
+        alerts=[a.to_dict() for a in driver.alerts],
+        audits=list(audits),
+        timings={"flow_setup_ms": dict(sorted(driver.setup_times_ms.items()))},
+        verdict=verdict,
+        details={"streams": driver.stream_counts(), **details},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +343,10 @@ def _scenario_attack1(config: dict, seed: int) -> ScenarioReport:
         and unauthorized_drops == n_attack
         and benign_bucket["delivered"] == control_delivered
     )
-    return ScenarioReport(
-        scenario_id="attack1",
-        seed=seed,
-        packets=driver.packet_totals(),
-        alerts=_alerts_to_dicts(driver.alerts),
-        audits=[],
-        timings={"flow_setup_ms": dict(sorted(driver.setup_times_ms.items()))},
-        verdict=verdict,
-        details={
-            "streams": driver.stream_counts(),
-            "control_benign_delivered": control_delivered,
-            "unauthorized_drops": unauthorized_drops,
-        },
-    )
+    return _driver_report("attack1", seed, driver, verdict, {
+        "control_benign_delivered": control_delivered,
+        "unauthorized_drops": unauthorized_drops,
+    })
 
 
 def _scenario_attack2(config: dict, seed: int) -> ScenarioReport:
@@ -391,23 +393,13 @@ def _scenario_attack2(config: dict, seed: int) -> ScenarioReport:
         and post_dropped_entry >= 0.99 * len(post)
         and driver.counts["benign"]["delivered"] == control_delivered
     )
-    return ScenarioReport(
-        scenario_id="attack2",
-        seed=seed,
-        packets=driver.packet_totals(),
-        alerts=_alerts_to_dicts(driver.alerts),
-        audits=[],
-        timings={"flow_setup_ms": dict(sorted(driver.setup_times_ms.items()))},
-        verdict=verdict,
-        details={
-            "streams": driver.stream_counts(),
-            "control_benign_delivered": control_delivered,
-            "alerts_for_device": len(sensor_alerts),
-            "post_blacklist_packets": len(post),
-            "post_blacklist_dropped_at_entry": post_dropped_entry,
-            "post_blacklist_delivered": post_delivered,
-        },
-    )
+    return _driver_report("attack2", seed, driver, verdict, {
+        "control_benign_delivered": control_delivered,
+        "alerts_for_device": len(sensor_alerts),
+        "post_blacklist_packets": len(post),
+        "post_blacklist_dropped_at_entry": post_dropped_entry,
+        "post_blacklist_delivered": post_delivered,
+    })
 
 
 def _scenario_attack3(config: dict, seed: int) -> ScenarioReport:
@@ -515,23 +507,13 @@ def _scenario_attack4(config: dict, seed: int) -> ScenarioReport:
         and sensor_move.blacklisted is True
         and sensor_post["delivered"] == 0
     )
-    return ScenarioReport(
-        scenario_id="attack4",
-        seed=seed,
-        packets=driver.packet_totals(),
-        alerts=_alerts_to_dicts(driver.alerts),
-        audits=[],
-        timings={"flow_setup_ms": dict(sorted(driver.setup_times_ms.items()))},
-        verdict=verdict,
-        details={
-            "streams": driver.stream_counts(),
-            "authorizations_before": sorted(map(list, pairs_before)),
-            "authorizations_after": sorted(map(list, pairs_after)),
-            "extractions_during_handover": extractions_during,
-            "rules_reanchored": handover.rules_reanchored,
-            "sensor_blacklist_carried": sensor_move.blacklisted,
-        },
-    )
+    return _driver_report("attack4", seed, driver, verdict, {
+        "authorizations_before": sorted(map(list, pairs_before)),
+        "authorizations_after": sorted(map(list, pairs_after)),
+        "extractions_during_handover": extractions_during,
+        "rules_reanchored": handover.rules_reanchored,
+        "sensor_blacklist_carried": sensor_move.blacklisted,
+    })
 
 
 SHELLSHOCK_EXPLOIT = (
@@ -573,21 +555,11 @@ def _scenario_shellshock(config: dict, seed: int) -> ScenarioReport:
         and isolated
         and control["delivered"] == n_exploit
     )
-    return ScenarioReport(
-        scenario_id="shellshock",
-        seed=seed,
-        packets=driver.packet_totals(),
-        alerts=_alerts_to_dicts(driver.alerts),
-        audits=[],
-        timings={"flow_setup_ms": dict(sorted(driver.setup_times_ms.items()))},
-        verdict=verdict,
-        details={
-            "streams": driver.stream_counts(),
-            "signature_drops": signature_drops,
-            "attacker_isolated": isolated,
-            "control_delivered": control["delivered"],
-        },
-    )
+    return _driver_report("shellshock", seed, driver, verdict, {
+        "signature_drops": signature_drops,
+        "attacker_isolated": isolated,
+        "control_delivered": control["delivered"],
+    })
 
 
 def _scenario_flowmod_audit(config: dict, seed: int) -> ScenarioReport:
@@ -616,21 +588,13 @@ def _scenario_flowmod_audit(config: dict, seed: int) -> ScenarioReport:
         and first.modified_rules == ()
         and second.clean
     )
-    return ScenarioReport(
-        scenario_id="flowmod_audit",
-        seed=seed,
-        packets=driver.packet_totals(),
-        alerts=_alerts_to_dicts(driver.alerts),
-        audits=[first.to_dict(), second.to_dict()],
-        timings={"flow_setup_ms": dict(sorted(driver.setup_times_ms.items()))},
-        verdict=verdict,
-        details={
-            "streams": driver.stream_counts(),
-            "injected_rule_id": injected_id,
-            "restored": second.clean,
-            "admin_alerts": manager.admin_alerts,
-        },
-    )
+    details = {
+        "injected_rule_id": injected_id,
+        "restored": second.clean,
+        "admin_alerts": manager.admin_alerts,
+    }
+    return _driver_report("flowmod_audit", seed, driver, verdict, details,
+                          audits=[first.to_dict(), second.to_dict()])
 
 
 def _scenario_fsf_path(config: dict, seed: int) -> ScenarioReport:
@@ -673,21 +637,11 @@ def _scenario_fsf_path(config: dict, seed: int) -> ScenarioReport:
         and fabric.flow_ciphers.get("OVS1", {}).get("flow-scada", (None,))[0] == "encrypt"
         and fabric.flow_ciphers.get("CORE1", {}).get("flow-scada", (None,))[0] == "decrypt"
     )
-    return ScenarioReport(
-        scenario_id="fsf_path",
-        seed=seed,
-        packets=driver.packet_totals(),
-        alerts=_alerts_to_dicts(driver.alerts),
-        audits=[],
-        timings={"flow_setup_ms": dict(sorted(driver.setup_times_ms.items()))},
-        verdict=verdict,
-        details={
-            "streams": driver.stream_counts(),
-            "key_id": key_id,
-            "mid_path_ciphertext_only": mid_clean,
-            "delivered_payloads_intact": delivered_intact,
-        },
-    )
+    return _driver_report("fsf_path", seed, driver, verdict, {
+        "key_id": key_id,
+        "mid_path_ciphertext_only": mid_clean,
+        "delivered_payloads_intact": delivered_intact,
+    })
 
 
 _SCENARIOS = {

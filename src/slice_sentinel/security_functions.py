@@ -4,13 +4,12 @@ Each function here is a small, explicitly stated piece of state plus a pure
 check: slice access control with blacklist precedence, signature and
 rate-window flow validation, attestation verification, flow-rule audit
 against a trusted report, symmetric key generation and authenticated flow
-encryption, and per-device fingerprint/list checks.
+encryption.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -96,11 +95,6 @@ def parse_signatures(document: list) -> list[Signature]:
     return sigs
 
 
-def load_signatures(path) -> list[Signature]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_signatures(json.load(fh))
-
-
 def packet_header_bytes(packet: Packet) -> bytes:
     return (
         f"{packet.src_ip}>{packet.dst_ip}|{packet.src_mac}>{packet.dst_mac}"
@@ -169,7 +163,6 @@ class FlowValidatorState:
     window_ms: int = DEFAULT_ANOMALY_WINDOW_MS
     threshold: int = DEFAULT_ANOMALY_THRESHOLD
     windows: dict[str, deque] = field(default_factory=dict)
-    byte_counts: dict[str, int] = field(default_factory=dict)
     classifier: Optional[object] = None  # object with predict_one(features)
     feature_fn: Optional[object] = None  # callable(state, device) -> feature row
 
@@ -219,7 +212,6 @@ def validate_flow(
     while window and window[0] <= cutoff:
         window.popleft()
     window.append(now)
-    state.byte_counts[device] = state.byte_counts.get(device, 0) + len(packet.payload)
     if len(window) > state.threshold:
         score = len(window) / state.threshold
         alert = Alert(
@@ -460,39 +452,3 @@ class FlowCipher:
     def decrypt(self, envelope: CipherEnvelope) -> bytes:
         return decrypt_flow_payload(self.key, envelope)
 
-
-# ---------------------------------------------------------------------------
-# Device-specific checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DeviceFingerprint:
-    device_id: str  # MAC
-    ip: str
-
-
-@dataclass(frozen=True)
-class DeviceCheckResult:
-    permitted: bool
-    reason: Optional[str] = None
-
-
-def device_specific_check(
-    fingerprints: dict[str, DeviceFingerprint],
-    whitelist: frozenset[str] | set[str],
-    blacklist: frozenset[str] | set[str],
-    packet: Packet,
-) -> DeviceCheckResult:
-    """Owner-supplied per-device policy: blacklist, whitelist, then fingerprint.
-
-    Lists carry destination IPs.  A fingerprint binds the device MAC to its
-    registered source IP; a mismatch is treated as spoofing.
-    """
-    if packet.dst_ip in blacklist:
-        return DeviceCheckResult(False, "blacklisted-destination")
-    if packet.dst_ip in whitelist:
-        return DeviceCheckResult(True, "whitelisted-destination")
-    fingerprint = fingerprints.get(packet.src_mac)
-    if fingerprint is not None and fingerprint.ip != packet.src_ip:
-        return DeviceCheckResult(False, "spoof")
-    return DeviceCheckResult(True, None)

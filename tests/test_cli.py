@@ -5,7 +5,7 @@ import json
 import pytest
 
 from slice_sentinel.cli import main
-from slice_sentinel.scenarios import BenchReport, ScenarioReport
+from slice_sentinel.scenarios import BenchReport, ScenarioReport, load_default_config
 
 
 def read_json(path):
@@ -27,6 +27,17 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_conflicting_destination_mapping_exits_2(self, tmp_path, capsys):
+        policies = load_default_config("policies.json")
+        policies[-1]["actions"] = [{"Service": "Other", "Slice-id": "VLAN300"}]
+        path = tmp_path / "conflicting.json"
+        path.write_text(json.dumps(policies))
+        code = main(["run", "attack1", "--policies", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "10.0.0.8" in err and "(200, 'Service1')" in err and "(300, 'Other')" in err
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_attack2_without_blacklist_feedback_exits_1(self, tmp_path):
         knob = tmp_path / "knob.json"

@@ -84,8 +84,6 @@ class TestNewFlow:
         dep = manager.deployments["OVS1"]
         assert dep.access.allowed["00:09:00:AA"] == {(200, "Service1")}
         assert dep.access.allowed["00:09:00:AC"] == {(300, "Service2")}
-        # alice's profile requires confidentiality for Service2
-        assert dep.encryption_enabled is True
 
     def test_unregistered_device_routes_to_generic_slice(self, world):
         fabric, repo, manager = world
@@ -123,6 +121,42 @@ class TestNewFlow:
         assert "no host" in decision.error
 
 
+class TestNewFlowSecurityOff:
+    @pytest.fixture
+    def plain_world(self, topology_doc, policy_doc, signature_doc):
+        fabric, repo, manager = build_world(topology_doc, policy_doc, signature_doc)
+        manager.config = replace(manager.config, security_enabled=False)
+        return fabric, repo, manager
+
+    def test_registered_device_is_permitted_on_its_path_rules_alone(self, plain_world):
+        fabric, repo, manager = plain_world
+        log_before = len(manager.log)
+        trace, decision = drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-plain"), ("OVS1", 1))
+        cfg = manager.config
+        assert decision.verdict == "permitted"
+        assert (decision.slice_id, decision.service) == (200, "Service1")
+        assert decision.extraction_performed is False
+        nodes = [node for node, _rid in decision.installed_rules]
+        assert nodes.count("OVS1") == 2 and nodes.count("CORE1") == 2
+        for node, rule_id in decision.installed_rules:
+            assert rule_id in {r.rule_id for r in fabric.nodes[node].table.rules()}
+        assert decision.cost_us == (
+            cfg.dispatch_us() + cfg.path_compute_us + 4 * cfg.rule_install_us
+        )
+        assert manager.log.events(EV_PROFILE_EXTRACTED) == []
+        assert "OVS1" not in manager.deployments
+        assert len(manager.log) == log_before + 4  # the four rule installs only
+        assert trace.outcome == Delivered(host="SVC1")
+
+    def test_destination_without_a_host_is_an_error(self, plain_world):
+        fabric, repo, manager = plain_world
+        _trace, decision = drive(fabric, manager, ue_packet(1, "10.99.0.1", "f-ghost"), ("OVS1", 1))
+        assert decision.verdict == "error"
+        assert decision.error == "no host for destination 10.99.0.1"
+        assert decision.installed_rules == []
+        assert decision.cost_us == manager.config.dispatch_us()
+
+
 class TestComposeDeployment:
     def test_profile_with_two_devices_lands_both(self, world):
         fabric, repo, manager = world
@@ -135,14 +169,6 @@ class TestComposeDeployment:
         dep = manager.compose_deployment(None, "OVS1")
         assert dep.access.allowed == {}
         assert dep.access.generic_slice == 4094
-        assert dep.encryption_enabled is False
-
-    def test_confidential_service_enables_flow_security_slot(self, world):
-        fabric, repo, manager = world
-        profile = extract_profile(repo, "alice")
-        assert profile.requires_confidentiality()
-        dep = manager.compose_deployment(profile, "OVS1")
-        assert dep.encryption_enabled is True
 
 
 class TestAlertHandling:

@@ -1,4 +1,4 @@
-"""Policy repository, profile extraction, flow matching and the activity log."""
+"""Policy repository, profile extraction and the activity log."""
 
 import random
 
@@ -11,14 +11,12 @@ from slice_sentinel.policy import (
     EV_RULE_DELETED,
     EV_RULE_INSTALLED,
     ActivityLog,
-    Authorized,
     LogEntry,
     LogIntegrityError,
     PolicyError,
-    Unauthorized,
-    Unknown,
     extract_profile,
     load_policies,
+    parse_policy_rule,
 )
 
 
@@ -64,7 +62,9 @@ class TestLoadPolicies:
     def test_empty_document_gives_empty_repo_and_unknown_matches(self):
         repo = load_policies([])
         assert repo.rules == []
-        assert repo.match("1.2.3.4", "aa:bb", "10.0.0.8") == Unknown()
+        assert repo.service_at("10.0.0.8") is None
+        assert repo.user_of_device("aa:bb") is None
+        assert not repo.device_known("aa:bb")
 
     def test_duplicate_policy_id_rejected(self):
         doc = sample_policy_doc()
@@ -82,6 +82,29 @@ class TestLoadPolicies:
         doc = sample_policy_doc()
         del doc[0]["hostip"]
         with pytest.raises(PolicyError, match="hostip"):
+            load_policies(doc)
+
+    def test_conflicting_destination_mapping_rejected_before_indexing(self):
+        repo = load_policies(sample_policy_doc())
+        rules_before = list(repo.rules)
+        conflicting = parse_policy_rule({
+            "id": "99", "hostip": "10.0.0.3", "hostmac": "00:09:00:AD",
+            "destip": "10.0.0.8",
+            "actions": [{"Service": "Other", "Slice-id": "VLAN300"}],
+        })
+        with pytest.raises(PolicyError) as exc:
+            repo.register(conflicting)
+        message = str(exc.value)
+        assert "(200, 'Service1')" in message and "(300, 'Other')" in message
+        assert repo.rules == rules_before
+        assert repo.service_at("10.0.0.8") == (200, "Service1")
+        assert not repo.device_known("00:09:00:AD")
+
+    @pytest.mark.parametrize("key", ["whitelist", "blacklist"])
+    def test_per_destination_lists_are_rejected(self, key):
+        doc = sample_policy_doc()
+        doc[0]["actions"][0][key] = ["10.0.0.8"]
+        with pytest.raises(PolicyError, match=f"{key} is not enforced"):
             load_policies(doc)
 
 
@@ -136,28 +159,6 @@ class TestExtractProfile:
         for device in profile.device_ids():
             for slice_id, service in profile.allowed_pairs(device):
                 assert (device, slice_id, service) in backing
-
-
-class TestMatchPolicy:
-    def test_registered_device_to_its_service_is_authorized(self):
-        repo = load_policies(sample_policy_doc())
-        result = repo.match("10.0.0.1", "00:09:00:AA", "10.0.0.8")
-        assert result == Authorized(slice_id=200, service="Service1",
-                                    security_reqs=frozenset({"integrity"}))
-
-    def test_registered_device_to_foreign_service_is_unauthorized(self):
-        repo = load_policies(sample_policy_doc())
-        result = repo.match("10.0.0.1", "00:09:00:AA", "10.0.0.7")
-        assert result == Unauthorized(device_id="00:09:00:AA")
-
-    def test_unregistered_mac_is_unknown(self):
-        repo = load_policies(sample_policy_doc())
-        assert repo.match("10.0.0.1", "de:ad:be:ef", "10.0.0.8") == Unknown()
-
-    def test_match_is_pure_and_total(self):
-        repo = load_policies(sample_policy_doc())
-        for args in [("", "", ""), ("x", "y", "z"), ("10.0.0.1", "00:09:00:AA", "10.0.0.8")]:
-            assert repo.match(*args) == repo.match(*args)
 
 
 def rule_event(node: str, rule_id: str, priority: int = 10) -> dict:

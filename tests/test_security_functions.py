@@ -1,5 +1,5 @@
 """Security function unit tests: access control, flow validation, attestation,
-rule audit, key generation, flow encryption, device-specific checks."""
+rule audit, key generation and flow encryption."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +18,6 @@ from slice_sentinel.security_functions import (
     AccessVerdict,
     AuthenticationError,
     CipherEnvelope,
-    DeviceCheckResult,
-    DeviceFingerprint,
     FlowCipher,
     FlowDropAnomaly,
     FlowDropSignature,
@@ -31,7 +29,6 @@ from slice_sentinel.security_functions import (
     TrustVerdict,
     audit_flow_rules,
     check_slice_access,
-    device_specific_check,
     encrypt_flow_payload,
     parse_signatures,
     render_audit_diff,
@@ -352,26 +349,3 @@ def test_encrypt_decrypt_identity_property(payload):
 
     assert decrypt_flow_payload(key, envelope) == payload
 
-
-class TestDeviceSpecificCheck:
-    FP = {"00:09:00:AA": DeviceFingerprint(device_id="00:09:00:AA", ip="10.0.0.1")}
-
-    def test_whitelisted_destination_permitted(self):
-        result = device_specific_check(self.FP, {"10.0.0.8"}, set(), packet())
-        assert result == DeviceCheckResult(True, "whitelisted-destination")
-
-    def test_blacklisted_destination_denied_even_if_whitelisted(self):
-        result = device_specific_check(self.FP, {"10.0.0.8"}, {"10.0.0.8"}, packet())
-        assert result.permitted is False
-
-    def test_fingerprint_mismatch_denied_as_spoof(self):
-        # Oracle: compare the packet header tuple against the stored binding.
-        spoofed = packet(src_ip="10.0.0.99")
-        stored = self.FP[spoofed.src_mac]
-        assert (spoofed.src_mac, spoofed.src_ip) != (stored.device_id, stored.ip)
-        result = device_specific_check(self.FP, set(), set(), spoofed)
-        assert result == DeviceCheckResult(False, "spoof")
-
-    def test_clean_packet_permitted(self):
-        result = device_specific_check(self.FP, set(), set(), packet())
-        assert result.permitted is True
