@@ -1,19 +1,16 @@
-"""Traffic anomaly classifiers behind the flow validator: chi-square feature
-selection, naive Bayes, a gain-ratio decision tree and their evaluation."""
+"""Traffic anomaly classifiers: chi-square feature selection, naive Bayes, a
+gain-ratio decision tree and their evaluation."""
 
-from .base import ParamsMixin, check_features_labels, check_matrix
+from .base import check_features_labels, check_matrix
 from .classifiers import DecisionTree, NaiveBayesClassifier
 from .data import (
     Dataset,
     EqualFrequencyBinner,
-    binned_dataset,
     load_csv,
-    save_csv,
     synthetic_flow_dataset,
     train_test_split,
 )
 from .features import (
-    ChiSquareSelector,
     backward_elimination_ranking,
     chi_square_ranking,
     chi_square_score,
@@ -28,16 +25,13 @@ from .metrics import (
 )
 
 __all__ = [
-    "ChiSquareSelector",
     "Dataset",
     "DecisionTree",
     "EqualFrequencyBinner",
     "EvalMetrics",
     "NaiveBayesClassifier",
-    "ParamsMixin",
     "auc_from_points",
     "backward_elimination_ranking",
-    "binned_dataset",
     "check_features_labels",
     "check_matrix",
     "chi_square_ranking",
@@ -46,7 +40,6 @@ __all__ = [
     "load_csv",
     "rate_identities_hold",
     "roc_points",
-    "save_csv",
     "select_features",
     "synthetic_flow_dataset",
     "train_test_split",

@@ -1,38 +1,8 @@
-"""Shared estimator plumbing: parameter introspection and input validation."""
+"""Shared estimator input validation."""
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
-
-
-class ParamsMixin:
-    """get_params / set_params over the constructor signature.
-
-    Keeps the estimators duck-compatible with scikit-learn tooling without
-    depending on it.
-    """
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in signature.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
 
 
 def check_matrix(X) -> np.ndarray:

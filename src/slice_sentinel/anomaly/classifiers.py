@@ -9,19 +9,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .base import ParamsMixin, check_features_labels, check_fitted, check_matrix
+from .base import check_features_labels, check_fitted, check_matrix
 
 
-class NaiveBayesClassifier(ParamsMixin):
+class NaiveBayesClassifier:
     """Categorical naive Bayes.
 
-    Likelihoods are smoothed with ``alpha`` over the per-feature category
+    Likelihoods are add-one (Laplace) smoothed over the per-feature category
     count observed in training; a category never seen in training still gets
-    the ``alpha`` numerator, so prediction stays total.
+    the numerator of one, so prediction stays total.
     """
-
-    def __init__(self, alpha: float = 1.0):
-        self.alpha = alpha
 
     def fit(self, X, y) -> "NaiveBayesClassifier":
         X, y = check_features_labels(X, y)
@@ -51,8 +48,8 @@ class NaiveBayesClassifier(ParamsMixin):
             counts = self.value_counts_[j].get(key)
             v = self.n_categories_[j]
             for ci in range(len(self.classes_)):
-                numerator = (counts[ci] if counts is not None else 0.0) + self.alpha
-                denominator = self.class_counts_[ci] + self.alpha * v
+                numerator = (counts[ci] if counts is not None else 0.0) + 1.0
+                denominator = self.class_counts_[ci] + v
                 log_post[ci] += math.log(numerator / denominator)
         return log_post
 
@@ -105,7 +102,7 @@ def _entropy(y: np.ndarray) -> float:
     return out
 
 
-class DecisionTree(ParamsMixin):
+class DecisionTree:
     """Multiway decision tree on categorical features, split by gain ratio.
 
     When no feature carries information gain but the node is still impure,
@@ -181,17 +178,3 @@ class DecisionTree(ParamsMixin):
                 return node.majority  # unseen branch value
             node = child
         return node.label
-
-    def predict(self, X) -> np.ndarray:
-        X = check_matrix(X)
-        return np.array([self.predict_one(row) for row in X])
-
-    def depth(self) -> int:
-        check_fitted(self, "root_")
-
-        def walk(node: _TreeNode) -> int:
-            if isinstance(node, _Leaf):
-                return 0
-            return 1 + max(walk(child) for child in node.branches.values())
-
-        return walk(self.root_)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ParamsMixin, check_features_labels, check_fitted, check_matrix
+from .base import check_features_labels, check_fitted, check_matrix
 
 
 @dataclass
@@ -58,28 +58,16 @@ def load_csv(path) -> Dataset:
     return Dataset(np.array(rows, dtype=float), np.array(labels, dtype=int), names)
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.feature_names + ["label"])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([f"{v:.6g}" for v in row] + [int(label)])
-
-
-def synthetic_flow_dataset(
-    n_rows: int = 2000,
-    seed: int = 0,
-    attack_fraction: float = 0.5,
-    n_noise_features: int = 2,
-) -> Dataset:
+def synthetic_flow_dataset(n_rows: int = 2000, seed: int = 0) -> Dataset:
     """Seeded generator of flow feature vectors with a shifted attack class.
 
-    Benign traffic sits around moderate packet and byte rates; attack rows
-    are drawn from clearly higher-rate, shorter-duration distributions, plus
-    a few pure-noise columns that carry no class signal.
+    Half the rows are attacks.  Benign traffic sits around moderate packet
+    and byte rates; attack rows are drawn from clearly higher-rate,
+    shorter-duration distributions, plus two pure-noise columns that carry
+    no class signal.
     """
     rng = np.random.default_rng(seed)
-    n_attack = int(round(n_rows * attack_fraction))
+    n_attack = int(round(n_rows * 0.5))
     n_benign = n_rows - n_attack
 
     def benign():
@@ -105,20 +93,20 @@ def synthetic_flow_dataset(
     features = np.vstack([benign(), attack()])
     labels = np.concatenate([np.zeros(n_benign, dtype=int), np.ones(n_attack, dtype=int)])
     names = ["packet_rate", "byte_rate", "flag_entropy", "duration_ms"]
-    for i in range(n_noise_features):
+    for i in range(2):
         features = np.column_stack([features, rng.uniform(0, 1, n_rows)])
         names.append(f"noise_{i}")
     order = rng.permutation(n_rows)
     return Dataset(features[order], labels[order], names)
 
 
-class EqualFrequencyBinner(ParamsMixin):
+class EqualFrequencyBinner:
     """Quantile binning of continuous features into integer categories."""
 
     def __init__(self, n_bins: int = 10):
         self.n_bins = n_bins
 
-    def fit(self, X, y=None) -> "EqualFrequencyBinner":
+    def fit(self, X) -> "EqualFrequencyBinner":
         X = check_matrix(X)
         if self.n_bins < 2:
             raise ValueError("n_bins must be at least 2")
@@ -137,15 +125,6 @@ class EqualFrequencyBinner(ParamsMixin):
         for j, edges in enumerate(self.edges_):
             out[:, j] = np.searchsorted(edges, X[:, j], side="right")
         return out
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X, y).transform(X)
-
-
-def binned_dataset(dataset: Dataset, n_bins: int = 10) -> tuple[Dataset, EqualFrequencyBinner]:
-    binner = EqualFrequencyBinner(n_bins=n_bins)
-    binned = binner.fit_transform(dataset.features)
-    return Dataset(binned, dataset.labels, list(dataset.feature_names)), binner
 
 
 def train_test_split(dataset: Dataset, test_fraction: float = 0.3, seed: int = 0):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ParamsMixin, check_features_labels, check_fitted, check_matrix
+from .base import check_features_labels
 
 
 def chi_square_score(column, labels) -> float:
@@ -41,29 +41,6 @@ def chi_square_ranking(X, y) -> list[int]:
     X, y = check_features_labels(X, y)
     scores = [chi_square_score(X[:, j], y) for j in range(X.shape[1])]
     return sorted(range(X.shape[1]), key=lambda j: (-scores[j], j))
-
-
-class ChiSquareSelector(ParamsMixin):
-    """Keep the k best features by chi-square score."""
-
-    def __init__(self, k: int = 5):
-        self.k = k
-
-    def fit(self, X, y) -> "ChiSquareSelector":
-        X, y = check_features_labels(X, y)
-        if not 1 <= self.k <= X.shape[1]:
-            raise ValueError(f"k must be in 1..{X.shape[1]}, got {self.k}")
-        self.scores_ = np.array([chi_square_score(X[:, j], y) for j in range(X.shape[1])])
-        ranking = sorted(range(X.shape[1]), key=lambda j: (-self.scores_[j], j))
-        self.selected_ = sorted(ranking[: self.k])
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        check_fitted(self, "selected_")
-        return check_matrix(X)[:, self.selected_]
-
-    def fit_transform(self, X, y) -> np.ndarray:
-        return self.fit(X, y).transform(X)
 
 
 def _holdout_accuracy(X, y, columns, train_rows, test_rows) -> float:

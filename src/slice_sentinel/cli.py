@@ -105,7 +105,10 @@ def cmd_run(args) -> int:
     if args.signatures is not None:
         config["signatures"] = _read_json(args.signatures, "signatures")
     if args.scenario_config:
-        config.update(_read_json(args.scenario_config, "scenario config"))
+        extra = _read_json(args.scenario_config, "scenario config")
+        if not isinstance(extra, dict):
+            raise ConfigError(f"scenario config file {args.scenario_config} must hold a JSON object")
+        config.update(extra)
 
     report = run_scenario(args.scenario, config=config, seed=args.seed)
     out = _out_dir(args)

@@ -32,6 +32,7 @@ from .fabric import (
     Packet,
     Provenance,
     PuntEvent,
+    SwitchStateReport,
     TraceEvent,
     apply_flow_mod,
     measure_attestation,
@@ -82,9 +83,7 @@ class SecurityDeployment:
 
 @dataclass
 class FlowRecord:
-    flow_id: str
     device_id: str
-    user_id: Optional[str]
     src_ip: str
     dst_ip: str
     slice_id: int
@@ -94,14 +93,15 @@ class FlowRecord:
     ingress_port: int
     path: tuple[str, ...]
     rules: list[tuple[str, str]] = field(default_factory=list)  # (node, rule_id)
-    key_id: Optional[str] = None
 
 
 @dataclass
 class FlowDecision:
     flow_id: str
     device_id: str
-    verdict: str  # "permitted" | "generic" | "deny-unauthorized" | "deny-blacklisted" | "error"
+    # "permitted" | "generic" | "deny-unauthorized" | "deny-blacklisted"
+    # | "deny-validation" | "error"
+    verdict: str
     slice_id: Optional[int] = None
     service: Optional[str] = None
     installed_rules: list[tuple[str, str]] = field(default_factory=list)
@@ -112,10 +112,8 @@ class FlowDecision:
 
 @dataclass
 class ReconfigAction:
-    kind: str  # "blacklisted" | "noop" | "admin-alert" | "restored"
+    kind: str  # "blacklisted" | "noop" | "admin-alert"
     device_id: Optional[str] = None
-    node: Optional[str] = None
-    rules_replaced: int = 0
 
 
 @dataclass
@@ -129,8 +127,6 @@ class DeployResult:
 @dataclass
 class HandoverResult:
     device_id: str
-    from_edge: str
-    to_edge: str
     moved_pairs: frozenset[tuple[int, str]]
     blacklisted: bool
     rules_reanchored: int
@@ -209,7 +205,6 @@ class SecurityManager:
         self.deployments: dict[str, SecurityDeployment] = {}
         self.flows: dict[str, FlowRecord] = {}
         self.global_blacklist: set[str] = set()
-        self.deployed_services: set[tuple[str, str]] = set()
         self.admin_alerts: list[dict] = []
         self.pending_alerts: list[sf.Alert] = []
         self.event_sink: Optional[Callable[[dict], None]] = None
@@ -302,11 +297,7 @@ class SecurityManager:
             {"type": pol.EV_RULE_DELETED, "node": node, "rule_id": rule_id, "time_ms": time_ms}
         )
 
-    def _install_path_rules(
-        self,
-        record: FlowRecord,
-        priority: int = 10,
-    ) -> int:
+    def _install_path_rules(self, record: FlowRecord) -> int:
         """Install bidirectional forwarding rules along the record's path."""
         fabric = self.fabric
         path = record.path
@@ -323,7 +314,7 @@ class SecurityManager:
                 rule_id=self._next_rule_id(),
                 match=forward_key,
                 action=Forward(port=port, slice_id=record.slice_id),
-                priority=priority,
+                priority=10,
             )
             self._install_rule(node, rule, time_ms)
             record.rules.append((node, rule.rule_id))
@@ -338,7 +329,7 @@ class SecurityManager:
                     rule_id=self._next_rule_id(),
                     match=reverse_key,
                     action=Forward(port=back_port, slice_id=record.slice_id),
-                    priority=priority,
+                    priority=10,
                 )
                 self._install_rule(node, back, time_ms)
                 record.rules.append((node, back.rule_id))
@@ -484,14 +475,12 @@ class SecurityManager:
         if verdict == sf.AccessVerdict.PERMIT:
             return self._route_flow(
                 punt, flow_id, "permitted", requested, header.dst_ip, cost,
-                user_id=user_id, reqs=self.repository.security_reqs(device, requested),
-                extraction=extraction,
+                reqs=self.repository.security_reqs(device, requested), extraction=extraction,
             )
         # ROUTE_GENERIC
         return self._route_flow(
             punt, flow_id, "generic", (cfg.generic_slice, "generic"),
-            self._generic_host_ip() or header.dst_ip, cost,
-            user_id=user_id, extraction=extraction,
+            self._generic_host_ip() or header.dst_ip, cost, extraction=extraction,
         )
 
     def _route_flow(
@@ -502,7 +491,6 @@ class SecurityManager:
         pair: tuple[int, str],
         route_ip: str,
         cost: int,
-        user_id: Optional[str] = None,
         reqs: frozenset[str] = frozenset(),
         extraction: bool = False,
     ) -> FlowDecision:
@@ -528,9 +516,7 @@ class SecurityManager:
             )
         slice_id, service = pair
         record = FlowRecord(
-            flow_id=flow_id,
             device_id=device,
-            user_id=user_id,
             src_ip=header.src_ip,
             dst_ip=header.dst_ip,
             slice_id=slice_id,
@@ -586,18 +572,14 @@ class SecurityManager:
                 "time_ms": self.fabric.clock_ms,
             }
         )
-        replaced = 0
         for record in self.flows.values():
             if record.device_id != device:
                 continue
             for node, rule_id in record.rules:
                 self._delete_rule(node, rule_id, self.fabric.clock_ms)
-                replaced += 1
             record.rules.clear()
             self._contain(record, record.edge)
-        return ReconfigAction(
-            kind="blacklisted", device_id=device, rules_replaced=replaced
-        )
+        return ReconfigAction(kind="blacklisted", device_id=device)
 
     def _contain(self, record: FlowRecord, edge: str) -> None:
         """Anchor a flow of a blacklisted device at ``edge`` behind one
@@ -631,7 +613,7 @@ class SecurityManager:
         state; on any variation alert the administrator and restore."""
         return self._audit(node_id, self.log.expected_switch_state(node_id))
 
-    def _audit(self, node_id: str, trusted: pol.TrustedReport) -> sf.AuditResult:
+    def _audit(self, node_id: str, trusted: SwitchStateReport) -> sf.AuditResult:
         observed = report_flow_rules(self.fabric, node_id)
         result = sf.audit_flow_rules(trusted, observed)
         self.log.append(
@@ -687,7 +669,6 @@ class SecurityManager:
         report = measure_attestation(self.fabric, host, nonce)
         verdict = sf.validate_attestation(node.expected_hash, report, nonce)
         if verdict == sf.TrustVerdict.TRUSTED:
-            self.deployed_services.add((host, service))
             self.log.append(
                 {
                     "type": pol.EV_SERVICE_DEPLOYED,
@@ -781,8 +762,6 @@ class SecurityManager:
         )
         return HandoverResult(
             device_id=device_id,
-            from_edge=from_edge,
-            to_edge=to_edge,
             moved_pairs=pairs,
             blacklisted=blacklisted,
             rules_reanchored=reanchored,
@@ -814,7 +793,7 @@ class SecurityManager:
                 raise ProvisioningError(
                     f"endpoint {endpoint!r} failed attestation ({verdict.value})"
                 )
-        key = self.keygen.generate((ingress, egress), created_at=self.fabric.clock_ms)
+        key = self.keygen.generate((ingress, egress))
         self.log.append(
             {
                 "type": pol.EV_KEY_GENERATED,
@@ -835,5 +814,4 @@ class SecurityManager:
                     "time_ms": self.fabric.clock_ms,
                 }
             )
-        record.key_id = key.key_id
         return key.key_id

@@ -233,13 +233,6 @@ def canonical_rule_order(rules: Iterable[ReportedRule]) -> tuple[ReportedRule, .
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TableDelta:
-    added: tuple[FlowRule, ...] = ()
-    removed: tuple[FlowRule, ...] = ()
-    warning: bool = False
-
-
-@dataclass(frozen=True)
 class FlowMod:
     kind: str  # "add" | "delete"
     rule: Optional[FlowRule] = None
@@ -268,29 +261,24 @@ class FlowTable:
     def rules(self) -> list[FlowRule]:
         return list(self._rules.values())
 
-    def add(self, rule: FlowRule) -> TableDelta:
-        removed = []
+    def add(self, rule: FlowRule) -> None:
         # An add with an existing (match, priority) replaces that rule.
         slot = (rule.match, rule.priority)
         existing_id = self._by_match.get(slot)
         if existing_id is not None and existing_id != rule.rule_id:
-            removed.append(self._rules.pop(existing_id))
+            del self._rules[existing_id]
         previous = self._rules.pop(rule.rule_id, None)
         if previous is not None:
-            removed.append(previous)
             del self._by_match[(previous.match, previous.priority)]
         self._rules[rule.rule_id] = rule
         self._by_match[slot] = rule.rule_id
         self._ordered = None
-        return TableDelta(added=(rule,), removed=tuple(removed))
 
-    def delete(self, rule_id: str) -> TableDelta:
+    def delete(self, rule_id: str) -> None:
         rule = self._rules.pop(rule_id, None)
         self._ordered = None
-        if rule is None:
-            return TableDelta(warning=True)
-        del self._by_match[(rule.match, rule.priority)]
-        return TableDelta(removed=(rule,))
+        if rule is not None:
+            del self._by_match[(rule.match, rule.priority)]
 
     def lookup(self, packet: Packet) -> Optional[FlowRule]:
         """Highest priority first; equal priorities break on lowest rule id."""
@@ -317,18 +305,11 @@ class AttestationReport:
 
 @dataclass(frozen=True)
 class SwitchStateReport:
+    """A switch's rules in canonical order: observed from its table, or
+    expected, folded from the activity log."""
+
     node_id: str
     rules: tuple[ReportedRule, ...]
-    report_time: int
-
-    def to_json(self) -> str:
-        return canonical_json(
-            {
-                "node_id": self.node_id,
-                "report_time": self.report_time,
-                "rules": [r.to_dict() for r in self.rules],
-            }
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +485,17 @@ def _node_descriptor(node_id: str, kind: str, ip: Optional[str]) -> bytes:
     return canonical_json({"id": node_id, "ip": ip, "kind": kind}).encode()
 
 
+def _entries(config: dict, section: str, required: tuple[str, ...]):
+    """The entries of one topology section, each an object with ``required``."""
+    for raw in config.get(section, []):
+        if not isinstance(raw, dict):
+            raise TopologyError(f"{section} entry must be an object, got {raw!r}")
+        for key in required:
+            if key not in raw:
+                raise TopologyError(f"{section} entry missing required field {key!r}")
+        yield raw
+
+
 def build_topology(config: dict) -> Fabric:
     """Build a fabric from a topology document.
 
@@ -512,8 +504,10 @@ def build_topology(config: dict) -> Fabric:
     switches start with a single punt-to-controller rule; everything else
     starts empty.  Each node's expected attestation hash is fixed here.
     """
+    if not isinstance(config, dict):
+        raise TopologyError("topology document must be a JSON object")
     fabric = Fabric()
-    for raw in config.get("nodes", []):
+    for raw in _entries(config, "nodes", ("id",)):
         node_id = raw["id"]
         if node_id in fabric.nodes:
             raise TopologyError(f"duplicate node id {node_id!r}")
@@ -542,7 +536,7 @@ def build_topology(config: dict) -> Fabric:
             )
         fabric.nodes[node_id] = node
 
-    for link in config.get("links", []):
+    for link in _entries(config, "links", ("a", "b")):
         a, b = link["a"], link["b"]
         for end in (a, b):
             if end not in fabric.nodes:
@@ -554,7 +548,7 @@ def build_topology(config: dict) -> Fabric:
         node_a.ports[port_a] = (b, port_b, latency)
         node_b.ports[port_b] = (a, port_a, latency)
 
-    for raw in config.get("slices", []):
+    for raw in _entries(config, "slices", ("vlan",)):
         vlan = int(raw["vlan"])
         if not VLAN_MIN <= vlan <= VLAN_MAX:
             raise TopologyError(f"slice id {vlan} outside VLAN range {VLAN_MIN}..{VLAN_MAX}")
@@ -578,26 +572,26 @@ def apply_flow_mod(
     node_id: str,
     mod: FlowMod,
     provenance: Provenance = Provenance.CONTROLLER,
-) -> TableDelta:
+) -> None:
     """Apply an add or delete to a node's table, stamping provenance."""
     node = fabric.node(node_id)
     if mod.kind == "add":
         if mod.rule is None:
             raise ValueError("add flow mod without a rule")
-        rule = replace(mod.rule, provenance=provenance)
-        return node.table.add(rule)
-    if mod.kind == "delete":
+        node.table.add(replace(mod.rule, provenance=provenance))
+    elif mod.kind == "delete":
         if mod.rule_id is None:
             raise ValueError("delete flow mod without a rule id")
-        return node.table.delete(mod.rule_id)
-    raise ValueError(f"unknown flow mod kind {mod.kind!r}")
+        node.table.delete(mod.rule_id)
+    else:
+        raise ValueError(f"unknown flow mod kind {mod.kind!r}")
 
 
 def report_flow_rules(fabric: Fabric, node_id: str) -> SwitchStateReport:
     """Canonical snapshot of a node's table; pure function of its contents."""
     node = fabric.node(node_id)
     rules = canonical_rule_order(r.reported() for r in node.table.rules())
-    return SwitchStateReport(node_id=node_id, rules=rules, report_time=fabric.clock_ms)
+    return SwitchStateReport(node_id=node_id, rules=rules)
 
 
 def measure_attestation(fabric: Fabric, node_id: str, nonce: bytes) -> AttestationReport:

@@ -21,6 +21,7 @@ from .fabric import (
     VLAN_MIN,
     FlowTable,
     ReportedRule,
+    SwitchStateReport,
     canonical_json,
     canonical_rule_order,
 )
@@ -89,6 +90,8 @@ def _parse_slice_id(raw) -> int:
 
 
 def _parse_action(raw: dict, policy_id: str) -> PolicyAction:
+    if not isinstance(raw, dict):
+        raise PolicyError(f"policy {policy_id!r}: action must be an object, got {raw!r}")
     if "Service" not in raw or "Slice-id" not in raw:
         raise PolicyError(f"policy {policy_id!r}: action needs Service and Slice-id")
     reqs = frozenset(raw.get("security", []))
@@ -109,11 +112,17 @@ def _parse_action(raw: dict, policy_id: str) -> PolicyAction:
 
 
 def parse_policy_rule(raw: dict) -> PolicyRule:
+    if not isinstance(raw, dict):
+        raise PolicyError(f"policy entry must be an object, got {raw!r}")
     for key in ("id", "hostip", "hostmac", "destip", "actions"):
         if key not in raw:
             raise PolicyError(f"policy entry missing required field {key!r}")
     policy_id = str(raw["id"])
+    if not isinstance(raw["actions"], list):
+        raise PolicyError(f"policy {policy_id!r}: actions must be a list")
     user_raw = raw.get("user", {})
+    if not isinstance(user_raw, dict):
+        raise PolicyError(f"policy {policy_id!r}: user must be an object")
     user = UserAttributes(
         user_id=str(user_raw.get("id", f"anon-{raw['hostmac']}")),
         name=user_raw.get("name", ""),
@@ -330,19 +339,6 @@ def _entry_hash(seq: int, event: dict, prev_hash: bytes) -> bytes:
     return hashlib.sha256(material).digest()
 
 
-@dataclass(frozen=True)
-class TrustedReport:
-    """Expected switch state reconstructed from the activity log."""
-
-    node_id: str
-    rules: tuple[ReportedRule, ...]
-
-    def to_json(self) -> str:
-        return canonical_json(
-            {"node_id": self.node_id, "rules": [r.to_dict() for r in self.rules]}
-        )
-
-
 class ActivityLog:
     """Hash-chained append-only log of controller actions."""
 
@@ -376,11 +372,11 @@ class ActivityLog:
             return [e.event for e in self.entries]
         return [e.event for e in self.entries if e.event.get("type") == event_type]
 
-    def expected_switch_state(self, node_id: str) -> TrustedReport:
+    def expected_switch_state(self, node_id: str) -> SwitchStateReport:
         """Fold rule install/delete events for a node into a canonical report."""
         return self.expected_switch_states([node_id])[node_id]
 
-    def expected_switch_states(self, node_ids: Iterable[str]) -> dict[str, TrustedReport]:
+    def expected_switch_states(self, node_ids: Iterable[str]) -> dict[str, SwitchStateReport]:
         """Verify the whole chain once, then fold every listed node in one pass."""
         if not self.verify():
             raise LogIntegrityError("activity log hash chain is broken")
@@ -395,7 +391,7 @@ class ActivityLog:
             elif event["type"] == EV_RULE_DELETED:
                 table.delete(event["rule_id"])
         return {
-            node_id: TrustedReport(
+            node_id: SwitchStateReport(
                 node_id=node_id,
                 rules=canonical_rule_order(r.reported() for r in table.rules()),
             )

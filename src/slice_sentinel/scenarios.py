@@ -89,15 +89,6 @@ class ScenarioReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioReport":
-        d = json.loads(text)
-        return cls(
-            scenario_id=d["scenario_id"], seed=d["seed"], packets=d["packets"],
-            alerts=d["alerts"], audits=d["audits"], timings=d["timings"],
-            verdict=d["verdict"], details=d.get("details", {}),
-        )
-
 
 @dataclass
 class BenchReport:
@@ -112,12 +103,6 @@ class BenchReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "BenchReport":
-        d = json.loads(text)
-        return cls(kind=d["kind"], seed=d["seed"], entries=d["entries"],
-                   details=d.get("details", {}))
 
     def to_csv(self) -> str:
         if self.kind == "flow-setup":
@@ -146,23 +131,18 @@ class World:
     manager: SecurityManager
 
 
-def build_world(config: dict, seed: int, signatures: Optional[list] = None,
-                manager_config: Optional[ManagerConfig] = None) -> World:
+def build_world(config: dict, seed: int) -> World:
     topology = config.get("topology") or load_default_config("topology.json")
     policies = config.get("policies")
     if policies is None:
         policies = load_default_config("policies.json")
-    if signatures is None:
-        raw = config.get("signatures")
-        if raw is None:
-            raw = load_default_config("signatures.json")
-        signatures = sf.parse_signatures(raw)
+    raw_signatures = config.get("signatures")
+    if raw_signatures is None:
+        raw_signatures = load_default_config("signatures.json")
+    signatures = sf.parse_signatures(raw_signatures)
     fabric = build_topology(topology)
     repo = pol.load_policies(policies)
-    manager = SecurityManager(
-        fabric, repo, signatures=signatures,
-        config=manager_config or ManagerConfig(), seed=seed,
-    )
+    manager = SecurityManager(fabric, repo, signatures=signatures, seed=seed)
     return World(fabric=fabric, repository=repo, manager=manager)
 
 
@@ -778,11 +758,10 @@ def bench_signature_latency(
     runs: int = 10,
     packets: int = 100,
     seed: int = 0,
-    manager_config: Optional[ManagerConfig] = None,
 ) -> BenchReport:
     """Mean per-packet validation latency versus signature set size under the
     linear first-match scan."""
-    cfg = manager_config or ManagerConfig()
+    cfg = ManagerConfig()
     entries = []
     for n in counts:
         run_means = []

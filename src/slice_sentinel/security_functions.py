@@ -19,7 +19,6 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .fabric import Packet, ReportedRule, SwitchStateReport
-from .policy import TrustedReport
 
 KEY_BYTES = 16
 NONCE_BYTES = 12
@@ -81,9 +80,16 @@ class Signature:
 
 
 def parse_signatures(document: list) -> list[Signature]:
+    if not isinstance(document, list):
+        raise ValueError("signature document must be a JSON array")
     sigs = []
     seen = set()
     for raw in document:
+        if not isinstance(raw, dict):
+            raise ValueError(f"signature entry must be an object, got {raw!r}")
+        for key in ("id", "pattern_hex"):
+            if key not in raw:
+                raise ValueError(f"signature entry missing required field {key!r}")
         sig_id = raw["id"]
         if sig_id in seen:
             raise ValueError(f"duplicate signature id {sig_id!r}")
@@ -114,7 +120,7 @@ class FlowDropSignature:
 
 @dataclass(frozen=True)
 class FlowDropAnomaly:
-    score: float
+    pass
 
 
 FlowVerdict = Union[FlowForward, FlowDropSignature, FlowDropAnomaly]
@@ -154,8 +160,7 @@ class FlowValidatorState:
     Signatures are scanned in id order and the first match wins.  The rate
     window is a sliding count of packets per device over ``window_ms``
     simulated milliseconds; the packet that pushes the count past
-    ``threshold`` is dropped.  An optional trained classifier can score
-    per-device traffic features on top of the plain rate check.
+    ``threshold`` is dropped.
     """
 
     node: str
@@ -163,8 +168,6 @@ class FlowValidatorState:
     window_ms: int = DEFAULT_ANOMALY_WINDOW_MS
     threshold: int = DEFAULT_ANOMALY_THRESHOLD
     windows: dict[str, deque] = field(default_factory=dict)
-    classifier: Optional[object] = None  # object with predict_one(features)
-    feature_fn: Optional[object] = None  # callable(state, device) -> feature row
 
     def __post_init__(self) -> None:
         if self.threshold <= 0:
@@ -213,7 +216,6 @@ def validate_flow(
         window.popleft()
     window.append(now)
     if len(window) > state.threshold:
-        score = len(window) / state.threshold
         alert = Alert(
             source="flow-validator",
             device_id=device,
@@ -222,23 +224,7 @@ def validate_flow(
             severity="high",
             time_ms=now,
         )
-        return FlowValidationResult(FlowDropAnomaly(score), alert, scanned)
-
-    if state.classifier is not None and state.feature_fn is not None:
-        features = state.feature_fn(state, device)
-        label = state.classifier.predict_one(features)
-        if isinstance(label, tuple):
-            label = label[0]
-        if label == 1:
-            alert = Alert(
-                source="flow-validator",
-                device_id=device,
-                flow_id=packet.flow_id,
-                reason="anomaly:classifier",
-                severity="high",
-                time_ms=now,
-            )
-            return FlowValidationResult(FlowDropAnomaly(float(label)), alert, scanned)
+        return FlowValidationResult(FlowDropAnomaly(), alert, scanned)
 
     return FlowValidationResult(FlowForward(), None, scanned)
 
@@ -294,7 +280,7 @@ class AuditResult:
         }
 
 
-def audit_flow_rules(trusted: TrustedReport, observed: SwitchStateReport) -> AuditResult:
+def audit_flow_rules(trusted: SwitchStateReport, observed: SwitchStateReport) -> AuditResult:
     """Diff the observed switch state against the trusted expected state.
 
     Rules are keyed by id: observed-only ids are extra, trusted-only ids are
@@ -318,8 +304,9 @@ def audit_flow_rules(trusted: TrustedReport, observed: SwitchStateReport) -> Aud
     )
 
 
-def render_audit_diff(trusted: TrustedReport, observed: SwitchStateReport, width: int = 58) -> str:
+def render_audit_diff(trusted: SwitchStateReport, observed: SwitchStateReport) -> str:
     """Two-column side-by-side rendering: observed switch state | trusted state."""
+    width = 58
 
     def lines(rules):
         out = []
@@ -350,7 +337,6 @@ def render_audit_diff(trusted: TrustedReport, observed: SwitchStateReport, width
 class SymmetricKey:
     key_id: str
     key_bytes: bytes
-    created_at: int
     endpoints: tuple[str, str]
 
     def __post_init__(self) -> None:
@@ -368,7 +354,7 @@ class KeyGenerator:
         self._state = hashlib.sha256(b"key-generator|" + str(seed).encode()).digest()
         self._counter = 0
 
-    def generate(self, endpoints: tuple[str, str], created_at: int = 0) -> SymmetricKey:
+    def generate(self, endpoints: tuple[str, str]) -> SymmetricKey:
         a, b = endpoints
         if a == b:
             raise ValueError(f"key endpoints must be distinct, got {a!r} twice")
@@ -378,7 +364,6 @@ class KeyGenerator:
         return SymmetricKey(
             key_id=f"key-{self._counter:06d}",
             key_bytes=key,
-            created_at=created_at,
             endpoints=(a, b),
         )
 

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from slice_sentinel.anomaly import (
+    Dataset,
     DecisionTree,
+    EqualFrequencyBinner,
     NaiveBayesClassifier,
-    binned_dataset,
     evaluate,
     load_csv,
     rate_identities_hold,
@@ -24,7 +25,6 @@ from slice_sentinel.anomaly import (
     train_test_split,
 )
 from slice_sentinel.fabric import Drop, FlowKey, ReportedRule, SwitchStateReport, canonical_rule_order
-from slice_sentinel.policy import TrustedReport
 from slice_sentinel.scenarios import (
     SCENARIO_IDS,
     bench_flow_setup,
@@ -159,11 +159,10 @@ def test_criterion_5_audit_exactness_property():
             n_injected = rng.randint(0, 10)
             trusted_rules = [_random_rule(rng, f"t{case}-{i}") for i in range(n_trusted)]
             injected = [_random_rule(rng, f"x{case}-{i}") for i in range(n_injected)]
-            trusted = TrustedReport(node_id="SW", rules=canonical_rule_order(trusted_rules))
+            trusted = SwitchStateReport(node_id="SW", rules=canonical_rule_order(trusted_rules))
             observed = SwitchStateReport(
                 node_id="SW",
                 rules=canonical_rule_order(trusted_rules + injected),
-                report_time=0,
             )
             result = audit_flow_rules(trusted, observed)
             assert set(result.extra_rules) == set(injected)
@@ -172,7 +171,7 @@ def test_criterion_5_audit_exactness_property():
             # zero false positives on a clean table
             clean = audit_flow_rules(
                 trusted,
-                SwitchStateReport(node_id="SW", rules=trusted.rules, report_time=1),
+                SwitchStateReport(node_id="SW", rules=trusted.rules),
             )
             assert clean.clean
 
@@ -219,10 +218,16 @@ def test_criterion_7_flow_setup_trend_and_overhead_band():
 # 8. Classifier evaluation methodology
 # ---------------------------------------------------------------------------
 
+def _binned(data: Dataset) -> Dataset:
+    """Ten equal-frequency bins per feature, fitted on the data itself."""
+    bins = EqualFrequencyBinner(n_bins=10).fit(data.features).transform(data.features)
+    return Dataset(bins, data.labels, data.feature_names)
+
+
 def test_criterion_8a_rate_identities_on_all_evaluations():
     with criterion("8a", "tpr+fnr and tnr+fpr equal 100 within 1e-6 on every evaluation"):
         data = synthetic_flow_dataset(n_rows=1200, seed=21)
-        binned, _ = binned_dataset(data, n_bins=10)
+        binned = _binned(data)
         train, test = train_test_split(binned, 0.3, seed=21)
         nb = NaiveBayesClassifier().fit(train.features, train.labels)
         dt = DecisionTree().fit(train.features, train.labels)
@@ -245,14 +250,14 @@ def test_criterion_8a_rate_identities_on_all_evaluations():
 def test_criterion_8b_reference_accuracy_targets():
     with criterion("8b", "NB >= 95% on the synthetic set; unrestricted DT memorizes to 100%"):
         data = synthetic_flow_dataset(n_rows=2000, seed=7)
-        binned, _ = binned_dataset(data, n_bins=10)
+        binned = _binned(data)
         train, test = train_test_split(binned, 0.3, seed=7)
         nb = NaiveBayesClassifier().fit(train.features, train.labels)
         nb_metrics = evaluate(nb.predict_one, test)
         assert nb_metrics.accuracy >= 95.0, nb_metrics.accuracy
         dt = DecisionTree(max_depth=None).fit(binned.features, binned.labels)
         training_accuracy = 100.0 * float(
-            np.mean(dt.predict(binned.features) == binned.labels)
+            np.mean(np.array([dt.predict_one(row) for row in binned.features]) == binned.labels)
         )
         assert training_accuracy == 100.0, training_accuracy
 
@@ -287,7 +292,7 @@ def test_criterion_8c_reference_rows_satisfy_rate_identities():
 def test_criterion_8d_external_dataset_classifier_ordering():
     with criterion("8d", "external dataset: NB accuracy < DT accuracy (ordering only)"):
         data = load_csv(os.environ["SLICE_SENTINEL_ITOC"])
-        binned, _ = binned_dataset(data, n_bins=10)
+        binned = _binned(data)
         train, test = train_test_split(binned, 0.3, seed=0)
         nb = evaluate(NaiveBayesClassifier().fit(train.features, train.labels).predict_one, test)
         dt = evaluate(DecisionTree().fit(train.features, train.labels).predict_one, test)

@@ -1,8 +1,16 @@
-"""Every public module-level function and class of the package has a caller.
+"""Every public function, class and method of the package has a caller.
 
-A name counts as used when it appears in ``src/`` or ``perfbench/`` outside
-its own definition; a package re-export counts.  Tests do not count, so an
-API kept alive only by its own tests fails here.
+A module-level name counts as used when it appears in ``src/`` or
+``perfbench/`` outside its own definition.  A public method of a public class
+counts as used when its name is read as an attribute (``obj.name``) outside
+its own body, or when a string names it as ``"Class.method"`` (the way the
+benchmark tracer wraps methods).  Package ``__init__.py`` re-exports and the
+tests do not count, so an API kept alive only by a re-export or by its own
+tests fails here.
+
+The checks are name-level.  They cannot tell that a dataclass field is
+write-only: ``FlowRecord.user_id`` was never read, yet ``.user_id`` is read
+on other classes, so no field check is attempted here.
 """
 
 import ast
@@ -12,21 +20,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "slice_sentinel"
 
+# Kept without a caller on purpose: ROADMAP item 3 (`audit --log`) loads a
+# recorded activity log from disk.
+UNUSED_BY_DESIGN = {"ActivityLog.load"}
 
-def _sources() -> dict[Path, str]:
+
+def _parsed() -> dict[Path, tuple[str, ast.Module]]:
+    """Every module that may hold a use, read and parsed once."""
     files = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    return {
-        path: path.read_text(encoding="utf-8")
-        for path in files
-        if path.name != "test_smoke.py"
-    }
+    parsed = {}
+    for path in files:
+        if path.name in ("__init__.py", "test_smoke.py"):
+            continue
+        text = path.read_text(encoding="utf-8")
+        parsed[path] = (text, ast.parse(text))
+    return parsed
 
 
-def _public_definitions(tree: ast.Module):
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not node.name.startswith("_"):
-                yield node
+PARSED = _parsed()
+
+
+def _public(nodes, kinds):
+    return [n for n in nodes if isinstance(n, kinds) and not n.name.startswith("_")]
+
+
+def _span(node) -> tuple[int, int]:
+    start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return start, node.end_lineno
 
 
 def _blank_lines(text: str, first: int, last: int) -> str:
@@ -37,18 +57,48 @@ def _blank_lines(text: str, first: int, last: int) -> str:
     return "\n".join(lines)
 
 
+def _package_modules():
+    return [(path, tree) for path, (_text, tree) in PARSED.items() if PACKAGE in path.parents]
+
+
 def test_every_public_definition_has_a_use_outside_itself():
-    sources = _sources()
     unused = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(sources[path])
-        for node in _public_definitions(tree):
+    for path, tree in _package_modules():
+        for node in _public(tree.body, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             word = re.compile(rf"\b{re.escape(node.name)}\b")
-            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            own = _blank_lines(sources[path], start, node.end_lineno)
-            others = (text for other, text in sources.items() if other != path)
+            own = _blank_lines(PARSED[path][0], *_span(node))
+            others = (text for other, (text, _tree) in PARSED.items() if other != path)
             if not word.search(own) and not any(word.search(text) for text in others):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert unused == [], "public names with no use outside their definition:\n" + "\n".join(unused)
+
+
+def _uses() -> list[tuple[Path, int, str]]:
+    """(file, line, word) for every attribute read, as ``.name``, and every
+    string constant, as itself."""
+    uses = []
+    for path, (_text, tree) in PARSED.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                uses.append((path, node.lineno, "." + node.attr))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                uses.append((path, node.lineno, node.value))
+    return uses
+
+
+def test_every_public_method_has_a_use_outside_its_body():
+    uses = _uses()
+    unused = []
+    for path, tree in _package_modules():
+        for cls in _public(tree.body, ast.ClassDef):
+            for method in _public(cls.body, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{cls.name}.{method.name}"
+                first, last = _span(method)
+                used = any(
+                    word in ("." + method.name, qualname)
+                    and not (where == path and first <= line <= last)
+                    for where, line, word in uses
+                )
+                if not used and qualname not in UNUSED_BY_DESIGN:
+                    unused.append(f"{path.relative_to(ROOT)}:{method.lineno} {qualname}")
+    assert unused == [], "public methods with no use outside their body:\n" + "\n".join(unused)

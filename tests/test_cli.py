@@ -5,11 +5,34 @@ import json
 import pytest
 
 from slice_sentinel.cli import main
-from slice_sentinel.scenarios import BenchReport, ScenarioReport, load_default_config
+from slice_sentinel.scenarios import load_default_config
 
 
 def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _edited(name, edit):
+    document = load_default_config(name)
+    edit(document)
+    return document
+
+
+# (option, malformed document): each must be rejected where it is parsed.
+MALFORMED_CONFIGS = {
+    "policy-entry-not-object": ("--policies", [1]),
+    "policy-actions-not-list": (
+        "--policies", _edited("policies.json", lambda d: d[0].update(actions=5))
+    ),
+    "node-without-id": (
+        "--topology", _edited("topology.json", lambda d: d["nodes"][0].pop("id"))
+    ),
+    "link-without-b": (
+        "--topology", _edited("topology.json", lambda d: d["links"][0].pop("b"))
+    ),
+    "signature-without-id": ("--signatures", [{"pattern_hex": "00"}]),
+    "scenario-config-not-object": ("--scenario-config", [1]),
+}
 
 
 class TestRunCommand:
@@ -17,9 +40,9 @@ class TestRunCommand:
         code = main(["run", "attack1", "--seed", "7", "--out", str(tmp_path / "o"),
                      "--scenario-config", str(_fast_config(tmp_path))])
         assert code == 0
-        report = ScenarioReport.from_json((tmp_path / "o" / "report.json").read_text())
-        assert report.verdict is True
-        assert report.details["unauthorized_drops"] == report.packets["dropped_at_entry"]
+        report = read_json(tmp_path / "o" / "report.json")
+        assert report["verdict"] is True
+        assert report["details"]["unauthorized_drops"] == report["packets"]["dropped_at_entry"]
         assert "PASS" in capsys.readouterr().out
 
     def test_missing_topology_file_exits_2(self, tmp_path, capsys):
@@ -37,6 +60,16 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "10.0.0.8" in err and "(200, 'Service1')" in err and "(300, 'Other')" in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_exits_2_with_message(self, case, tmp_path, capsys):
+        option, document = MALFORMED_CONFIGS[case]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(document))
+        code = main(["run", "attack1", option, str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o" / "report.json").exists()
 
     def test_attack2_without_blacklist_feedback_exits_1(self, tmp_path):
@@ -81,19 +114,18 @@ class TestBenchCommand:
         code = main(["bench", "flow-setup", "--sizes", "10,20", "--runs", "2",
                      "--seed", "3", "--out", str(out)])
         assert code == 0
-        report = BenchReport.from_json((out / "bench.json").read_text())
-        assert {e["n"] for e in report.entries} == {10, 20}
+        report = read_json(out / "bench.json")
+        assert {e["n"] for e in report["entries"]} == {10, 20}
         csv_lines = (out / "bench.csv").read_text().splitlines()
         assert csv_lines[0] == "n,security,mean_ms,stdev_ms"
-        assert len(csv_lines) == 1 + len(report.entries)
+        assert len(csv_lines) == 1 + len(report["entries"])
 
     def test_signature_bench_outputs_parse(self, tmp_path):
         out = tmp_path / "b"
         code = main(["bench", "signatures", "--counts", "0,10", "--runs", "2",
                      "--packets", "10", "--out", str(out)])
         assert code == 0
-        report = BenchReport.from_json((out / "bench.json").read_text())
-        assert report.kind == "signatures"
+        assert read_json(out / "bench.json")["kind"] == "signatures"
 
     def test_bad_sizes_exit_2(self, tmp_path, capsys):
         code = main(["bench", "flow-setup", "--sizes", "ten,twenty", "--out", str(tmp_path)])

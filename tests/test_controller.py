@@ -22,6 +22,7 @@ from slice_sentinel.fabric import (
 )
 from slice_sentinel.policy import (
     EV_PROFILE_EXTRACTED,
+    EV_SERVICE_DEPLOYED,
     LogEntry,
     LogIntegrityError,
     extract_profile,
@@ -308,7 +309,8 @@ class TestAttestationGate:
         result = manager.deploy_service_gated("SVC1", "Service1")
         assert result.deployed is True
         assert result.verdict == TrustVerdict.TRUSTED
-        assert ("SVC1", "Service1") in manager.deployed_services
+        deployed = manager.log.events(EV_SERVICE_DEPLOYED)
+        assert [(e["node"], e["service"]) for e in deployed] == [("SVC1", "Service1")]
 
     def test_tampered_host_refused_with_admin_alert(self, world):
         fabric, repo, manager = world
@@ -317,7 +319,7 @@ class TestAttestationGate:
         assert result.deployed is False
         assert result.verdict == TrustVerdict.COMPROMISED
         assert any(a["kind"] == "service-deployment-refused" for a in manager.admin_alerts)
-        assert ("SVC3", "Service3") not in manager.deployed_services
+        assert manager.log.events(EV_SERVICE_DEPLOYED) == []
 
     def test_replayed_report_rejected_as_stale(self, world):
         from slice_sentinel.fabric import measure_attestation

@@ -21,6 +21,7 @@ from slice_sentinel.fabric import (
     UnknownNodeError,
     apply_flow_mod,
     build_topology,
+    canonical_json,
     inject_packet,
     measure_attestation,
     report_flow_rules,
@@ -252,8 +253,10 @@ class TestApplyFlowMod:
     def test_controller_rule_shows_in_report(self):
         fabric = build_topology(small_topology())
         rule = FlowRule("r1", FlowKey(src_ip="10.0.0.1"), Drop(), priority=7)
-        delta = apply_flow_mod(fabric, "OVS1", FlowMod.add(rule), Provenance.CONTROLLER)
-        assert [r.rule_id for r in delta.added] == ["r1"]
+        apply_flow_mod(fabric, "OVS1", FlowMod.add(rule), Provenance.CONTROLLER)
+        stored = {r.rule_id: r for r in fabric.nodes["OVS1"].table.rules()}
+        assert sorted(stored) == [DEFAULT_PUNT_RULE_ID, "r1"]
+        assert stored["r1"] == rule
         report = report_flow_rules(fabric, "OVS1")
         assert "r1" in [r.rule_id for r in report.rules]
 
@@ -272,19 +275,18 @@ class TestApplyFlowMod:
         fabric = build_topology(small_topology())
         match = FlowKey(src_ip="10.0.0.1")
         apply_flow_mod(fabric, "OVS1", FlowMod.add(FlowRule("old", match, Drop(), priority=9)))
-        delta = apply_flow_mod(
+        apply_flow_mod(
             fabric, "OVS1",
             FlowMod.add(FlowRule("new", match, Forward(port=2, slice_id=200), priority=9)),
         )
-        assert [r.rule_id for r in delta.removed] == ["old"]
         ids = [r.rule_id for r in fabric.nodes["OVS1"].table.rules()]
-        assert "new" in ids and "old" not in ids
+        assert sorted(ids) == [DEFAULT_PUNT_RULE_ID, "new"]
 
     def test_delete_unknown_rule_is_warning_noop(self):
         fabric = build_topology(small_topology())
-        delta = apply_flow_mod(fabric, "OVS1", FlowMod.delete("zzz"))
-        assert delta.warning is True
-        assert delta.added == () and delta.removed == ()
+        before = fabric.nodes["OVS1"].table.rules()
+        apply_flow_mod(fabric, "OVS1", FlowMod.delete("zzz"))
+        assert fabric.nodes["OVS1"].table.rules() == before
 
 
 class TestReports:
@@ -302,9 +304,9 @@ class TestReports:
     def test_reports_are_byte_identical_without_mods(self):
         fabric = build_topology(small_topology())
         apply_flow_mod(fabric, "OVS1", FlowMod.add(FlowRule("x", FlowKey(), Drop(), priority=3)))
-        first = report_flow_rules(fabric, "OVS1").to_json()
-        second = report_flow_rules(fabric, "OVS1").to_json()
-        assert first == second
+        first = [r.to_dict() for r in report_flow_rules(fabric, "OVS1").rules]
+        second = [r.to_dict() for r in report_flow_rules(fabric, "OVS1").rules]
+        assert canonical_json(first) == canonical_json(second)
 
 
 class TestAttestation:

@@ -13,7 +13,6 @@ from slice_sentinel.fabric import (
     SwitchStateReport,
     canonical_rule_order,
 )
-from slice_sentinel.policy import TrustedReport
 from slice_sentinel.security_functions import (
     AccessVerdict,
     AuthenticationError,
@@ -123,24 +122,6 @@ class TestFlowValidation:
             result = validate_flow(state, packet(ts=t))
             assert result.verdict == FlowForward()
 
-    def test_trained_classifier_hook_can_flag_traffic(self):
-        # A classifier scoring per-device window features plugs in behind the
-        # plain rate check.
-        class FlagHighRate:
-            def predict_one(self, features):
-                return 1 if features[0] > 50 else 0
-
-        def window_features(state, device):
-            return [len(state.windows.get(device, ()))]
-
-        state = FlowValidatorState(
-            node="OVS1", threshold=10**9,
-            classifier=FlagHighRate(), feature_fn=window_features,
-        )
-        verdicts = [validate_flow(state, packet(ts=t)).verdict for t in range(60)]
-        assert all(isinstance(v, FlowForward) for v in verdicts[:50])
-        assert any(isinstance(v, FlowDropAnomaly) for v in verdicts[50:])
-
     def test_parse_signatures_rejects_duplicates_and_bad_scope(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_signatures([{"id": "s", "pattern_hex": "00"}, {"id": "s", "pattern_hex": "01"}])
@@ -180,8 +161,8 @@ def reported(rule_id, priority=10, src_ip=None, action=None):
 
 def make_reports(trusted_rules, observed_rules, node="OVS1"):
     return (
-        TrustedReport(node_id=node, rules=canonical_rule_order(trusted_rules)),
-        SwitchStateReport(node_id=node, rules=canonical_rule_order(observed_rules), report_time=0),
+        SwitchStateReport(node_id=node, rules=canonical_rule_order(trusted_rules)),
+        SwitchStateReport(node_id=node, rules=canonical_rule_order(observed_rules)),
     )
 
 
