@@ -14,6 +14,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 VLAN_MIN = 1
@@ -95,19 +97,6 @@ class FlowKey:
     src_mac: Optional[str] = None
     dst_mac: Optional[str] = None
     slice_id: Optional[int] = None
-
-    def matches(self, packet: Packet) -> bool:
-        if self.src_ip is not None and packet.src_ip != self.src_ip:
-            return False
-        if self.dst_ip is not None and packet.dst_ip != self.dst_ip:
-            return False
-        if self.src_mac is not None and packet.src_mac != self.src_mac:
-            return False
-        if self.dst_mac is not None and packet.dst_mac != self.dst_mac:
-            return False
-        if self.slice_id is not None and packet.slice_id != self.slice_id:
-            return False
-        return True
 
     def to_dict(self) -> dict:
         return {
@@ -247,13 +236,39 @@ class FlowMod:
         return cls(kind="delete", rule_id=rule_id)
 
 
+# Wildcard mask (True where a field is matched exactly) -> the projection that
+# turns a packet's fields, padded with a trailing None, into the field tuple a
+# rule with that mask is stored under.  Shared by every table.
+_PROJECTIONS: dict[tuple[bool, ...], itemgetter] = {
+    mask: itemgetter(*(i if exact else 5 for i, exact in enumerate(mask)))
+    for mask in product((False, True), repeat=5)
+}
+
+
+def _field_tuple(match: FlowKey) -> tuple:
+    return (match.src_ip, match.dst_ip, match.src_mac, match.dst_mac, match.slice_id)
+
+
+def _projection(fields: tuple) -> itemgetter:
+    return _PROJECTIONS[(fields[0] is not None, fields[1] is not None, fields[2] is not None,
+                         fields[3] is not None, fields[4] is not None)]
+
+
 class FlowTable:
-    """Match-action table with (match, priority) uniqueness."""
+    """Match-action table with (match, priority) uniqueness.
+
+    Rules are indexed by tuple-space search (Srinivasan et al., SIGCOMM 1999):
+    one bucket per match field tuple, holding that match's rules by priority
+    descending, and a count of buckets per wildcard mask.  A lookup probes one
+    bucket per mask present instead of scanning every rule.
+    """
+
+    __slots__ = ("_rules", "_buckets", "_masks")
 
     def __init__(self) -> None:
         self._rules: dict[str, FlowRule] = {}
-        self._by_match: dict[tuple[FlowKey, int], str] = {}
-        self._ordered: Optional[list[FlowRule]] = None
+        self._buckets: dict[tuple, list[FlowRule]] = {}
+        self._masks: dict[itemgetter, int] = {}
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -262,34 +277,59 @@ class FlowTable:
         return list(self._rules.values())
 
     def add(self, rule: FlowRule) -> None:
-        # An add with an existing (match, priority) replaces that rule.
-        slot = (rule.match, rule.priority)
-        existing_id = self._by_match.get(slot)
-        if existing_id is not None and existing_id != rule.rule_id:
-            del self._rules[existing_id]
         previous = self._rules.pop(rule.rule_id, None)
         if previous is not None:
-            del self._by_match[(previous.match, previous.priority)]
+            self._unindex(previous)
+        fields = _field_tuple(rule.match)
+        bucket = self._buckets.get(fields)
+        if bucket is None:
+            self._buckets[fields] = [rule]
+            project = _projection(fields)
+            self._masks[project] = self._masks.get(project, 0) + 1
+        else:
+            i = 0
+            while i < len(bucket) and bucket[i].priority > rule.priority:
+                i += 1
+            if i < len(bucket) and bucket[i].priority == rule.priority:
+                # An add with an existing (match, priority) replaces that rule.
+                del self._rules[bucket[i].rule_id]
+                bucket[i] = rule
+            else:
+                bucket.insert(i, rule)
         self._rules[rule.rule_id] = rule
-        self._by_match[slot] = rule.rule_id
-        self._ordered = None
 
     def delete(self, rule_id: str) -> None:
         rule = self._rules.pop(rule_id, None)
-        self._ordered = None
         if rule is not None:
-            del self._by_match[(rule.match, rule.priority)]
+            self._unindex(rule)
+
+    def _unindex(self, rule: FlowRule) -> None:
+        fields = _field_tuple(rule.match)
+        bucket = self._buckets[fields]
+        if len(bucket) > 1:
+            bucket.remove(rule)  # the stored object: no other entry has its priority
+            return
+        del self._buckets[fields]
+        project = _projection(fields)
+        if self._masks[project] == 1:
+            del self._masks[project]
+        else:
+            self._masks[project] -= 1
 
     def lookup(self, packet: Packet) -> Optional[FlowRule]:
         """Highest priority first; equal priorities break on lowest rule id."""
-        if self._ordered is None:
-            self._ordered = sorted(
-                self._rules.values(), key=lambda r: (-r.priority, r.rule_id)
-            )
-        for rule in self._ordered:
-            if rule.match.matches(packet):
-                return rule
-        return None
+        fields = (packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac,
+                  packet.slice_id, None)
+        best = None
+        for project in self._masks:
+            bucket = self._buckets.get(project(fields))
+            if bucket is not None:
+                head = bucket[0]
+                if best is None or head.priority > best.priority or (
+                    head.priority == best.priority and head.rule_id < best.rule_id
+                ):
+                    best = head
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +431,8 @@ class Node:
     expected_hash: bytes = b""
     # port -> (peer node id, peer port, latency ms)
     ports: dict[int, tuple[str, int, int]] = field(default_factory=dict)
+    # peer node id -> lowest port linked to it
+    port_to: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -412,6 +454,8 @@ class Fabric:
         # node -> flow_id -> ("encrypt"|"decrypt", cipher)
         self.flow_ciphers: dict[str, dict[str, tuple[str, object]]] = {}
         self._route_cache: dict[str, dict[str, str]] = {}
+        # host ip -> host node id; the first host in document order wins
+        self._host_by_ip: dict[str, str] = {}
 
     # -- node helpers -------------------------------------------------------
 
@@ -422,16 +466,10 @@ class Fabric:
             raise UnknownNodeError(node_id) from None
 
     def host_by_ip(self, ip: str) -> Optional[str]:
-        for node in self.nodes.values():
-            if node.kind == NodeKind.HOST and node.ip == ip:
-                return node.node_id
-        return None
+        return self._host_by_ip.get(ip)
 
     def port_toward(self, node_id: str, peer_id: str) -> Optional[int]:
-        for port, (peer, _pport, _lat) in sorted(self.node(node_id).ports.items()):
-            if peer == peer_id:
-                return port
-        return None
+        return self.node(node_id).port_to.get(peer_id)
 
     def set_tampered(self, node_id: str, tampered: bool) -> None:
         self.node(node_id).tampered = tampered
@@ -515,6 +553,8 @@ def build_topology(config: dict) -> Fabric:
             kind = NodeKind(raw.get("kind", "core"))
         except ValueError:
             raise TopologyError(f"unknown node kind {raw.get('kind')!r}") from None
+        if not isinstance(raw.get("ip", ""), str):
+            raise TopologyError(f"node {node_id!r} ip must be a string, got {raw['ip']!r}")
         descriptor = _node_descriptor(node_id, kind.value, raw.get("ip"))
         node = Node(
             node_id=node_id,
@@ -535,6 +575,8 @@ def build_topology(config: dict) -> Fabric:
                 )
             )
         fabric.nodes[node_id] = node
+        if kind == NodeKind.HOST and node.ip is not None:
+            fabric._host_by_ip.setdefault(node.ip, node_id)
 
     for link in _entries(config, "links", ("a", "b")):
         a, b = link["a"], link["b"]
@@ -543,10 +585,13 @@ def build_topology(config: dict) -> Fabric:
                 raise TopologyError(f"link references undefined node {end!r}")
         latency = int(link.get("latency_ms", DEFAULT_LINK_LATENCY_MS))
         node_a, node_b = fabric.nodes[a], fabric.nodes[b]
-        port_a = max(node_a.ports, default=0) + 1
-        port_b = max(node_b.ports, default=0) + 1
+        # Ports are numbered 1, 2, ... in link order and never removed.
+        port_a = len(node_a.ports) + 1
+        port_b = len(node_b.ports) + 1
         node_a.ports[port_a] = (b, port_b, latency)
         node_b.ports[port_b] = (a, port_a, latency)
+        node_a.port_to.setdefault(b, port_a)
+        node_b.port_to.setdefault(a, port_b)
 
     for raw in _entries(config, "slices", ("vlan",)):
         vlan = int(raw["vlan"])
@@ -555,8 +600,10 @@ def build_topology(config: dict) -> Fabric:
         if vlan in fabric.slices:
             raise TopologyError(f"duplicate slice vlan {vlan}")
         hosts = raw.get("hosts", [])
+        if not isinstance(hosts, list):
+            raise TopologyError(f"slice {vlan} hosts must be a list, got {hosts!r}")
         for host in hosts:
-            if host not in fabric.nodes:
+            if isinstance(host, (list, dict)) or host not in fabric.nodes:
                 raise TopologyError(f"slice {vlan} references undefined node {host!r}")
         fabric.slices[vlan] = SliceDef(vlan=vlan, name=raw.get("name", f"vlan{vlan}"), hosts=frozenset(hosts))
 
@@ -578,7 +625,10 @@ def apply_flow_mod(
     if mod.kind == "add":
         if mod.rule is None:
             raise ValueError("add flow mod without a rule")
-        node.table.add(replace(mod.rule, provenance=provenance))
+        rule = mod.rule
+        if rule.provenance != provenance:
+            rule = replace(rule, provenance=provenance)
+        node.table.add(rule)
     elif mod.kind == "delete":
         if mod.rule_id is None:
             raise ValueError("delete flow mod without a rule id")

@@ -94,7 +94,12 @@ def _parse_action(raw: dict, policy_id: str) -> PolicyAction:
         raise PolicyError(f"policy {policy_id!r}: action must be an object, got {raw!r}")
     if "Service" not in raw or "Slice-id" not in raw:
         raise PolicyError(f"policy {policy_id!r}: action needs Service and Slice-id")
-    reqs = frozenset(raw.get("security", []))
+    security = raw.get("security", [])
+    if not isinstance(security, list) or not all(isinstance(r, str) for r in security):
+        raise PolicyError(
+            f"policy {policy_id!r}: security must be a list of strings, got {security!r}"
+        )
+    reqs = frozenset(security)
     bad = reqs - VALID_SECURITY_REQS
     if bad:
         raise PolicyError(f"policy {policy_id!r}: unknown security requirements {sorted(bad)}")

@@ -30,6 +30,12 @@ MALFORMED_CONFIGS = {
     "link-without-b": (
         "--topology", _edited("topology.json", lambda d: d["links"][0].pop("b"))
     ),
+    "slice-hosts-not-list": (
+        "--topology", _edited("topology.json", lambda d: d["slices"][0].update(hosts=5))
+    ),
+    "action-security-not-list": (
+        "--policies", _edited("policies.json", lambda d: d[0]["actions"][0].update(security=5))
+    ),
     "signature-without-id": ("--signatures", [{"pattern_hex": "00"}]),
     "scenario-config-not-object": ("--scenario-config", [1]),
 }

@@ -98,6 +98,39 @@ class TestBuildTopology:
         with pytest.raises(TopologyError, match="undefined"):
             build_topology(config)
 
+    def test_port_toward_takes_the_lowest_of_parallel_links(self):
+        config = {
+            "nodes": [{"id": "A", "kind": "core"}, {"id": "B", "kind": "core"},
+                      {"id": "C", "kind": "core"}],
+            "links": [{"a": "B", "b": "C"}, {"a": "A", "b": "B"}, {"a": "B", "b": "A"}],
+        }
+        fabric = build_topology(config)
+        assert fabric.nodes["B"].ports == {1: ("C", 1, 1), 2: ("A", 1, 1), 3: ("A", 2, 1)}
+        assert fabric.port_toward("B", "A") == 2
+        assert fabric.port_toward("A", "B") == 1
+        assert fabric.port_toward("A", "C") is None
+        with pytest.raises(UnknownNodeError):
+            fabric.port_toward("GHOST", "A")
+
+    def test_host_by_ip_takes_the_first_host_in_document_order(self):
+        config = {"nodes": [
+            {"id": "CORE", "kind": "core", "ip": "10.0.0.5"},
+            {"id": "H2", "kind": "host", "ip": "10.0.0.5"},
+            {"id": "H1", "kind": "host", "ip": "10.0.0.5"},
+            {"id": "H0", "kind": "host"},
+        ]}
+        fabric = build_topology(config)
+        assert fabric.host_by_ip("10.0.0.5") == "H2"
+        assert fabric.host_by_ip("10.0.0.6") is None
+
+    @pytest.mark.parametrize("config", [
+        {"nodes": [{"id": "H", "kind": "host", "ip": ["10.0.0.1"]}]},
+        {"nodes": [{"id": "H", "kind": "host"}], "slices": [{"vlan": 100, "hosts": [["H"]]}]},
+    ])
+    def test_non_string_ip_or_unhashable_slice_host_rejected(self, config):
+        with pytest.raises(TopologyError):
+            build_topology(config)
+
     def test_slice_outside_vlan_range_rejected(self):
         config = {"nodes": [], "slices": [{"vlan": 5000, "name": "bad", "hosts": []}]}
         with pytest.raises(TopologyError, match="VLAN"):
@@ -208,45 +241,85 @@ class TestPriorityMatching:
         """Brute force: scan every rule, keep the best (priority, rule_id) match."""
         best = None
         for rule in rules:
-            if rule.match.matches(packet):
+            m = rule.match
+            fields = ((m.src_ip, packet.src_ip), (m.dst_ip, packet.dst_ip),
+                      (m.src_mac, packet.src_mac), (m.dst_mac, packet.dst_mac),
+                      (m.slice_id, packet.slice_id))
+            if all(want is None or want == got for want, got in fields):
                 if best is None or (-rule.priority, rule.rule_id) < (-best.priority, best.rule_id):
                     best = rule
         return best
 
     def test_lookup_agrees_with_linear_scan_on_random_tables(self):
+        """Random adds, replaces and deletes over all five match fields, with
+        lookups in between, checked against a model table and the scan."""
         rng = random.Random(42)
-        ips = [f"10.0.0.{i}" for i in range(1, 6)]
-        macs = [f"00:09:00:{i:02X}" for i in range(4)]
+        ips = [f"10.0.0.{i}" for i in range(1, 4)]
+        macs = [f"00:09:00:{i:02X}" for i in range(3)]
+        slices = [100, 200]
+
+        def pick(values):
+            return rng.choice(values + [None])
+
+        def random_match():
+            return FlowKey(src_ip=pick(ips), dst_ip=pick(ips), src_mac=pick(macs),
+                           dst_mac=pick(macs), slice_id=pick(slices))
+
+        def random_packet(model):
+            # Half the packets fill in the wildcards of a stored match, so
+            # that lookups often meet several matching rules.
+            m = rng.choice(list(model.values())).match if model and rng.random() < 0.5 else FlowKey()
+            return Packet(
+                src_ip=m.src_ip or rng.choice(ips), dst_ip=m.dst_ip or rng.choice(ips),
+                src_mac=m.src_mac or rng.choice(macs), dst_mac=m.dst_mac or rng.choice(macs),
+                slice_id=m.slice_id or pick(slices),
+            )
+
+        seen = {"slot-replaced": 0, "id-rematched": 0, "deleted": 0, "cross-mask-tie": 0}
         for _case in range(200):
             fabric = build_topology(
                 {"nodes": [{"id": "SW", "kind": "core"}, {"id": "H", "kind": "host", "ip": "10.0.0.99"}],
                  "links": [{"a": "SW", "b": "H"}]}
             )
-            n_rules = rng.randint(0, 100)
-            for i in range(n_rules):
-                match = FlowKey(
-                    src_ip=rng.choice(ips + [None]),
-                    dst_ip=rng.choice(ips + [None]),
-                    src_mac=rng.choice(macs + [None]),
-                    slice_id=rng.choice([None, 100, 200]),
-                )
-                rule = FlowRule(
-                    rule_id=f"r{i:03d}",
-                    match=match,
-                    action=Drop(),
-                    priority=rng.randint(0, 5),
-                )
-                apply_flow_mod(fabric, "SW", FlowMod.add(rule))
-            packet = Packet(
-                src_ip=rng.choice(ips),
-                dst_ip=rng.choice(ips),
-                src_mac=rng.choice(macs),
-                dst_mac="ff",
-                slice_id=rng.choice([None, 100, 200]),
-            )
-            chosen = fabric.nodes["SW"].table.lookup(packet)
-            expected = self._linear_scan_oracle(fabric.nodes["SW"].table.rules(), packet)
-            assert chosen == expected
+            table = fabric.nodes["SW"].table
+            model: dict[str, FlowRule] = {}
+            for step in range(rng.randint(0, 60)):
+                op = rng.random()
+                if model and op < 0.15:
+                    rule_id = rng.choice(sorted(model))
+                    apply_flow_mod(fabric, "SW", FlowMod.delete(rule_id))
+                    del model[rule_id]
+                    seen["deleted"] += 1
+                else:
+                    rule_id, match, priority = f"r{step:03d}", random_match(), rng.randint(0, 3)
+                    if model and op < 0.3:
+                        # the same (match, priority) under a new rule id
+                        old = model[rng.choice(sorted(model))]
+                        match, priority = old.match, old.priority
+                        seen["slot-replaced"] += 1
+                    elif model and op < 0.45:
+                        # the same rule id with a new match
+                        rule_id = rng.choice(sorted(model))
+                        seen["id-rematched"] += 1
+                    rule = FlowRule(rule_id, match, Drop(), priority)
+                    apply_flow_mod(fabric, "SW", FlowMod.add(rule))
+                    model = {k: r for k, r in model.items()
+                             if k == rule_id or (r.match, r.priority) != (match, priority)}
+                    model[rule_id] = rule
+                for _probe in range(rng.randint(0, 2)):
+                    packet = random_packet(model)
+                    expected = self._linear_scan_oracle(model.values(), packet)
+                    assert table.lookup(packet) == expected
+                    if expected is not None:
+                        tied = {r.match for r in model.values()
+                                if r.priority == expected.priority
+                                and self._linear_scan_oracle([r], packet) is not None}
+                        masks = {tuple(f is None for f in (m.src_ip, m.dst_ip, m.src_mac,
+                                                           m.dst_mac, m.slice_id)) for m in tied}
+                        seen["cross-mask-tie"] += len(masks) > 1
+            assert {r.rule_id: r for r in table.rules()} == model
+            assert len(table) == len(model)
+        assert all(count > 20 for count in seen.values()), seen
 
 
 class TestApplyFlowMod:
