@@ -104,7 +104,6 @@ class FlowDecision:
     verdict: str
     slice_id: Optional[int] = None
     service: Optional[str] = None
-    installed_rules: list[tuple[str, str]] = field(default_factory=list)
     extraction_performed: bool = False
     cost_us: int = 0
     error: Optional[str] = None
@@ -118,8 +117,6 @@ class ReconfigAction:
 
 @dataclass
 class DeployResult:
-    host: str
-    service: str
     deployed: bool
     verdict: sf.TrustVerdict
 
@@ -127,7 +124,6 @@ class DeployResult:
 @dataclass
 class HandoverResult:
     device_id: str
-    moved_pairs: frozenset[tuple[int, str]]
     blacklisted: bool
     rules_reanchored: int
 
@@ -169,19 +165,17 @@ class IngressProcessor:
                 node=dep.node,
                 time_ms=packet.virtual_timestamp,
                 detail={
-                    "verdict": type(result.verdict).__name__,
+                    "drop_reason": result.drop_reason,
                     "signatures_scanned": result.signatures_scanned,
                 },
             )
         )
         if result.alert is not None:
             mgr.record_alert(result.alert)
-        if isinstance(result.verdict, sf.FlowDropSignature):
+        if result.drop_reason is not None:
             return IngressDecision(
-                allow=False, reason=f"signature:{result.verdict.sig_id}", events=events, cost_us=cost
+                allow=False, reason=result.drop_reason, events=events, cost_us=cost
             )
-        if isinstance(result.verdict, sf.FlowDropAnomaly):
-            return IngressDecision(allow=False, reason="anomaly", events=events, cost_us=cost)
         return IngressDecision(allow=True, events=events, cost_us=cost)
 
 
@@ -351,22 +345,16 @@ class SecurityManager:
         if dep is None:
             dep = SecurityDeployment(
                 node=node,
-                access=sf.SliceAccessState(
-                    node=node,
-                    generic_slice=self.config.generic_slice,
-                    blacklist=set(self.global_blacklist),
-                ),
+                access=sf.SliceAccessState(blacklist=set(self.global_blacklist)),
                 validator=sf.FlowValidatorState(
-                    node=node,
                     signatures=list(self.signatures),
                     window_ms=self.config.anomaly_window_ms,
                     threshold=self.config.anomaly_threshold,
                 ),
             )
         if profile is not None:
-            for device in sorted(profile.device_ids()):
-                pairs = dep.access.allowed.setdefault(device, set())
-                pairs.update(profile.allowed_pairs(device))
+            for device, pairs in sorted(profile.allowed.items()):
+                dep.access.allowed.setdefault(device, set()).update(pairs)
             dep.covered_users.add(profile.user_id)
         return dep
 
@@ -442,16 +430,12 @@ class SecurityManager:
         verdict = sf.check_slice_access(dep.access, probe, requested)
         cost += cfg.access_check_us
 
-        if verdict == sf.AccessVerdict.DENY_BLACKLISTED or device in self.global_blacklist:
-            self.log_access_denied(punt.node, device, flow_id, "deny-blacklisted")
+        if device in self.global_blacklist:
+            verdict = sf.AccessVerdict.DENY_BLACKLISTED
+        if verdict in (sf.AccessVerdict.DENY_BLACKLISTED, sf.AccessVerdict.DENY_UNAUTHORIZED):
+            self.log_access_denied(punt.node, device, flow_id, verdict.value)
             return FlowDecision(
-                flow_id=flow_id, device_id=device, verdict="deny-blacklisted",
-                extraction_performed=extraction, cost_us=cost,
-            )
-        if verdict == sf.AccessVerdict.DENY_UNAUTHORIZED:
-            self.log_access_denied(punt.node, device, flow_id, "deny-unauthorized")
-            return FlowDecision(
-                flow_id=flow_id, device_id=device, verdict="deny-unauthorized",
+                flow_id=flow_id, device_id=device, verdict=verdict.value,
                 extraction_performed=extraction, cost_us=cost,
             )
 
@@ -460,16 +444,11 @@ class SecurityManager:
         cost += cfg.flow_validation_base_us + result.signatures_scanned * cfg.signature_scan_us
         if result.alert is not None:
             self.record_alert(result.alert)
-        if not isinstance(result.verdict, sf.FlowForward):
-            reason = (
-                f"signature:{result.verdict.sig_id}"
-                if isinstance(result.verdict, sf.FlowDropSignature)
-                else "anomaly"
-            )
-            self.log_access_denied(punt.node, device, flow_id, reason)
+        if result.drop_reason is not None:
+            self.log_access_denied(punt.node, device, flow_id, result.drop_reason)
             return FlowDecision(
                 flow_id=flow_id, device_id=device, verdict="deny-validation",
-                extraction_performed=extraction, cost_us=cost, error=reason,
+                extraction_performed=extraction, cost_us=cost, error=result.drop_reason,
             )
 
         if verdict == sf.AccessVerdict.PERMIT:
@@ -531,15 +510,12 @@ class SecurityManager:
         self.flows[flow_id] = record
         return FlowDecision(
             flow_id=flow_id, device_id=device, verdict=verdict,
-            slice_id=slice_id, service=service, installed_rules=list(record.rules),
+            slice_id=slice_id, service=service,
             extraction_performed=extraction, cost_us=cost,
         )
 
     def _generic_host_ip(self) -> Optional[str]:
-        generic = self.fabric.slices.get(self.config.generic_slice)
-        if generic is None:
-            return None
-        for host in sorted(generic.hosts):
+        for host in sorted(self.fabric.slices.get(self.config.generic_slice, ())):
             node = self.fabric.nodes.get(host)
             if node is not None and node.kind == NodeKind.HOST and node.ip:
                 return node.ip
@@ -677,7 +653,7 @@ class SecurityManager:
                     "time_ms": self.fabric.clock_ms,
                 }
             )
-            return DeployResult(host=host, service=service, deployed=True, verdict=verdict)
+            return DeployResult(deployed=True, verdict=verdict)
         self.log.append(
             {
                 "type": pol.EV_SERVICE_REFUSED,
@@ -691,7 +667,7 @@ class SecurityManager:
             "service-deployment-refused",
             {"node": host, "service": service, "verdict": verdict.value},
         )
-        return DeployResult(host=host, service=service, deployed=False, verdict=verdict)
+        return DeployResult(deployed=False, verdict=verdict)
 
     def attest_node(self, node_id: str) -> sf.TrustVerdict:
         node = self.fabric.node(node_id)
@@ -717,9 +693,8 @@ class SecurityManager:
         if to_dep is None:
             to_dep = self.compose_deployment(None, to_edge)
             self._deploy(to_dep)
-        pairs = frozenset(from_dep.access.allowed.get(device_id, set()))
         if device_id in from_dep.access.allowed:
-            to_dep.access.allowed[device_id] = set(pairs)
+            to_dep.access.allowed[device_id] = set(from_dep.access.allowed[device_id])
         blacklisted = device_id in from_dep.access.blacklist
         if blacklisted:
             to_dep.access.blacklist.add(device_id)
@@ -761,10 +736,7 @@ class SecurityManager:
             }
         )
         return HandoverResult(
-            device_id=device_id,
-            moved_pairs=pairs,
-            blacklisted=blacklisted,
-            rules_reanchored=reanchored,
+            device_id=device_id, blacklisted=blacklisted, rules_reanchored=reanchored
         )
 
     def provision_security(self, flow_id: str) -> str:

@@ -435,19 +435,13 @@ class Node:
     port_to: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
-class SliceDef:
-    vlan: int
-    name: str
-    hosts: frozenset[str]
-
-
 class Fabric:
     """A built topology plus its mutable runtime state."""
 
     def __init__(self) -> None:
         self.nodes: dict[str, Node] = {}
-        self.slices: dict[int, SliceDef] = {}
+        # slice vlan -> hosts on that slice
+        self.slices: dict[int, frozenset[str]] = {}
         self.clock_ms: int = 0
         self.punt_events: deque[PuntEvent] = deque()
         self.ingress_processors: dict[str, object] = {}
@@ -538,9 +532,10 @@ def build_topology(config: dict) -> Fabric:
     """Build a fabric from a topology document.
 
     The document declares ``nodes`` (id, kind, optional ip/tampered),
-    ``links`` (a, b, latency_ms) and ``slices`` (vlan, name, hosts).  Edge
-    switches start with a single punt-to-controller rule; everything else
-    starts empty.  Each node's expected attestation hash is fixed here.
+    ``links`` (a, b, latency_ms) and ``slices`` (vlan, hosts; a ``name`` is
+    accepted and not stored).  Edge switches start with a single
+    punt-to-controller rule; everything else starts empty.  Each node's
+    expected attestation hash is fixed here.
     """
     if not isinstance(config, dict):
         raise TopologyError("topology document must be a JSON object")
@@ -605,7 +600,7 @@ def build_topology(config: dict) -> Fabric:
         for host in hosts:
             if isinstance(host, (list, dict)) or host not in fabric.nodes:
                 raise TopologyError(f"slice {vlan} references undefined node {host!r}")
-        fabric.slices[vlan] = SliceDef(vlan=vlan, name=raw.get("name", f"vlan{vlan}"), hosts=frozenset(hosts))
+        fabric.slices[vlan] = frozenset(hosts)
 
     return fabric
 
@@ -776,8 +771,7 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
             )
         )
         if peer.kind == NodeKind.HOST:
-            slice_def = fabric.slices.get(work.slice_id) if work.slice_id is not None else None
-            if work.slice_id is not None and (slice_def is None or peer_id not in slice_def.hosts):
+            if work.slice_id is not None and peer_id not in fabric.slices.get(work.slice_id, ()):
                 outcome = Dropped(node=at, reason="slice-violation")
             else:
                 outcome = Delivered(host=peer_id)

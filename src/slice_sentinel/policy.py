@@ -2,8 +2,9 @@
 
 The policy repository stores per-device slice/service authorizations in the
 JSON shape used by the controller (``hostip``/``hostmac``/``destip``/
-``dstmac``/``Slice-id``/``Service`` field names), indexes them by device and
-by user, and answers the lookups the security manager makes at flow setup.
+``Slice-id``/``Service`` field names), indexes them by device and by user,
+and answers the lookups the security manager makes at flow setup.  Only what
+the manager reads is stored; descriptive keys are accepted and dropped.
 The activity log is a hash-chained, tamper-evident record of controller
 actions from which the expected state of any switch can be reconstructed.
 """
@@ -29,7 +30,6 @@ from .fabric import (
 VALID_SECURITY_REQS = frozenset(
     {"confidentiality", "integrity", "authentication", "accountability"}
 )
-PERSONAL_ROLE = "Personal-Role"
 
 _SLICE_ID_RE = re.compile(r"^VLAN(\d+)$")
 
@@ -43,14 +43,6 @@ class PolicyError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UserAttributes:
-    user_id: str
-    name: str = ""
-    role: str = PERSONAL_ROLE
-    organization: str = ""
-
-
-@dataclass(frozen=True)
 class PolicyAction:
     service: str
     slice_id: int
@@ -60,20 +52,11 @@ class PolicyAction:
 @dataclass(frozen=True)
 class PolicyRule:
     policy_id: str
-    device_ip: str
-    device_mac: str
+    # The MAC is the authoritative device identity; the IP may change.
+    device_id: str
     dest_ip: str
-    user: UserAttributes
-    contract_id: str
+    user_id: str
     actions: tuple[PolicyAction, ...]
-    dest_mac: Optional[str] = None
-    flow_id: Optional[str] = None
-    device_type: str = "unknown"
-
-    @property
-    def device_id(self) -> str:
-        # The MAC is the authoritative device identity; the IP may change.
-        return self.device_mac
 
 
 def _parse_slice_id(raw) -> int:
@@ -128,26 +111,15 @@ def parse_policy_rule(raw: dict) -> PolicyRule:
     user_raw = raw.get("user", {})
     if not isinstance(user_raw, dict):
         raise PolicyError(f"policy {policy_id!r}: user must be an object")
-    user = UserAttributes(
-        user_id=str(user_raw.get("id", f"anon-{raw['hostmac']}")),
-        name=user_raw.get("name", ""),
-        role=user_raw.get("role", PERSONAL_ROLE),
-        organization=user_raw.get("organization", ""),
-    )
     actions = tuple(_parse_action(a, policy_id) for a in raw["actions"])
     if not actions:
         raise PolicyError(f"policy {policy_id!r}: empty actions")
     return PolicyRule(
         policy_id=policy_id,
-        device_ip=raw["hostip"],
-        device_mac=raw["hostmac"],
+        device_id=raw["hostmac"],
         dest_ip=raw["destip"],
-        dest_mac=raw.get("dstmac"),
-        flow_id=raw.get("flowid"),
-        user=user,
-        contract_id=str(raw.get("contract_id", f"contract-{user.user_id}")),
+        user_id=str(user_raw.get("id", f"anon-{raw['hostmac']}")),
         actions=actions,
-        device_type=raw.get("device_type", "unknown"),
     )
 
 
@@ -156,34 +128,10 @@ def parse_policy_rule(raw: dict) -> PolicyRule:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DeviceBinding:
-    device_id: str
-    device_type: str
-
-
-@dataclass(frozen=True)
-class ServiceContract:
-    contract_id: str
-    role: str
-    devices: tuple[DeviceBinding, ...]
-    # device_id -> {(slice_id, service)}
-    allowed: dict
-
-
-@dataclass(frozen=True)
 class SecurityProfile:
     user_id: str
-    contracts: tuple[ServiceContract, ...]
-
-    def device_ids(self) -> frozenset[str]:
-        return frozenset(d.device_id for c in self.contracts for d in c.devices)
-
-    def allowed_pairs(self, device_id: str) -> frozenset[tuple[int, str]]:
-        """Union of (slice, service) pairs over all contracts covering the device."""
-        pairs: set[tuple[int, str]] = set()
-        for contract in self.contracts:
-            pairs.update(contract.allowed.get(device_id, ()))
-        return frozenset(pairs)
+    # device_id -> {(slice_id, service)}, unioned over all the user's rules
+    allowed: dict[str, frozenset[tuple[int, str]]]
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +167,13 @@ class PolicyRepository:
             )
         self.rules.append(rule)
         self._by_id[rule.policy_id] = rule
-        self._by_mac.setdefault(rule.device_mac, []).append(rule)
-        self._by_user.setdefault(rule.user.user_id, []).append(rule)
+        self._by_mac.setdefault(rule.device_id, []).append(rule)
+        self._by_user.setdefault(rule.user_id, []).append(rule)
         self._service_at[rule.dest_ip] = pair
 
     def user_of_device(self, device_mac: str) -> Optional[str]:
         rules = self._by_mac.get(device_mac)
-        return rules[0].user.user_id if rules else None
+        return rules[0].user_id if rules else None
 
     def security_reqs(self, device_mac: str, pair: tuple[int, str]) -> frozenset[str]:
         """Requirements a device's policies attach to one (slice, service) pair."""
@@ -256,36 +204,20 @@ def load_policies(document: list) -> PolicyRepository:
 def extract_profile(repo: PolicyRepository, user_id: str) -> Optional[SecurityProfile]:
     """Assemble the full profile of a user: all devices, all slices, all services.
 
-    Returns ``None`` when the user has no contracts; callers treat that as
+    Returns ``None`` when the user has no rules; callers treat that as
     the guest case, not as an error.
     """
     rules = repo._by_user.get(user_id)
     if not rules:
         return None
-    by_contract: dict[str, list[PolicyRule]] = {}
+    allowed: dict[str, set[tuple[int, str]]] = {}
     for rule in rules:
-        by_contract.setdefault(rule.contract_id, []).append(rule)
-    contracts = []
-    for contract_id in sorted(by_contract):
-        contract_rules = by_contract[contract_id]
-        devices: dict[str, str] = {}
-        allowed: dict[str, set] = {}
-        for rule in contract_rules:
-            devices.setdefault(rule.device_id, rule.device_type)
-            pairs = allowed.setdefault(rule.device_id, set())
-            for action in rule.actions:
-                pairs.add((action.slice_id, action.service))
-        contracts.append(
-            ServiceContract(
-                contract_id=contract_id,
-                role=contract_rules[0].user.role,
-                devices=tuple(
-                    DeviceBinding(device_id=d, device_type=t) for d, t in sorted(devices.items())
-                ),
-                allowed={d: frozenset(p) for d, p in allowed.items()},
-            )
+        allowed.setdefault(rule.device_id, set()).update(
+            (action.slice_id, action.service) for action in rule.actions
         )
-    return SecurityProfile(user_id=user_id, contracts=tuple(contracts))
+    return SecurityProfile(
+        user_id=user_id, allowed={d: frozenset(p) for d, p in allowed.items()}
+    )
 
 
 # ---------------------------------------------------------------------------

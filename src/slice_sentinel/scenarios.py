@@ -678,14 +678,16 @@ def _fleet_documents(n_gnodebs: int) -> tuple[dict, list]:
     return topology, policies
 
 
-def _flow_setup_run(n: int, security_on: bool, run_seed: int,
-                    manager_config: ManagerConfig, jitter_us: int = 500) -> list[float]:
+FLOW_SETUP_JITTER_US = 500
+
+
+def _flow_setup_run(n: int, security_on: bool, run_seed: int) -> list[float]:
     """One fleet round: every gNodeB punts its first flow at t=0 and the
     controller serves the queue in order.  Returns per-flow setup times (ms)."""
     topology, policies = _fleet_documents(n)
     fabric = build_topology(topology)
     repo = pol.load_policies(policies)
-    cfg = ManagerConfig(**{**manager_config.__dict__, "security_enabled": security_on})
+    cfg = ManagerConfig(security_enabled=security_on)
     manager = SecurityManager(fabric, repo, signatures=[], config=cfg, seed=run_seed)
 
     for i in range(n):
@@ -704,7 +706,7 @@ def _flow_setup_run(n: int, security_on: bool, run_seed: int,
     fabric.punt_events.clear()
     for punt in punts:
         decision = manager.new_flow(punt)
-        service_us = decision.cost_us - one_way_us + (jitter.randint(0, jitter_us) if jitter_us else 0)
+        service_us = decision.cost_us - one_way_us + jitter.randint(0, FLOW_SETUP_JITTER_US)
         arrival_us = punt.time_ms * 1000 + one_way_us
         start_us = max(arrival_us, available_us)
         completion_us = start_us + service_us
@@ -718,8 +720,6 @@ def bench_flow_setup(
     security: str = "both",
     runs: int = 10,
     seed: int = 0,
-    manager_config: Optional[ManagerConfig] = None,
-    jitter_us: int = 500,
 ) -> BenchReport:
     """Average flow setup time versus fleet size, with and without the
     security functions in the setup path."""
@@ -728,7 +728,6 @@ def bench_flow_setup(
     if security not in ("on", "off", "both"):
         raise ValueError(f"security must be on, off or both, got {security!r}")
     modes = {"on": [True], "off": [False], "both": [False, True]}[security]
-    base_config = manager_config or ManagerConfig()
     entries = []
     samples: dict[str, list[float]] = {}
     for n in sizes:
@@ -739,7 +738,7 @@ def bench_flow_setup(
             for run in range(runs):
                 # identical jitter draws for on and off at the same (seed, n, run)
                 run_seed = _derive_seed(seed, n, run)
-                setups = _flow_setup_run(n, mode, run_seed, base_config, jitter_us)
+                setups = _flow_setup_run(n, mode, run_seed)
                 run_means.append(statistics.fmean(setups))
             label = "on" if mode else "off"
             mean_ms = statistics.fmean(run_means)
@@ -772,9 +771,7 @@ def bench_signature_latency(
                 sf.Signature(f"s{j:05d}", bytes([0xF0 + rng.randint(0, 14) for _ in range(8)]))
                 for j in range(n)
             ]
-            state = sf.FlowValidatorState(
-                node="bench", signatures=signatures, threshold=10**9
-            )
+            state = sf.FlowValidatorState(signatures=signatures, threshold=10**9)
             costs_us = []
             for p in range(packets):
                 packet = Packet(

@@ -13,7 +13,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -43,10 +43,8 @@ class AccessVerdict(Enum):
 class SliceAccessState:
     """Per-node access control: which device may enter which (slice, service)."""
 
-    node: str
     allowed: dict[str, set[tuple[int, str]]] = field(default_factory=dict)
     blacklist: set[str] = field(default_factory=set)
-    generic_slice: int = 4094
 
 
 def check_slice_access(
@@ -109,24 +107,6 @@ def packet_header_bytes(packet: Packet) -> bytes:
 
 
 @dataclass(frozen=True)
-class FlowForward:
-    pass
-
-
-@dataclass(frozen=True)
-class FlowDropSignature:
-    sig_id: str
-
-
-@dataclass(frozen=True)
-class FlowDropAnomaly:
-    pass
-
-
-FlowVerdict = Union[FlowForward, FlowDropSignature, FlowDropAnomaly]
-
-
-@dataclass(frozen=True)
 class Alert:
     source: str
     device_id: str
@@ -148,7 +128,8 @@ class Alert:
 
 @dataclass
 class FlowValidationResult:
-    verdict: FlowVerdict
+    # None forwards the packet; otherwise "signature:<id>" or "anomaly"
+    drop_reason: Optional[str]
     alert: Optional[Alert]
     signatures_scanned: int
 
@@ -163,7 +144,6 @@ class FlowValidatorState:
     ``threshold`` is dropped.
     """
 
-    node: str
     signatures: list[Signature] = field(default_factory=list)
     window_ms: int = DEFAULT_ANOMALY_WINDOW_MS
     threshold: int = DEFAULT_ANOMALY_THRESHOLD
@@ -196,18 +176,19 @@ def validate_flow(
         else:
             haystack = packet.payload
         if sig.pattern and sig.pattern in haystack:
+            reason = f"signature:{sig.sig_id}"
             alert = Alert(
                 source="flow-validator",
                 device_id=device,
                 flow_id=packet.flow_id,
-                reason=f"signature:{sig.sig_id}",
+                reason=reason,
                 severity="high",
                 time_ms=packet.virtual_timestamp,
             )
-            return FlowValidationResult(FlowDropSignature(sig.sig_id), alert, scanned)
+            return FlowValidationResult(reason, alert, scanned)
 
     if headers_only:
-        return FlowValidationResult(FlowForward(), None, scanned)
+        return FlowValidationResult(None, None, scanned)
 
     window = state.windows.setdefault(device, deque())
     now = packet.virtual_timestamp
@@ -224,9 +205,9 @@ def validate_flow(
             severity="high",
             time_ms=now,
         )
-        return FlowValidationResult(FlowDropAnomaly(), alert, scanned)
+        return FlowValidationResult("anomaly", alert, scanned)
 
-    return FlowValidationResult(FlowForward(), None, scanned)
+    return FlowValidationResult(None, None, scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +318,6 @@ def render_audit_diff(trusted: SwitchStateReport, observed: SwitchStateReport) -
 class SymmetricKey:
     key_id: str
     key_bytes: bytes
-    endpoints: tuple[str, str]
 
     def __post_init__(self) -> None:
         if len(self.key_bytes) != KEY_BYTES:
@@ -361,11 +341,7 @@ class KeyGenerator:
         self._counter += 1
         material = self._state + self._counter.to_bytes(8, "big")
         key = hashlib.sha256(material).digest()[:KEY_BYTES]
-        return SymmetricKey(
-            key_id=f"key-{self._counter:06d}",
-            key_bytes=key,
-            endpoints=(a, b),
-        )
+        return SymmetricKey(key_id=f"key-{self._counter:06d}", key_bytes=key)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,13 @@ benchmark tracer wraps methods).  Package ``__init__.py`` re-exports and the
 tests do not count, so an API kept alive only by a re-export or by its own
 tests fails here.
 
-The checks are name-level.  They cannot tell that a dataclass field is
-write-only: ``FlowRecord.user_id`` was never read, yet ``.user_id`` is read
-on other classes, so no field check is attempted here.
+Every field of a dataclass must also be read as an attribute (``obj.field``
+in load context) somewhere in ``src/`` or ``perfbench/``; a field that is
+only written, or read only by tests, fails here.
+
+The checks are name-level.  A field whose name is read on another class
+passes even if it is write-only: ``SliceAccessState.node`` was never read,
+yet ``.node`` is read on many other classes, so only a review catches it.
 """
 
 import ast
@@ -102,3 +106,36 @@ def test_every_public_method_has_a_use_outside_its_body():
                 if not used and qualname not in UNUSED_BY_DESIGN:
                     unused.append(f"{path.relative_to(ROOT)}:{method.lineno} {qualname}")
     assert unused == [], "public methods with no use outside their body:\n" + "\n".join(unused)
+
+
+# Kept without an attribute read on purpose: the datapath outcome value,
+# which callers and tests compare by equality (``Delivered(host=...)``).
+FIELDS_READ_BY_EQUALITY = {"Delivered.host"}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    reads = {
+        node.attr
+        for _text, tree in PARSED.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path, tree in _package_modules():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and _is_dataclass(n)):
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                qualname = f"{cls.name}.{stmt.target.id}"
+                if stmt.target.id not in reads and qualname not in FIELDS_READ_BY_EQUALITY:
+                    unread.append(f"{path.relative_to(ROOT)}:{stmt.lineno} {qualname}")
+    assert unread == [], "dataclass fields never read as an attribute:\n" + "\n".join(unread)

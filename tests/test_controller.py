@@ -27,7 +27,12 @@ from slice_sentinel.policy import (
     LogIntegrityError,
     extract_profile,
 )
-from slice_sentinel.security_functions import Alert, TrustVerdict
+from slice_sentinel.security_functions import (
+    AccessVerdict,
+    Alert,
+    TrustVerdict,
+    check_slice_access,
+)
 
 from conftest import build_world, drive
 
@@ -58,7 +63,7 @@ class TestNewFlow:
         assert trace.outcome == Delivered(host="SVC1")
         assert "OVS1" in manager.deployments
         # forward and reverse rules at both OVS1 and CORE1
-        nodes = [node for node, _rid in decision.installed_rules]
+        nodes = [node for node, _rid in manager.flows["flow-ue1"].rules]
         assert nodes.count("OVS1") == 2 and nodes.count("CORE1") == 2
         # the reverse path works too
         reply = Packet(
@@ -103,7 +108,7 @@ class TestNewFlow:
         printer = ue_packet(3, "10.0.0.8", "f-printer")
         trace, decision = drive(fabric, manager, printer, ("OVS1", 3))
         assert decision.verdict == "deny-unauthorized"
-        assert decision.installed_rules == []
+        assert "f-printer" not in manager.flows
         assert trace.outcome == Dropped(node="OVS1", reason="deny-unauthorized")
 
     def test_no_route_reported_as_error(self, topology_doc, policy_doc, world):
@@ -137,9 +142,10 @@ class TestNewFlowSecurityOff:
         assert decision.verdict == "permitted"
         assert (decision.slice_id, decision.service) == (200, "Service1")
         assert decision.extraction_performed is False
-        nodes = [node for node, _rid in decision.installed_rules]
+        rules = manager.flows["f-plain"].rules
+        nodes = [node for node, _rid in rules]
         assert nodes.count("OVS1") == 2 and nodes.count("CORE1") == 2
-        for node, rule_id in decision.installed_rules:
+        for node, rule_id in rules:
             assert rule_id in {r.rule_id for r in fabric.nodes[node].table.rules()}
         assert decision.cost_us == (
             cfg.dispatch_us() + cfg.path_compute_us + 4 * cfg.rule_install_us
@@ -154,7 +160,7 @@ class TestNewFlowSecurityOff:
         _trace, decision = drive(fabric, manager, ue_packet(1, "10.99.0.1", "f-ghost"), ("OVS1", 1))
         assert decision.verdict == "error"
         assert decision.error == "no host for destination 10.99.0.1"
-        assert decision.installed_rules == []
+        assert "f-ghost" not in manager.flows
         assert decision.cost_us == manager.config.dispatch_us()
 
 
@@ -169,7 +175,9 @@ class TestComposeDeployment:
         fabric, repo, manager = world
         dep = manager.compose_deployment(None, "OVS1")
         assert dep.access.allowed == {}
-        assert dep.access.generic_slice == 4094
+        # with no allowed pairs every device, registered or not, rides generic
+        probe = ue_packet(1, "10.0.0.8", "f")
+        assert check_slice_access(dep.access, probe, (200, "Service1")) == AccessVerdict.ROUTE_GENERIC
 
 
 class TestAlertHandling:
@@ -235,13 +243,13 @@ class TestAlertHandling:
 def churned_world(topology_doc, policy_doc, signature_doc):
     """Two installed flows, then three external flow-mods on two switches."""
     fabric, repo, manager = build_world(topology_doc, policy_doc, signature_doc)
-    _trace, ue1 = drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
-    _trace, ue2 = drive(fabric, manager, ue_packet(2, "10.0.0.7", "f-ue2"), ("OVS1", 2))
+    drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
+    drive(fabric, manager, ue_packet(2, "10.0.0.7", "f-ue2"), ("OVS1", 2))
     extra = FlowRule("atk-extra", FlowKey(src_ip="10.0.0.66"), Drop(), priority=50)
     apply_flow_mod(fabric, "OVS1", FlowMod.add(extra), Provenance.EXTERNAL)
-    deleted = next(rid for node, rid in ue1.installed_rules if node == "CORE1")
+    deleted = next(rid for node, rid in manager.flows["f-ue1"].rules if node == "CORE1")
     apply_flow_mod(fabric, "CORE1", FlowMod.delete(deleted), Provenance.EXTERNAL)
-    changed_id = next(rid for node, rid in ue2.installed_rules if node == "OVS1")
+    changed_id = next(rid for node, rid in manager.flows["f-ue2"].rules if node == "OVS1")
     original = next(r for r in fabric.nodes["OVS1"].table.rules() if r.rule_id == changed_id)
     changed = replace(original, action=Drop())
     apply_flow_mod(fabric, "OVS1", FlowMod.add(changed), Provenance.EXTERNAL)
@@ -338,8 +346,7 @@ class TestHandover:
         drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
         before = frozenset(manager.deployments["OVS1"].access.allowed["00:09:00:AA"])
         extractions = len(manager.log.events(EV_PROFILE_EXTRACTED))
-        result = manager.handover("00:09:00:AA", "OVS1", "OVS2")
-        assert result.moved_pairs == before
+        manager.handover("00:09:00:AA", "OVS1", "OVS2")
         assert frozenset(manager.deployments["OVS2"].access.allowed["00:09:00:AA"]) == before
         assert len(manager.log.events(EV_PROFILE_EXTRACTED)) == extractions
         # flow continues from the new edge (UE1 attaches to OVS2 at port 5)
@@ -403,7 +410,7 @@ class TestSliceAccessCompleteness:
         # generic slice.
         fabric, repo, manager = world
         allowed = {
-            (rule.device_mac, action.slice_id)
+            (rule.device_id, action.slice_id)
             for rule in repo.rules
             for action in rule.actions
         }

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slice_sentinel.fabric import Drop, FlowKey, ReportedRule
+from slice_sentinel.controller import SecurityManager
+from slice_sentinel.fabric import Drop, FlowKey, Packet, ReportedRule, build_topology
 from slice_sentinel.policy import (
     EV_RULE_DELETED,
     EV_RULE_INSTALLED,
@@ -18,6 +19,7 @@ from slice_sentinel.policy import (
     load_policies,
     parse_policy_rule,
 )
+from slice_sentinel.security_functions import AccessVerdict, check_slice_access
 
 
 def sample_policy_doc() -> list:
@@ -53,8 +55,8 @@ class TestLoadPolicies:
         repo = load_policies(sample_policy_doc())
         rule = repo.rules[0]
         assert rule.policy_id == "02"
-        assert rule.device_ip == "10.0.0.1"
         assert rule.device_id == "00:09:00:AA"
+        assert rule.user_id == "alice"
         assert rule.actions[0].service == "Service1"
         assert rule.actions[0].slice_id == 200
         assert repo.service_at("10.0.0.8") == (200, "Service1")
@@ -113,16 +115,17 @@ class TestExtractProfile:
         repo = load_policies(sample_policy_doc())
         profile = extract_profile(repo, "alice")
         assert profile is not None
-        assert profile.device_ids() == {"00:09:00:AA", "00:09:00:AC"}
-        assert profile.allowed_pairs("00:09:00:AA") == {(200, "Service1")}
-        assert profile.allowed_pairs("00:09:00:AC") == {(300, "Service2")}
+        assert profile.allowed == {
+            "00:09:00:AA": {(200, "Service1")},
+            "00:09:00:AC": {(300, "Service2")},
+        }
 
     def test_unknown_user_yields_no_profile(self):
         repo = load_policies(sample_policy_doc())
         assert extract_profile(repo, "nobody") is None
 
     def test_same_device_in_two_contracts_unions_without_duplicates(self):
-        # Oracle: plain set union over the contract-level pair lists.
+        # Oracle: plain set union over the device's rules in the repository.
         doc = sample_policy_doc()
         doc.append(
             {
@@ -141,10 +144,13 @@ class TestExtractProfile:
         )
         repo = load_policies(doc)
         profile = extract_profile(repo, "alice")
-        expected = set()
-        for contract in profile.contracts:
-            expected |= set(contract.allowed.get("00:09:00:AA", set()))
-        got = profile.allowed_pairs("00:09:00:AA")
+        expected = {
+            (action.slice_id, action.service)
+            for rule in repo.rules
+            if rule.user_id == "alice" and rule.device_id == "00:09:00:AA"
+            for action in rule.actions
+        }
+        got = profile.allowed["00:09:00:AA"]
         assert got == expected
         assert got == {(200, "Service1"), (100, "Service3")}
 
@@ -156,9 +162,66 @@ class TestExtractProfile:
             for rule in repo.rules
             for action in rule.actions
         }
-        for device in profile.device_ids():
-            for slice_id, service in profile.allowed_pairs(device):
+        for device, pairs in profile.allowed.items():
+            for slice_id, service in pairs:
                 assert (device, slice_id, service) in backing
+
+
+USERS = ["alice", "bob", "carol"]
+DEVICES = [f"02:00:00:{k:02d}" for k in range(5)]
+PAIRS = [(vlan, service) for vlan in (100, 200, 300) for service in ("S1", "S2")]
+
+
+@st.composite
+def policy_documents(draw) -> list:
+    """Several users; a device may recur across rules and contracts; every
+    rule has its own destination and one or more actions."""
+    rules = draw(st.lists(
+        st.tuples(
+            st.sampled_from(USERS),
+            st.sampled_from(DEVICES),
+            st.sampled_from(["C-1", "C-2", "C-PERSONAL"]),
+            st.lists(st.sampled_from(PAIRS), min_size=1, max_size=4),
+        ),
+        min_size=1, max_size=12,
+    ))
+    return [
+        {
+            "id": f"p{i}",
+            "hostip": f"10.0.0.{i}",
+            "hostmac": device,
+            "destip": f"10.9.0.{i}",
+            "user": {"id": user, "role": "employee"},
+            "contract_id": contract,
+            "actions": [{"Service": s, "Slice-id": f"VLAN{v}"} for v, s in pairs],
+        }
+        for i, (user, device, contract, pairs) in enumerate(rules)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy_documents())
+def test_profile_is_the_per_device_union_of_the_users_rules(document):
+    # Oracle: union the action pairs of the raw document per (user, device).
+    expected: dict[str, dict[str, set]] = {user: {} for user in USERS}
+    for raw in document:
+        pairs = expected[raw["user"]["id"]].setdefault(raw["hostmac"], set())
+        pairs.update((int(a["Slice-id"][4:]), a["Service"]) for a in raw["actions"])
+    repo = load_policies(document)
+    manager = SecurityManager(build_topology({"nodes": [{"id": "E", "kind": "edge"}]}), repo)
+    for user in USERS:
+        profile = extract_profile(repo, user)
+        if not expected[user]:
+            assert profile is None
+            continue
+        assert profile.allowed == expected[user]
+        access = manager.compose_deployment(profile, "E").access
+        for device in DEVICES:
+            probe = Packet(src_ip="10.0.0.1", dst_ip="10.9.0.1", src_mac=device,
+                           dst_mac="bb", payload=b"", flow_id="f")
+            for pair in PAIRS:
+                permitted = check_slice_access(access, probe, pair) == AccessVerdict.PERMIT
+                assert permitted == (pair in expected[user].get(device, ()))
 
 
 def rule_event(node: str, rule_id: str, priority: int = 10) -> dict:

@@ -4,6 +4,7 @@ import pytest
 
 from slice_sentinel.controller import ManagerConfig
 from slice_sentinel.scenarios import (
+    FLOW_SETUP_JITTER_US,
     SCENARIO_IDS,
     bench_flow_setup,
     bench_signature_latency,
@@ -97,18 +98,21 @@ class TestBenchFlowSetup:
         assert all(on[a] <= on[b] for a, b in zip(sizes, sizes[1:]))
         assert all(on[n] >= off[n] for n in sizes)
 
-    def test_degenerate_single_gnodeb_costs_the_round_trip_alone(self):
-        config = ManagerConfig(
-            profile_extract_us=0, compose_us=0, deploy_us=0, access_check_us=0,
-            flow_validation_base_us=0, signature_scan_us=0, path_compute_us=0,
-            rule_install_us=0, dispatch_hops=2, hop_cost_us=1000,
+    def test_single_gnodeb_costs_the_round_trip_plus_the_cost_model(self):
+        # One gNodeB never queues, so a setup is the round trip plus the
+        # modelled stage costs plus one jitter draw, shared by on and off.
+        cfg = ManagerConfig()
+        security_us = (
+            cfg.profile_extract_us + cfg.compose_us + cfg.deploy_us
+            + cfg.access_check_us + cfg.flow_validation_base_us
         )
-        report = bench_flow_setup(
-            sizes=(1,), security="off", runs=2, seed=0,
-            manager_config=config, jitter_us=0,
-        )
-        round_trip_ms = 2 * config.dispatch_us() / 1000.0
-        assert report.entries[0]["mean_ms"] == pytest.approx(round_trip_ms)
+        # round trip, path, then two rules at each of the two switches
+        base_us = 2 * cfg.dispatch_us() + cfg.path_compute_us + 4 * cfg.rule_install_us
+        for seed in (0, 1, 5):
+            report = bench_flow_setup(sizes=(1,), security="both", runs=2, seed=seed)
+            mean_ms = {e["security"]: e["mean_ms"] for e in report.entries}
+            assert mean_ms["on"] - mean_ms["off"] == pytest.approx(security_us / 1000.0)
+            assert base_us / 1000.0 <= mean_ms["off"] <= (base_us + FLOW_SETUP_JITTER_US) / 1000.0
 
     def test_report_is_deterministic_and_round_trips(self):
         a = bench_flow_setup(sizes=(10,), security="both", runs=2, seed=5)
@@ -143,7 +147,7 @@ class TestBenchSignatures:
         def run(position: int) -> int:
             sigs = [Signature(f"s{j:04d}", bytes([0xF0, j % 10])) for j in range(1000)]
             sigs[position] = Signature(f"s{position:04d}", b"MATCH")
-            state = FlowValidatorState(node="x", signatures=sigs, threshold=10**9)
+            state = FlowValidatorState(signatures=sigs, threshold=10**9)
             packet = Packet(src_ip="a", dst_ip="b", src_mac="m", dst_mac="n",
                             payload=b"xx MATCH xx", flow_id="f")
             return validate_flow(state, packet).signatures_scanned

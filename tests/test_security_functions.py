@@ -18,9 +18,6 @@ from slice_sentinel.security_functions import (
     AuthenticationError,
     CipherEnvelope,
     FlowCipher,
-    FlowDropAnomaly,
-    FlowDropSignature,
-    FlowForward,
     FlowValidatorState,
     KeyGenerator,
     Signature,
@@ -47,57 +44,49 @@ def packet(mac="00:09:00:AA", payload=b"", ts=0, flow="f1", src_ip="10.0.0.1"):
 
 class TestSliceAccess:
     def test_registered_device_outside_its_slices_denied(self):
-        state = SliceAccessState(node="OVS1", allowed={"printer": {(100, "Service3")}})
+        state = SliceAccessState(allowed={"printer": {(100, "Service3")}})
         verdict = check_slice_access(state, packet(mac="printer"), requested=(200, "Service1"))
         assert verdict == AccessVerdict.DENY_UNAUTHORIZED
 
     def test_blacklist_beats_everything(self):
-        state = SliceAccessState(
-            node="OVS1",
-            allowed={"sensor": {(200, "Service1")}},
-            blacklist={"sensor"},
-        )
+        state = SliceAccessState(allowed={"sensor": {(200, "Service1")}}, blacklist={"sensor"})
         verdict = check_slice_access(state, packet(mac="sensor"), requested=(200, "Service1"))
         assert verdict == AccessVerdict.DENY_BLACKLISTED
 
     def test_unknown_device_routes_generic(self):
-        state = SliceAccessState(node="OVS1")
+        state = SliceAccessState()
         verdict = check_slice_access(state, packet(mac="stranger"), requested=(200, "Service1"))
         assert verdict == AccessVerdict.ROUTE_GENERIC
 
     def test_allowed_pair_permits(self):
-        state = SliceAccessState(node="OVS1", allowed={"ue1": {(200, "Service1")}})
+        state = SliceAccessState(allowed={"ue1": {(200, "Service1")}})
         assert check_slice_access(state, packet(mac="ue1"), (200, "Service1")) == AccessVerdict.PERMIT
 
 
 class TestFlowValidation:
     def test_shellshock_payload_dropped_by_signature(self):
-        state = FlowValidatorState(
-            node="OVS1",
-            signatures=[Signature("sig-shellshock", SHELLSHOCK, "payload")],
-        )
+        state = FlowValidatorState(signatures=[Signature("sig-shellshock", SHELLSHOCK, "payload")])
         exploit = b"GET /cgi-bin/status HTTP/1.1\r\nUser-Agent: () { :;}; /bin/id\r\n"
         result = validate_flow(state, packet(payload=exploit))
-        assert result.verdict == FlowDropSignature("sig-shellshock")
+        assert result.drop_reason == "signature:sig-shellshock"
         assert result.alert is not None
         assert result.alert.reason == "signature:sig-shellshock"
 
     def test_benign_packet_forwards_with_empty_signature_set(self):
-        state = FlowValidatorState(node="OVS1")
+        state = FlowValidatorState()
         result = validate_flow(state, packet(payload=b"hello"))
-        assert result.verdict == FlowForward()
+        assert result.drop_reason is None
         assert result.alert is None
 
     def test_first_matching_signature_by_id_order_wins(self):
         state = FlowValidatorState(
-            node="OVS1",
             signatures=[
                 Signature("sig-b", b"attack", "payload"),
                 Signature("sig-a", b"attack", "payload"),
             ],
         )
         result = validate_flow(state, packet(payload=b"attack here"))
-        assert result.verdict == FlowDropSignature("sig-a")
+        assert result.drop_reason == "signature:sig-a"
         assert result.signatures_scanned == 1
 
     def test_rate_threshold_crossing_matches_counter_oracle(self):
@@ -111,16 +100,16 @@ class TestFlowValidation:
             counts.append(len(in_window))
         expected_first_drop = next(i for i, c in enumerate(counts) if c > threshold)
 
-        state = FlowValidatorState(node="OVS1", threshold=threshold, window_ms=window_ms)
-        verdicts = [validate_flow(state, packet(ts=t)).verdict for t in schedule]
-        first_drop = next(i for i, v in enumerate(verdicts) if isinstance(v, FlowDropAnomaly))
+        state = FlowValidatorState(threshold=threshold, window_ms=window_ms)
+        reasons = [validate_flow(state, packet(ts=t)).drop_reason for t in schedule]
+        first_drop = next(i for i, r in enumerate(reasons) if r == "anomaly")
         assert first_drop == expected_first_drop == threshold
 
     def test_below_threshold_never_drops(self):
-        state = FlowValidatorState(node="OVS1", threshold=100, window_ms=1000)
+        state = FlowValidatorState(threshold=100, window_ms=1000)
         for t in range(0, 2000, 20):  # 50 packets per second
             result = validate_flow(state, packet(ts=t))
-            assert result.verdict == FlowForward()
+            assert result.drop_reason is None
 
     def test_parse_signatures_rejects_duplicates_and_bad_scope(self):
         with pytest.raises(ValueError, match="duplicate"):
