@@ -30,14 +30,12 @@ from .anomaly import (
     train_test_split,
 )
 from .anomaly.data import Dataset
-from .controller import ManagerConfig, SecurityManager
-from .fabric import build_topology
-from .policy import load_policies
+from .fabric import report_flow_rules
 from .scenarios import (
     SCENARIO_IDS,
     bench_flow_setup,
     bench_signature_latency,
-    load_default_config,
+    build_world,
     run_scenario,
 )
 from .security_functions import render_audit_diff
@@ -250,24 +248,21 @@ def cmd_ml(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_audit(args) -> int:
-    topology = (
-        _read_json(args.topology, "topology") if args.topology
-        else load_default_config("topology.json")
+    world = build_world(
+        {
+            "topology": _read_json(args.topology, "topology") if args.topology else None,
+            "policies": _read_json(args.policies, "policies") if args.policies else None,
+            "signatures": [],
+        },
+        args.seed,
     )
-    policies = (
-        _read_json(args.policies, "policies") if args.policies
-        else load_default_config("policies.json")
-    )
-    fabric = build_topology(topology)
-    repo = load_policies(policies)
-    manager = SecurityManager(fabric, repo, signatures=[], config=ManagerConfig(), seed=args.seed)
-    if args.node not in fabric.nodes:
+    manager = world.manager
+    if args.node not in world.fabric.nodes:
         raise ConfigError(f"node {args.node!r} is not in the topology")
-    result = manager.audit_now(args.node)
+    # The diff shows the switch as observed, before the audit restores it.
     trusted = manager.log.expected_switch_state(args.node)
-    from .fabric import report_flow_rules
-
-    observed = report_flow_rules(fabric, args.node)
+    observed = report_flow_rules(world.fabric, args.node)
+    result = manager.audit_now(args.node)
     out = _out_dir(args)
     (out / "audit.json").write_text(
         json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"

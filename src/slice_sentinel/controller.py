@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from . import policy as pol
 from . import security_functions as sf
@@ -50,35 +50,27 @@ class ProvisioningError(Exception):
 
 @dataclass
 class ManagerConfig:
-    generic_slice: int = 4094
-    anomaly_window_ms: int = sf.DEFAULT_ANOMALY_WINDOW_MS
-    anomaly_threshold: int = sf.DEFAULT_ANOMALY_THRESHOLD
-    audit_interval_ms: int = 1000
+    """One setting, ``security_enabled``; the rest are fixed constants."""
+
     security_enabled: bool = True
+    generic_slice: ClassVar[int] = 4094
+    anomaly_window_ms: ClassVar[int] = sf.DEFAULT_ANOMALY_WINDOW_MS
+    anomaly_threshold: ClassVar[int] = sf.DEFAULT_ANOMALY_THRESHOLD
+    audit_interval_ms: ClassVar[int] = 1000
     # virtual-time cost model, microseconds
-    dispatch_hops: int = 2
-    hop_cost_us: int = 1000
-    profile_extract_us: int = 150
-    compose_us: int = 100
-    deploy_us: int = 50
-    access_check_us: int = 20
-    flow_validation_base_us: int = 20
-    signature_scan_us: int = 10
-    path_compute_us: int = 2500
-    rule_install_us: int = 500
+    dispatch_hops: ClassVar[int] = 2
+    hop_cost_us: ClassVar[int] = 1000
+    profile_extract_us: ClassVar[int] = 150
+    compose_us: ClassVar[int] = 100
+    deploy_us: ClassVar[int] = 50
+    access_check_us: ClassVar[int] = 20
+    flow_validation_base_us: ClassVar[int] = 20
+    signature_scan_us: ClassVar[int] = 10
+    path_compute_us: ClassVar[int] = 2500
+    rule_install_us: ClassVar[int] = 500
 
     def dispatch_us(self) -> int:
         return self.dispatch_hops * self.hop_cost_us
-
-
-@dataclass
-class SecurityDeployment:
-    """The bundle of security function instances pinned to one edge node."""
-
-    node: str
-    access: sf.SliceAccessState
-    validator: sf.FlowValidatorState
-    covered_users: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -98,12 +90,9 @@ class FlowRecord:
 @dataclass
 class FlowDecision:
     flow_id: str
-    device_id: str
     # "permitted" | "generic" | "deny-unauthorized" | "deny-blacklisted"
     # | "deny-validation" | "error"
     verdict: str
-    slice_id: Optional[int] = None
-    service: Optional[str] = None
     extraction_performed: bool = False
     cost_us: int = 0
     error: Optional[str] = None
@@ -112,7 +101,6 @@ class FlowDecision:
 @dataclass
 class ReconfigAction:
     kind: str  # "blacklisted" | "noop" | "admin-alert"
-    device_id: Optional[str] = None
 
 
 @dataclass
@@ -123,46 +111,48 @@ class DeployResult:
 
 @dataclass
 class HandoverResult:
-    device_id: str
     blacklisted: bool
     rules_reanchored: int
 
 
+@dataclass(eq=False)
 class IngressProcessor:
-    """Datapath hook: slice access check, then flow validation, then on to
-    the table (encryption is applied by the fabric as the packet leaves)."""
+    """The security functions deployed at one edge node, and the datapath
+    hook that runs them: slice access check, then flow validation, then on
+    to the table (encryption is applied by the fabric as the packet leaves)."""
 
-    def __init__(self, manager: "SecurityManager", deployment: SecurityDeployment) -> None:
-        self._manager = manager
-        self.deployment = deployment
+    manager: "SecurityManager"
+    node: str
+    access: sf.SliceAccessState
+    validator: sf.FlowValidatorState
+    covered_users: set[str] = field(default_factory=set)
 
     def process(self, packet: Packet) -> IngressDecision:
-        mgr = self._manager
+        mgr = self.manager
         cfg = mgr.config
-        dep = self.deployment
         events: list[TraceEvent] = []
         cost = cfg.access_check_us
 
         requested = mgr.requested_pair(packet.dst_ip)
-        verdict = sf.check_slice_access(dep.access, packet, requested)
+        verdict = sf.check_slice_access(self.access, packet, requested)
         events.append(
             TraceEvent(
                 kind="slice-access",
-                node=dep.node,
+                node=self.node,
                 time_ms=packet.virtual_timestamp,
                 detail={"verdict": verdict.value, "device": packet.src_mac},
             )
         )
         if verdict in (sf.AccessVerdict.DENY_UNAUTHORIZED, sf.AccessVerdict.DENY_BLACKLISTED):
-            mgr.log_access_denied(dep.node, packet.src_mac, packet.flow_id, verdict.value)
+            mgr.log_access_denied(self.node, packet.src_mac, packet.flow_id, verdict.value)
             return IngressDecision(allow=False, reason=verdict.value, events=events, cost_us=cost)
 
-        result = sf.validate_flow(dep.validator, packet)
+        result = sf.validate_flow(self.validator, packet)
         cost += cfg.flow_validation_base_us + result.signatures_scanned * cfg.signature_scan_us
         events.append(
             TraceEvent(
                 kind="flow-validation",
-                node=dep.node,
+                node=self.node,
                 time_ms=packet.virtual_timestamp,
                 detail={
                     "drop_reason": result.drop_reason,
@@ -196,7 +186,7 @@ class SecurityManager:
         self.log = activity_log if activity_log is not None else pol.ActivityLog()
         self.signatures = list(signatures or [])
         self.config = config or ManagerConfig()
-        self.deployments: dict[str, SecurityDeployment] = {}
+        self.deployments: dict[str, IngressProcessor] = {}
         self.flows: dict[str, FlowRecord] = {}
         self.global_blacklist: set[str] = set()
         self.admin_alerts: list[dict] = []
@@ -285,14 +275,19 @@ class SecurityManager:
             }
         )
 
-    def _delete_rule(self, node: str, rule_id: str, time_ms: int) -> None:
-        apply_flow_mod(self.fabric, node, FlowMod.delete(rule_id), Provenance.CONTROLLER)
-        self.log.append(
-            {"type": pol.EV_RULE_DELETED, "node": node, "rule_id": rule_id, "time_ms": time_ms}
-        )
+    def _clear_rules(self, record: FlowRecord) -> None:
+        """Delete every rule of a flow record, logging each deletion."""
+        time_ms = self.fabric.clock_ms
+        for node, rule_id in record.rules:
+            apply_flow_mod(self.fabric, node, FlowMod.delete(rule_id), Provenance.CONTROLLER)
+            self.log.append(
+                {"type": pol.EV_RULE_DELETED, "node": node, "rule_id": rule_id, "time_ms": time_ms}
+            )
+        record.rules.clear()
 
     def _install_path_rules(self, record: FlowRecord) -> int:
-        """Install bidirectional forwarding rules along the record's path."""
+        """Install bidirectional forwarding rules along the record's path:
+        per hop the forward rule, then the reverse one back toward the device."""
         fabric = self.fabric
         path = record.path
         time_ms = fabric.clock_ms
@@ -300,33 +295,21 @@ class SecurityManager:
         forward_key = FlowKey(src_ip=record.src_ip, dst_ip=record.dst_ip)
         reverse_key = FlowKey(src_ip=record.dst_ip, dst_ip=record.src_ip)
         for i, node in enumerate(path[:-1]):
-            next_node = path[i + 1]
-            port = fabric.port_toward(node, next_node)
+            port = fabric.port_toward(node, path[i + 1])
             if port is None:
                 continue
-            rule = FlowRule(
-                rule_id=self._next_rule_id(),
-                match=forward_key,
-                action=Forward(port=port, slice_id=record.slice_id),
-                priority=10,
-            )
-            self._install_rule(node, rule, time_ms)
-            record.rules.append((node, rule.rule_id))
-            installed += 1
-            # Reverse direction: deliver back toward the device.
-            if i == 0:
-                back_port = record.ingress_port
-            else:
-                back_port = fabric.port_toward(node, path[i - 1])
-            if back_port is not None:
-                back = FlowRule(
+            back_port = record.ingress_port if i == 0 else fabric.port_toward(node, path[i - 1])
+            for key, out_port in ((forward_key, port), (reverse_key, back_port)):
+                if out_port is None:
+                    continue
+                rule = FlowRule(
                     rule_id=self._next_rule_id(),
-                    match=reverse_key,
-                    action=Forward(port=back_port, slice_id=record.slice_id),
+                    match=key,
+                    action=Forward(port=out_port, slice_id=record.slice_id),
                     priority=10,
                 )
-                self._install_rule(node, back, time_ms)
-                record.rules.append((node, back.rule_id))
+                self._install_rule(node, rule, time_ms)
+                record.rules.append((node, rule.rule_id))
                 installed += 1
         return installed
 
@@ -334,18 +317,19 @@ class SecurityManager:
 
     def compose_deployment(
         self, profile: Optional[pol.SecurityProfile], node: str
-    ) -> SecurityDeployment:
+    ) -> IngressProcessor:
         """Build (or extend) the security deployment for an edge node.
 
         The whole profile goes in: every device of the user, every slice and
         service those devices are subscribed to.  An empty profile yields a
-        generic-only deployment.
+        generic-only deployment.  Every edge shares the one global blacklist.
         """
         dep = self.deployments.get(node)
         if dep is None:
-            dep = SecurityDeployment(
+            dep = IngressProcessor(
+                manager=self,
                 node=node,
-                access=sf.SliceAccessState(blacklist=set(self.global_blacklist)),
+                access=sf.SliceAccessState(blacklist=self.global_blacklist),
                 validator=sf.FlowValidatorState(
                     signatures=list(self.signatures),
                     window_ms=self.config.anomaly_window_ms,
@@ -358,9 +342,9 @@ class SecurityManager:
             dep.covered_users.add(profile.user_id)
         return dep
 
-    def _deploy(self, dep: SecurityDeployment) -> None:
+    def _deploy(self, dep: IngressProcessor) -> None:
         self.deployments[dep.node] = dep
-        self.fabric.set_ingress_processor(dep.node, IngressProcessor(self, dep))
+        self.fabric.set_ingress_processor(dep.node, dep)
         self.log.append(
             {
                 "type": pol.EV_FUNCTIONS_DEPLOYED,
@@ -430,12 +414,10 @@ class SecurityManager:
         verdict = sf.check_slice_access(dep.access, probe, requested)
         cost += cfg.access_check_us
 
-        if device in self.global_blacklist:
-            verdict = sf.AccessVerdict.DENY_BLACKLISTED
         if verdict in (sf.AccessVerdict.DENY_BLACKLISTED, sf.AccessVerdict.DENY_UNAUTHORIZED):
             self.log_access_denied(punt.node, device, flow_id, verdict.value)
             return FlowDecision(
-                flow_id=flow_id, device_id=device, verdict=verdict.value,
+                flow_id=flow_id, verdict=verdict.value,
                 extraction_performed=extraction, cost_us=cost,
             )
 
@@ -447,7 +429,7 @@ class SecurityManager:
         if result.drop_reason is not None:
             self.log_access_denied(punt.node, device, flow_id, result.drop_reason)
             return FlowDecision(
-                flow_id=flow_id, device_id=device, verdict="deny-validation",
+                flow_id=flow_id, verdict="deny-validation",
                 extraction_performed=extraction, cost_us=cost, error=result.drop_reason,
             )
 
@@ -477,11 +459,10 @@ class SecurityManager:
         record and bidirectional rules.  Adds path and install costs."""
         cfg = self.config
         header = punt.header
-        device = header.src_mac
         dst_node = self.fabric.host_by_ip(route_ip)
         if dst_node is None:
             return FlowDecision(
-                flow_id=flow_id, device_id=device, verdict="error",
+                flow_id=flow_id, verdict="error",
                 extraction_performed=extraction, cost_us=cost,
                 error=f"no host for destination {route_ip}",
             )
@@ -489,13 +470,13 @@ class SecurityManager:
         cost += cfg.path_compute_us
         if path is None:
             return FlowDecision(
-                flow_id=flow_id, device_id=device, verdict="error",
+                flow_id=flow_id, verdict="error",
                 extraction_performed=extraction, cost_us=cost,
                 error=f"no route from {punt.node} to {dst_node}",
             )
         slice_id, service = pair
         record = FlowRecord(
-            device_id=device,
+            device_id=header.src_mac,
             src_ip=header.src_ip,
             dst_ip=header.dst_ip,
             slice_id=slice_id,
@@ -509,9 +490,7 @@ class SecurityManager:
         cost += installed * cfg.rule_install_us
         self.flows[flow_id] = record
         return FlowDecision(
-            flow_id=flow_id, device_id=device, verdict=verdict,
-            slice_id=slice_id, service=service,
-            extraction_performed=extraction, cost_us=cost,
+            flow_id=flow_id, verdict=verdict, extraction_performed=extraction, cost_us=cost
         )
 
     def _generic_host_ip(self) -> Optional[str]:
@@ -525,20 +504,18 @@ class SecurityManager:
         """React to a raised alert: blacklist the device at slice entry and
         replace its flow rules with drops.  Idempotent per device."""
         device = alert.device_id
-        known = (
-            self.repository.device_known(device)
-            or any(device in d.access.allowed for d in self.deployments.values())
-            or any(r.device_id == device for r in self.flows.values())
+        # Edge deployments only hold devices of repository profiles, so the
+        # repository and the flow records are every device the manager knows.
+        known = self.repository.device_known(device) or any(
+            r.device_id == device for r in self.flows.values()
         )
         if not known:
             self._admin_alert("unknown-device-alert", {"device_id": device, "reason": alert.reason})
-            return ReconfigAction(kind="admin-alert", device_id=device)
+            return ReconfigAction(kind="admin-alert")
         if device in self.global_blacklist:
-            return ReconfigAction(kind="noop", device_id=device)
+            return ReconfigAction(kind="noop")
 
         self.global_blacklist.add(device)
-        for dep in self.deployments.values():
-            dep.access.blacklist.add(device)
         self.log.append(
             {
                 "type": pol.EV_DEVICE_BLACKLISTED,
@@ -551,11 +528,9 @@ class SecurityManager:
         for record in self.flows.values():
             if record.device_id != device:
                 continue
-            for node, rule_id in record.rules:
-                self._delete_rule(node, rule_id, self.fabric.clock_ms)
-            record.rules.clear()
+            self._clear_rules(record)
             self._contain(record, record.edge)
-        return ReconfigAction(kind="blacklisted", device_id=device)
+        return ReconfigAction(kind="blacklisted")
 
     def _contain(self, record: FlowRecord, edge: str) -> None:
         """Anchor a flow of a blacklisted device at ``edge`` behind one
@@ -592,29 +567,25 @@ class SecurityManager:
     def _audit(self, node_id: str, trusted: SwitchStateReport) -> sf.AuditResult:
         observed = report_flow_rules(self.fabric, node_id)
         result = sf.audit_flow_rules(trusted, observed)
+        # Tuples: the log entry and the admin alert share these values, so
+        # neither may be able to change the other (the log hashes its entries).
+        findings = {
+            "node": node_id,
+            "extra": tuple(r.rule_id for r in result.extra_rules),
+            "missing": tuple(r.rule_id for r in result.missing_rules),
+            "modified": tuple(e.rule_id for e, _o in result.modified_rules),
+        }
         self.log.append(
             {
                 "type": pol.EV_AUDIT_PERFORMED,
-                "node": node_id,
                 "clean": result.clean,
-                "extra": [r.rule_id for r in result.extra_rules],
-                "missing": [r.rule_id for r in result.missing_rules],
-                "modified": [e.rule_id for e, _o in result.modified_rules],
+                **findings,
                 "time_ms": self.fabric.clock_ms,
             }
         )
         if not result.clean:
             diff = sf.render_audit_diff(trusted, observed)
-            self._admin_alert(
-                "switch-state-mismatch",
-                {
-                    "node": node_id,
-                    "extra": [r.rule_id for r in result.extra_rules],
-                    "missing": [r.rule_id for r in result.missing_rules],
-                    "modified": [e.rule_id for e, _o in result.modified_rules],
-                    "diff": diff,
-                },
-            )
+            self._admin_alert("switch-state-mismatch", {**findings, "diff": diff})
             self._restore(node_id, result)
         return result
 
@@ -640,10 +611,7 @@ class SecurityManager:
     def deploy_service_gated(self, host: str, service: str) -> DeployResult:
         """Attest a host with a fresh nonce; deploy the service only if the
         measured state matches the expected one."""
-        node = self.fabric.node(host)
-        nonce = self._rng.randbytes(16)
-        report = measure_attestation(self.fabric, host, nonce)
-        verdict = sf.validate_attestation(node.expected_hash, report, nonce)
+        verdict = self.attest_node(host)
         if verdict == sf.TrustVerdict.TRUSTED:
             self.log.append(
                 {
@@ -683,10 +651,8 @@ class SecurityManager:
         """
         self.fabric.node(to_edge)
         from_dep = self.deployments.get(from_edge)
-        if from_dep is None or (
-            device_id not in from_dep.access.allowed
-            and device_id not in from_dep.access.blacklist
-        ):
+        blacklisted = device_id in self.global_blacklist
+        if from_dep is None or (device_id not in from_dep.access.allowed and not blacklisted):
             raise UnknownDeviceError(f"device {device_id!r} has no state at {from_edge!r}")
 
         to_dep = self.deployments.get(to_edge)
@@ -695,9 +661,6 @@ class SecurityManager:
             self._deploy(to_dep)
         if device_id in from_dep.access.allowed:
             to_dep.access.allowed[device_id] = set(from_dep.access.allowed[device_id])
-        blacklisted = device_id in from_dep.access.blacklist
-        if blacklisted:
-            to_dep.access.blacklist.add(device_id)
         window = from_dep.validator.windows.get(device_id)
         if window is not None:
             to_dep.validator.windows[device_id] = window.copy()
@@ -706,9 +669,7 @@ class SecurityManager:
         for record in self.flows.values():
             if record.device_id != device_id or record.edge != from_edge:
                 continue
-            for node, rule_id in record.rules:
-                self._delete_rule(node, rule_id, self.fabric.clock_ms)
-            record.rules.clear()
+            self._clear_rules(record)
             if blacklisted:
                 # Carry the containment, not the connectivity.
                 self._contain(record, to_edge)
@@ -735,9 +696,7 @@ class SecurityManager:
                 "time_ms": self.fabric.clock_ms,
             }
         )
-        return HandoverResult(
-            device_id=device_id, blacklisted=blacklisted, rules_reanchored=reanchored
-        )
+        return HandoverResult(blacklisted=blacklisted, rules_reanchored=reanchored)
 
     def provision_security(self, flow_id: str) -> str:
         """Generate and distribute a per-flow key; encrypt at the ingress

@@ -338,7 +338,6 @@ class FlowTable:
 
 @dataclass(frozen=True)
 class AttestationReport:
-    node_id: str
     measured_hash: bytes
     nonce: bytes
 
@@ -386,7 +385,6 @@ class TraceEvent:
 
 @dataclass
 class ForwardingTrace:
-    flow_id: str
     events: list[TraceEvent]
     outcome: Outcome
 
@@ -649,11 +647,7 @@ def measure_attestation(fabric: Fabric, node_id: str, nonce: bytes) -> Attestati
         raise ValueError("attestation nonce must be 16 bytes")
     node = fabric.node(node_id)
     material = node.descriptor + (b"|tampered" if node.tampered else b"")
-    return AttestationReport(
-        node_id=node_id,
-        measured_hash=hashlib.sha256(material).digest(),
-        nonce=nonce,
-    )
+    return AttestationReport(measured_hash=hashlib.sha256(material).digest(), nonce=nonce)
 
 
 def _apply_ciphers(
@@ -719,9 +713,7 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
         if not decision.allow:
             fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
             return ForwardingTrace(
-                flow_id=work.flow_id,
-                events=events,
-                outcome=Dropped(node=node_id, reason=decision.reason or "denied"),
+                events=events, outcome=Dropped(node=node_id, reason=decision.reason or "denied")
             )
 
     at = node_id
@@ -781,4 +773,4 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
         outcome = Dropped(node=at, reason="hop-limit")
 
     fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
-    return ForwardingTrace(work.flow_id, events, outcome)
+    return ForwardingTrace(events, outcome)

@@ -270,50 +270,53 @@ def _driver_report(scenario_id: str, seed: int, driver: TrafficDriver, verdict: 
 # Attack scenarios
 # ---------------------------------------------------------------------------
 
+def _ue_packet(ue: int, payload: bytes, flow_id: str, t: int,
+               dst: tuple[str, str] = ("10.0.0.8", "00:09:00:BB")) -> Packet:
+    """A packet from UE ``ue``, which is ``10.0.0.<ue>`` at ``UE_MACS[ue]``."""
+    return Packet(src_ip=f"10.0.0.{ue}", dst_ip=dst[0], src_mac=UE_MACS[ue], dst_mac=dst[1],
+                  payload=payload, flow_id=flow_id, virtual_timestamp=t)
+
+
 def _benign_factory(seed: int):
-    def factory(i: int, t: int) -> Packet:
-        return Packet(
-            src_ip="10.0.0.1", dst_ip="10.0.0.8", src_mac=UE_MACS[1],
-            dst_mac="00:09:00:BB", payload=f"telemetry-{seed}-{i}".encode(),
-            flow_id="flow-benign", virtual_timestamp=t,
-        )
-    return factory
+    return lambda i, t: _ue_packet(1, f"telemetry-{seed}-{i}".encode(), "flow-benign", t)
 
 
-def _run_benign_control(config: dict, seed: int, n_benign: int, interval_ms: int) -> int:
-    world = build_world(config, seed)
-    driver = TrafficDriver(world)
-    factory = _benign_factory(seed)
-    for i, t in enumerate(_schedule(interval_ms, n_benign)):
-        driver.send(factory(i, t), ("OVS1", 1), "benign")
-    return driver.counts["benign"]["delivered"]
+def _flood_run(config: dict, seed: int, ue: int, default_packets: int, tag: str,
+               flow_id: str) -> tuple[int, int, TrafficDriver]:
+    """Flood from UE ``ue`` at ``("OVS1", ue)`` beside benign UE1 telemetry.
 
-
-def _scenario_attack1(config: dict, seed: int) -> ScenarioReport:
-    n_attack = int(config.get("attack_packets", 1000))
+    Returns the flood size, the benign deliveries of a telemetry-only control
+    run, and the driver of the flood run.
+    """
+    n_attack = int(config.get("attack_packets", default_packets))
     n_benign = int(config.get("benign_packets", 50))
-    benign_interval = int(config.get("benign_interval_ms", 20))
+    benign_times = _schedule(int(config.get("benign_interval_ms", 20)), n_benign)
     attack_interval = int(config.get("attack_interval_ms", 1))  # 10x the rate cap
 
-    control_delivered = _run_benign_control(config, seed, n_benign, benign_interval)
+    benign = _benign_factory(seed)
+    control = TrafficDriver(build_world(config, seed))
+    for i, t in enumerate(benign_times):
+        control.send(benign(i, t), ("OVS1", 1), "benign")
 
-    world = build_world(config, seed)
-    driver = TrafficDriver(world, blacklist_feedback=config.get("blacklist_feedback", True))
+    feedback = bool(config.get("blacklist_feedback", True))
+    driver = TrafficDriver(build_world(config, seed), blacklist_feedback=feedback)
 
     def attacker(i: int, t: int) -> Packet:
-        return Packet(
-            src_ip="10.0.0.3", dst_ip="10.0.0.8", src_mac=UE_MACS[3],
-            dst_mac="00:09:00:BB", payload=f"flood-{seed}-{i}".encode(),
-            flow_id="flow-printer-flood", virtual_timestamp=t,
-        )
+        return _ue_packet(ue, f"{tag}-{seed}-{i}".encode(), flow_id, t)
 
     events = _merged(
-        ("attacker", _schedule(attack_interval, n_attack), attacker, ("OVS1", 3)),
-        ("benign", _schedule(benign_interval, n_benign), _benign_factory(seed), ("OVS1", 1)),
+        ("attacker", _schedule(attack_interval, n_attack), attacker, ("OVS1", ue)),
+        ("benign", benign_times, benign, ("OVS1", 1)),
     )
     for _t, _i, stream, packet, ingress in events:
         driver.send(packet, ingress, stream)
+    return n_attack, control.counts["benign"]["delivered"], driver
 
+
+def _scenario_attack1(config: dict, seed: int) -> ScenarioReport:
+    n_attack, control_delivered, driver = _flood_run(
+        config, seed, 3, 1000, "flood", "flow-printer-flood"
+    )
     attacker_bucket = driver.counts["attacker"]
     benign_bucket = driver.counts["benign"]
     unauthorized_drops = attacker_bucket["reasons"].get("deny-unauthorized", 0)
@@ -330,32 +333,9 @@ def _scenario_attack1(config: dict, seed: int) -> ScenarioReport:
 
 
 def _scenario_attack2(config: dict, seed: int) -> ScenarioReport:
-    n_attack = int(config.get("attack_packets", 600))
-    n_benign = int(config.get("benign_packets", 50))
-    benign_interval = int(config.get("benign_interval_ms", 20))
-    attack_interval = int(config.get("attack_interval_ms", 1))
-    feedback = bool(config.get("blacklist_feedback", True))
-
-    control_delivered = _run_benign_control(config, seed, n_benign, benign_interval)
-
-    world = build_world(config, seed)
-    window_ms = world.manager.config.anomaly_window_ms
-    driver = TrafficDriver(world, blacklist_feedback=feedback)
-
-    def attacker(i: int, t: int) -> Packet:
-        return Packet(
-            src_ip="10.0.0.4", dst_ip="10.0.0.8", src_mac=UE_MACS[4],
-            dst_mac="00:09:00:BB", payload=f"burst-{seed}-{i}".encode(),
-            flow_id="flow-sensor-flood", virtual_timestamp=t,
-        )
-
-    events = _merged(
-        ("attacker", _schedule(attack_interval, n_attack), attacker, ("OVS1", 4)),
-        ("benign", _schedule(benign_interval, n_benign), _benign_factory(seed), ("OVS1", 1)),
+    _n_attack, control_delivered, driver = _flood_run(
+        config, seed, 4, 600, "burst", "flow-sensor-flood"
     )
-    for _t, _i, stream, packet, ingress in events:
-        driver.send(packet, ingress, stream)
-
     sensor_alerts = [a for a in driver.alerts if a.device_id == UE_MACS[4]]
     blacklist_seq = driver.blacklist_points.get(UE_MACS[4])
     post = [o for o in driver.outcomes
@@ -363,7 +343,7 @@ def _scenario_attack2(config: dict, seed: int) -> ScenarioReport:
     post_dropped_entry = sum(1 for o in post if o["category"] == "dropped_at_entry")
     post_delivered = sum(1 for o in post if o["category"] == "delivered")
     single_alert_in_window = (
-        len(sensor_alerts) == 1 and sensor_alerts[0].time_ms <= window_ms
+        len(sensor_alerts) == 1 and sensor_alerts[0].time_ms <= ManagerConfig.anomaly_window_ms
     )
     verdict = (
         single_alert_in_window
@@ -439,11 +419,7 @@ def _scenario_attack4(config: dict, seed: int) -> ScenarioReport:
     driver = TrafficDriver(world)
 
     def ue1(i: int, t: int) -> Packet:
-        return Packet(
-            src_ip="10.0.0.1", dst_ip="10.0.0.8", src_mac=UE_MACS[1],
-            dst_mac="00:09:00:BB", payload=f"stream-{i}".encode(),
-            flow_id="flow-ue1", virtual_timestamp=t,
-        )
+        return _ue_packet(1, f"stream-{i}".encode(), "flow-ue1", t)
 
     for i, t in enumerate(_schedule(10, 10)):
         driver.send(ue1(i, t), ("OVS1", 1), "pre-handover")
@@ -459,12 +435,7 @@ def _scenario_attack4(config: dict, seed: int) -> ScenarioReport:
         driver.send(ue1(100 + i, t), ("OVS2", new_port), "post-handover")
 
     # A blacklisted device must stay blocked across a handover.
-    driver.send(
-        Packet(src_ip="10.0.0.4", dst_ip="10.0.0.8", src_mac=UE_MACS[4],
-               dst_mac="00:09:00:BB", payload=b"pre", flow_id="flow-ue4",
-               virtual_timestamp=400),
-        ("OVS1", 4), "sensor-pre",
-    )
+    driver.send(_ue_packet(4, b"pre", "flow-ue4", 400), ("OVS1", 4), "sensor-pre")
     manager.alert(
         sf.Alert("flow-validator", UE_MACS[4], "flow-ue4", "anomaly:rate", "high", 401)
     )
@@ -472,10 +443,7 @@ def _scenario_attack4(config: dict, seed: int) -> ScenarioReport:
     sensor_port = fabric.port_toward("OVS2", "UE4")
     for i, t in enumerate(_schedule(5, 10, start_ms=450)):
         driver.send(
-            Packet(src_ip="10.0.0.4", dst_ip="10.0.0.8", src_mac=UE_MACS[4],
-                   dst_mac="00:09:00:BB", payload=f"post-{i}".encode(),
-                   flow_id="flow-ue4", virtual_timestamp=t),
-            ("OVS2", sensor_port), "sensor-post",
+            _ue_packet(4, f"post-{i}".encode(), "flow-ue4", t), ("OVS2", sensor_port), "sensor-post"
         )
 
     post_bucket = driver.counts["post-handover"]
@@ -505,11 +473,7 @@ SHELLSHOCK_EXPLOIT = (
 
 def _scenario_shellshock(config: dict, seed: int) -> ScenarioReport:
     def exploit(i: int, t: int) -> Packet:
-        return Packet(
-            src_ip="10.0.0.1", dst_ip="10.0.0.8", src_mac=UE_MACS[1],
-            dst_mac="00:09:00:BB", payload=SHELLSHOCK_EXPLOIT,
-            flow_id="flow-exploit", virtual_timestamp=t,
-        )
+        return _ue_packet(1, SHELLSHOCK_EXPLOIT, "flow-exploit", t)
 
     # Arm A: the configured signature set is live.
     world = build_world(config, seed)
@@ -585,11 +549,7 @@ def _scenario_fsf_path(config: dict, seed: int) -> ScenarioReport:
     plaintexts = [f"meter-reading-{seed}-{i}".encode() for i in range(int(config.get("packets", 10)))]
 
     def secured(i: int, t: int) -> Packet:
-        return Packet(
-            src_ip="10.0.0.2", dst_ip="10.0.0.7", src_mac=UE_MACS[2],
-            dst_mac="00:09:00:BC", payload=plaintexts[i],
-            flow_id="flow-scada", virtual_timestamp=t,
-        )
+        return _ue_packet(2, plaintexts[i], "flow-scada", t, dst=("10.0.0.7", "00:09:00:BC"))
 
     driver.send(secured(0, 0), ("OVS1", 2), "secured")
     key_id = manager.provision_security("flow-scada")

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from slice_sentinel import cli
 from slice_sentinel.cli import main
-from slice_sentinel.scenarios import load_default_config
+from slice_sentinel.fabric import Drop, FlowKey, FlowMod, FlowRule, Provenance, apply_flow_mod
+from slice_sentinel.scenarios import build_world, load_default_config
 
 
 def read_json(path):
@@ -186,6 +188,23 @@ class TestAuditCommand:
     def test_unknown_node_exits_2(self, tmp_path, capsys):
         code = main(["audit", "--node", "GHOST", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_diff_shows_the_observed_table_before_the_restore(self, tmp_path, monkeypatch, capsys):
+        def tampered_world(config, seed):
+            world = build_world(config, seed)
+            injected = FlowRule("atk-cli", FlowKey(src_ip="10.0.0.66"), Drop(), priority=77)
+            apply_flow_mod(world.fabric, "OVS1", FlowMod.add(injected), Provenance.EXTERNAL)
+            return world
+
+        monkeypatch.setattr(cli, "build_world", tampered_world)
+        out = tmp_path / "a"
+        assert main(["audit", "--node", "OVS1", "--out", str(out)]) == 1
+        assert [r["rule_id"] for r in read_json(out / "audit.json")["extra_rules"]] == ["atk-cli"]
+        rows = (out / "audit_diff.txt").read_text(encoding="utf-8").splitlines()[2:]
+        observed = [row[:58] for row in rows]
+        trusted = [row[61:] for row in rows]
+        assert any("atk-cli" in cell for cell in observed)
+        assert not any("atk-cli" in cell for cell in trusted)
 
 
 def _fast_config(tmp_path):

@@ -1,11 +1,11 @@
 """Security manager tests: flow setup, alert handling, attestation gating,
 handover and key provisioning."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from slice_sentinel.controller import ProvisioningError, UnknownDeviceError
+from slice_sentinel.controller import ManagerConfig, ProvisioningError, UnknownDeviceError
 from slice_sentinel.fabric import (
     Delivered,
     Dropped,
@@ -59,7 +59,8 @@ class TestNewFlow:
         packet = ue_packet(1, "10.0.0.8", "flow-ue1")
         trace, decision = drive(fabric, manager, packet, ("OVS1", 1))
         assert decision.verdict == "permitted"
-        assert decision.slice_id == 200 and decision.service == "Service1"
+        record = manager.flows[decision.flow_id]
+        assert record.slice_id == 200 and record.service == "Service1"
         assert trace.outcome == Delivered(host="SVC1")
         assert "OVS1" in manager.deployments
         # forward and reverse rules at both OVS1 and CORE1
@@ -99,7 +100,7 @@ class TestNewFlow:
         )
         trace, decision = drive(fabric, manager, stranger, ("OVS1", 1))
         assert decision.verdict == "generic"
-        assert decision.slice_id == 4094
+        assert manager.flows[decision.flow_id].slice_id == 4094
         assert trace.outcome == Delivered(host="SVC4")
 
     def test_unauthorized_request_denied_and_dropped_at_entry(self, world):
@@ -140,7 +141,8 @@ class TestNewFlowSecurityOff:
         trace, decision = drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-plain"), ("OVS1", 1))
         cfg = manager.config
         assert decision.verdict == "permitted"
-        assert (decision.slice_id, decision.service) == (200, "Service1")
+        record = manager.flows[decision.flow_id]
+        assert (record.slice_id, record.service) == (200, "Service1")
         assert decision.extraction_performed is False
         rules = manager.flows["f-plain"].rules
         nodes = [node for node, _rid in rules]
@@ -162,6 +164,10 @@ class TestNewFlowSecurityOff:
         assert decision.error == "no host for destination 10.99.0.1"
         assert "f-ghost" not in manager.flows
         assert decision.cost_us == manager.config.dispatch_us()
+
+
+def test_security_enabled_is_the_one_manager_setting():
+    assert [f.name for f in fields(ManagerConfig)] == ["security_enabled"]
 
 
 class TestComposeDeployment:
@@ -233,7 +239,9 @@ class TestAlertHandling:
         result = manager.audit_now("OVS1")
         assert not result.clean
         assert [r.rule_id for r in result.extra_rules] == ["atk-3346"]
-        assert any(a["kind"] == "switch-state-mismatch" for a in manager.admin_alerts)
+        mismatch = next(a for a in manager.admin_alerts if a["kind"] == "switch-state-mismatch")
+        # immutable, because the logged audit entry holds the same values
+        assert mismatch["extra"] == ("atk-3346",)
         # restore converged the switch back to the trusted state
         assert manager.audit_now("OVS1").clean
         ids = [r.rule_id for r in report_flow_rules(fabric, "OVS1").rules]
@@ -369,6 +377,44 @@ class TestHandover:
         fabric, repo, manager = handover_world
         with pytest.raises(UnknownDeviceError):
             manager.handover("no:such:mac", "OVS1", "OVS2")
+
+
+class TestOneDeploymentPerEdge:
+    def test_deployment_is_the_ingress_processor_and_shares_the_one_blacklist(
+        self, handover_world
+    ):
+        fabric, repo, manager = handover_world
+
+        def assert_one_object_per_edge():
+            assert set(manager.deployments) == set(fabric.ingress_processors)
+            for node, dep in manager.deployments.items():
+                assert fabric.ingress_processors[node] is dep
+                assert dep.access.blacklist is manager.global_blacklist
+
+        drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
+        drive(fabric, manager, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS1", 4))
+        assert_one_object_per_edge()
+        manager.handover("00:09:00:AA", "OVS1", "OVS2")
+        assert set(manager.deployments) == {"OVS1", "OVS2"}
+        assert_one_object_per_edge()
+        manager.alert(Alert("flow-validator", "00:09:00:AE", "f-sensor", "anomaly:rate", "high", 1))
+        assert_one_object_per_edge()
+        assert manager.global_blacklist == {"00:09:00:AE"}
+
+    def test_device_blacklisted_before_an_edge_is_deployed_is_denied_there(
+        self, handover_world
+    ):
+        fabric, repo, manager = handover_world
+        action = manager.alert(
+            Alert("flow-validator", "00:09:00:AE", "f-sensor", "anomaly:rate", "high", 0)
+        )
+        assert action.kind == "blacklisted"
+        assert "OVS2" not in manager.deployments
+        port = fabric.port_toward("OVS2", "UE4")
+        trace, decision = drive(fabric, manager, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS2", port))
+        assert decision.verdict == "deny-blacklisted"
+        assert "f-sensor" not in manager.flows
+        assert trace.outcome == Dropped(node="OVS2", reason="deny-blacklisted")
 
 
 class TestProvisionSecurity:
