@@ -12,12 +12,25 @@ import numpy as np
 from .base import check_features_labels, check_fitted, check_matrix
 
 
-class NaiveBayesClassifier:
-    """Categorical naive Bayes.
+def _normalize(log_post: np.ndarray) -> np.ndarray:
+    """Posterior from log posterior(s), normalized along the last axis."""
+    log_post -= log_post.max(axis=-1, keepdims=True)
+    posterior = np.exp(log_post)
+    posterior /= posterior.sum(axis=-1, keepdims=True)
+    return posterior
 
-    Likelihoods are add-one (Laplace) smoothed over the per-feature category
-    count observed in training; a category never seen in training still gets
-    the numerator of one, so prediction stays total.
+
+class NaiveBayesClassifier:
+    """Categorical naive Bayes with add-one (Laplace) smoothing.
+
+    ``fit`` computes every log-likelihood once.  For feature ``j`` with the
+    ``v`` sorted training categories ``categories_[j]``, ``log_likelihood_[j]``
+    is a ``(v + 1) x 2`` table whose row ``i`` holds
+    ``log((count(category i, class c) + 1) / (class_count(c) + v))`` for each
+    class ``c``.  The last row is for a category never seen in training: its
+    count is zero, so it keeps the numerator of one and prediction stays
+    total.  Predicting only looks rows up and adds them, in feature order, onto
+    the log prior.
     """
 
     def fit(self, X, y) -> "NaiveBayesClassifier":
@@ -25,33 +38,27 @@ class NaiveBayesClassifier:
         self.classes_ = np.unique(y)
         if len(self.classes_) < 2:
             raise ValueError("training data must contain both classes")
-        self.class_counts_ = np.array([(y == c).sum() for c in self.classes_])
+        # Labels are 0/1 and both occur, so a label is its own class index.
+        class_counts = np.bincount(y)
         self.n_features_ = X.shape[1]
-        # value_counts_[j][value] -> count per class
-        self.value_counts_: list[dict] = []
-        self.n_categories_: list[int] = []
-        for j in range(X.shape[1]):
-            counts: dict = {}
-            for value, label in zip(X[:, j], y):
-                key = value.item() if hasattr(value, "item") else value
-                slot = counts.setdefault(key, np.zeros(len(self.classes_)))
-                slot[np.searchsorted(self.classes_, label)] += 1
-            self.value_counts_.append(counts)
-            self.n_categories_.append(len(counts))
+        self.log_prior_ = np.log(class_counts / class_counts.sum())
+        class_sizes = class_counts.tolist()
+        self.categories_: list[np.ndarray] = []
+        self.log_likelihood_: list[np.ndarray] = []
+        self._row_of_: list[dict] = []
+        for j in range(self.n_features_):
+            categories, inverse = np.unique(X[:, j], return_inverse=True)
+            v = len(categories)
+            counts = np.bincount(inverse * 2 + y, minlength=2 * v).reshape(v, 2).tolist()
+            counts.append([0, 0])  # the unseen category
+            # math.log, not np.log: each term is the float the per-row loop made.
+            self.log_likelihood_.append(np.array(
+                [[math.log((c + 1.0) / (n + v)) for c, n in zip(row, class_sizes)]
+                 for row in counts]
+            ))
+            self.categories_.append(categories)
+            self._row_of_.append({c: i for i, c in enumerate(categories.tolist())})
         return self
-
-    def _log_posterior(self, row) -> np.ndarray:
-        total = self.class_counts_.sum()
-        log_post = np.log(self.class_counts_ / total)
-        for j, value in enumerate(row):
-            key = value.item() if hasattr(value, "item") else value
-            counts = self.value_counts_[j].get(key)
-            v = self.n_categories_[j]
-            for ci in range(len(self.classes_)):
-                numerator = (counts[ci] if counts is not None else 0.0) + 1.0
-                denominator = self.class_counts_[ci] + v
-                log_post[ci] += math.log(numerator / denominator)
-        return log_post
 
     def predict_one(self, row) -> tuple[int, np.ndarray]:
         """Label plus the normalized posterior over both classes."""
@@ -59,15 +66,25 @@ class NaiveBayesClassifier:
         row = np.asarray(row).reshape(-1)
         if row.shape[0] != self.n_features_:
             raise ValueError(f"expected {self.n_features_} features, got {row.shape[0]}")
-        log_post = self._log_posterior(row)
-        log_post -= log_post.max()
-        posterior = np.exp(log_post)
-        posterior /= posterior.sum()
+        log_post = self.log_prior_.copy()
+        for value, row_of, table in zip(row.tolist(), self._row_of_, self.log_likelihood_):
+            log_post += table[row_of.get(value, -1)]
+        posterior = _normalize(log_post)
         return int(self.classes_[int(np.argmax(posterior))]), posterior
 
     def predict(self, X) -> np.ndarray:
+        """Labels of every row; each is the label ``predict_one`` gives it."""
+        check_fitted(self, "classes_")
         X = check_matrix(X)
-        return np.array([self.predict_one(row)[0] for row in X])
+        if X.shape[1] != self.n_features_:
+            raise ValueError(f"expected {self.n_features_} features, got {X.shape[1]}")
+        log_post = np.repeat(self.log_prior_[None, :], X.shape[0], axis=0)
+        for column, categories, table in zip(X.T, self.categories_, self.log_likelihood_):
+            at = np.minimum(np.searchsorted(categories, column), len(categories) - 1)
+            seen = categories[at] == column
+            log_post += table[np.where(seen, at, -1)]
+        posterior = _normalize(log_post)
+        return self.classes_[np.argmax(posterior, axis=1)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ seeded synthetic flow-feature generator."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,11 @@ class Dataset:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset CSV: header of feature names plus a ``label`` column."""
+    """Read a dataset CSV: header of feature names plus a ``label`` column.
+
+    Every cell must hold a finite number; the error for one that does not
+    names its data row (1-based) and column.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -53,9 +58,26 @@ def load_csv(path) -> Dataset:
         for record in reader:
             if not record:
                 continue
-            labels.append(int(float(record[label_idx])))
-            rows.append([float(v) for i, v in enumerate(record) if i != label_idx])
-    return Dataset(np.array(rows, dtype=float), np.array(labels, dtype=int), names)
+            row_no = len(rows) + 1
+            if len(record) != len(header):
+                raise ValueError(
+                    f"{path}: row {row_no} has {len(record)} cells, the header has {len(header)}"
+                )
+            values = [_finite_cell(raw, path, row_no, name) for raw, name in zip(record, header)]
+            labels.append(values.pop(label_idx))
+            rows.append(values)
+    # Float labels reach Dataset's binary check as read, so 0.5 is refused, not truncated.
+    return Dataset(np.array(rows, dtype=float), np.array(labels, dtype=float), names)
+
+
+def _finite_cell(raw: str, path, row_no: int, column: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: row {row_no}, column {column!r} holds {raw!r}, not a finite number")
+    return value
 
 
 def synthetic_flow_dataset(n_rows: int = 2000, seed: int = 0) -> Dataset:

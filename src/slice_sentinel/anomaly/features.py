@@ -20,15 +20,13 @@ def chi_square_score(column, labels) -> float:
         raise ValueError("chi-square needs non-empty inputs")
     if column.shape[0] != labels.shape[0]:
         raise ValueError("column and labels must have the same length")
-    categories = np.unique(column)
-    classes = np.unique(labels)
+    categories, cat_index = np.unique(column, return_inverse=True)
+    classes, cls_index = np.unique(labels, return_inverse=True)
     if len(categories) < 2 or len(classes) < 2:
         return 0.0
-    table = np.zeros((len(categories), len(classes)))
-    cat_index = {c: i for i, c in enumerate(categories)}
-    cls_index = {c: i for i, c in enumerate(classes)}
-    for value, label in zip(column, labels):
-        table[cat_index[value], cls_index[label]] += 1
+    cells = len(categories) * len(classes)
+    table = np.bincount(cat_index * len(classes) + cls_index, minlength=cells)
+    table = table.reshape(len(categories), len(classes)).astype(float)
     total = table.sum()
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -701,7 +701,8 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
     """
     node_id, _port = ingress
     fabric.node(node_id)
-    work = replace(packet)
+    work = Packet(packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac, packet.payload,
+                  packet.flow_id, packet.slice_id, packet.virtual_timestamp)
     events: list[TraceEvent] = []
     encrypted = False
 

@@ -170,6 +170,22 @@ class TestMlCommand:
         code = main(["ml", "--dataset", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("cell, column", [
+        ("nan", "byte_rate"), ("inf", "byte_rate"), ("-inf", "packet_rate"), ("inf", "label"),
+    ])
+    def test_non_finite_dataset_cell_exits_2_naming_row_and_column(
+        self, cell, column, tmp_path, capsys
+    ):
+        header = ["packet_rate", "byte_rate", "label"]
+        rows = [["10", "800", "0"], ["12", "900", "0"], ["95", "9000", "1"], ["90", "8800", "1"]]
+        rows[2][header.index(column)] = cell
+        path = tmp_path / "flows.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in [header] + rows), encoding="utf-8")
+        code = main(["ml", "--dataset", str(path), "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert f"row 3, column '{column}'" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "metrics.json").exists()
+
     def test_bad_selector_exits_2(self, tmp_path):
         code = main(["ml", "--synthetic", "--select", "pca-7", "--out", str(tmp_path)])
         assert code == 2

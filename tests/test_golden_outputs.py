@@ -17,6 +17,8 @@ from slice_sentinel.scenarios import (
 
 SCENARIOS_AND_BENCHES_SHA256 = "10193eabd4ab869cf25d9e6390f5a037c245819f940cba85f154b279715fca28"
 ML_OUTPUTS_SHA256 = "084a5e56424a551ad07ac0503ce7619fab085f8214ea1992271eccedff3f865e"
+# Naive Bayes on all six features, noise columns included, with no selection.
+ML_NB_ALL_FEATURES_SHA256 = "fe2d10211e12ba6d4b28ea577678f212c52043f60b61e8ad10a0348bdb987ef5"
 
 
 def test_scenario_and_bench_reports_match_golden_hash():
@@ -44,3 +46,14 @@ def test_ml_outputs_match_golden_hash(tmp_path, monkeypatch, capsys):
             digest.update((out / "roc.csv").read_bytes())
     capsys.readouterr()
     assert digest.hexdigest() == ML_OUTPUTS_SHA256
+
+
+def test_ml_nb_on_all_features_matches_golden_hash(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SLICE_SENTINEL_OUT", raising=False)
+    out = tmp_path / "nb-all"
+    code = main(["ml", "--synthetic", "--classifier", "nb", "--rows", "6000",
+                 "--seed", "0", "--out", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "metrics.json").read_bytes() + (out / "roc.csv").read_bytes())
+    assert digest.hexdigest() == ML_NB_ALL_FEATURES_SHA256
