@@ -13,6 +13,8 @@ def check_matrix(X) -> np.ndarray:
         raise ValueError(f"feature matrix must be 2-dimensional, got shape {X.shape}")
     if X.shape[0] == 0:
         raise ValueError("feature matrix is empty")
+    if X.dtype.kind == "f" and not np.isfinite(X).all():
+        raise ValueError("feature matrix has non-finite values (NaN or infinity)")
     return X
 
 

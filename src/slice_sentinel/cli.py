@@ -270,6 +270,7 @@ def cmd_audit(args) -> int:
     (out / "audit_diff.txt").write_text(
         render_audit_diff(trusted, observed) + "\n", encoding="utf-8"
     )
+    manager.log.save(out / "activity.jsonl")
     _write_manifest(out, "audit", {"node": args.node, "topology": args.topology,
                                    "policies": args.policies}, args.seed)
     _emit_events(out, manager.admin_alerts, args.verbose)

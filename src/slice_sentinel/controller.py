@@ -567,8 +567,9 @@ class SecurityManager:
     def _audit(self, node_id: str, trusted: SwitchStateReport) -> sf.AuditResult:
         observed = report_flow_rules(self.fabric, node_id)
         result = sf.audit_flow_rules(trusted, observed)
-        # Tuples: the log entry and the admin alert share these values, so
-        # neither may be able to change the other (the log hashes its entries).
+        # Tuples: the admin alert keeps these values, and no reader of it may
+        # change them.  The log is unaffected either way: append stores the
+        # event's canonical bytes, not the dict.
         findings = {
             "node": node_id,
             "extra": tuple(r.rule_id for r in result.extra_rules),

@@ -23,7 +23,6 @@ from .fabric import (
     FlowTable,
     ReportedRule,
     SwitchStateReport,
-    canonical_json,
     canonical_rule_order,
 )
 
@@ -246,34 +245,39 @@ class LogIntegrityError(Exception):
     """Raised when the activity log's hash chain does not verify."""
 
 
+# The canonical encoding of an event, byte for byte ``canonical_json``.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class LogEntry:
     seq: int
-    event: dict
+    # The event's canonical JSON: the bytes the entry hash covers.
+    data: bytes
     prev_hash: bytes
     entry_hash: bytes
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "event": self.event,
-            "prev_hash": self.prev_hash.hex(),
-            "entry_hash": self.entry_hash.hex(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LogEntry":
-        return cls(
-            seq=d["seq"],
-            event=d["event"],
-            prev_hash=bytes.fromhex(d["prev_hash"]),
-            entry_hash=bytes.fromhex(d["entry_hash"]),
-        )
+    @property
+    def event(self) -> dict:
+        """A fresh parse of ``data``; changing it changes nothing in the log."""
+        return json.loads(self.data)
 
 
-def _entry_hash(seq: int, event: dict, prev_hash: bytes) -> bytes:
-    material = seq.to_bytes(8, "big") + canonical_json(event).encode() + prev_hash
-    return hashlib.sha256(material).digest()
+def _entry_hash(seq: int, data: bytes, prev_hash: bytes) -> bytes:
+    return hashlib.sha256(seq.to_bytes(8, "big") + data + prev_hash).digest()
+
+
+def _fold(tables: dict[str, FlowTable], event: dict) -> None:
+    """Apply one rule install or delete to the per-node tables."""
+    if event["type"] == EV_RULE_INSTALLED:
+        table = tables.get(event["node"])
+        if table is None:
+            table = tables[event["node"]] = FlowTable()
+        table.add(ReportedRule.from_dict(event["rule"]).to_rule())
+    elif event["type"] == EV_RULE_DELETED:
+        table = tables.get(event["node"])
+        if table is not None:
+            table.delete(event["rule_id"])
 
 
 class ActivityLog:
@@ -281,6 +285,10 @@ class ActivityLog:
 
     def __init__(self) -> None:
         self.entries: list[LogEntry] = []
+        # Every node's table folded over entries[:count], where
+        # entries[count - 1] hashed to head when it was folded.
+        self._tables: dict[str, FlowTable] = {}
+        self._watermark: tuple[int, bytes] = (0, GENESIS_HASH)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -290,7 +298,8 @@ class ActivityLog:
             raise ValueError("activity log events need a 'type' field")
         seq = len(self.entries)
         prev = self.entries[-1].entry_hash if self.entries else GENESIS_HASH
-        entry = LogEntry(seq=seq, event=event, prev_hash=prev, entry_hash=_entry_hash(seq, event, prev))
+        data = _CANONICAL.encode(event).encode()
+        entry = LogEntry(seq=seq, data=data, prev_hash=prev, entry_hash=_entry_hash(seq, data, prev))
         self.entries.append(entry)
         return entry
 
@@ -299,53 +308,77 @@ class ActivityLog:
         for i, entry in enumerate(self.entries):
             if entry.seq != i or entry.prev_hash != prev:
                 return False
-            if entry.entry_hash != _entry_hash(entry.seq, entry.event, entry.prev_hash):
+            if entry.entry_hash != _entry_hash(i, entry.data, prev):
                 return False
             prev = entry.entry_hash
         return True
 
     def events(self, event_type: Optional[str] = None) -> list[dict]:
+        events = [e.event for e in self.entries]
         if event_type is None:
-            return [e.event for e in self.entries]
-        return [e.event for e in self.entries if e.event.get("type") == event_type]
+            return events
+        return [event for event in events if event.get("type") == event_type]
 
     def expected_switch_state(self, node_id: str) -> SwitchStateReport:
         """Fold rule install/delete events for a node into a canonical report."""
         return self.expected_switch_states([node_id])[node_id]
 
     def expected_switch_states(self, node_ids: Iterable[str]) -> dict[str, SwitchStateReport]:
-        """Verify the whole chain once, then fold every listed node in one pass."""
+        """Verify the whole chain, then fold the entries past the watermark.
+
+        A verified chain commits every entry to the hash of the last one, so
+        the folded tables are still the trusted state of the first ``count``
+        entries exactly when entry ``count - 1`` still has the watermark's
+        hash.  Otherwise the chain was rewritten and the fold starts over.
+        """
         if not self.verify():
             raise LogIntegrityError("activity log hash chain is broken")
-        tables = {node_id: FlowTable() for node_id in node_ids}
-        for entry in self.entries:
-            event = entry.event
-            table = tables.get(event.get("node"))
-            if table is None:
-                continue
-            if event["type"] == EV_RULE_INSTALLED:
-                table.add(ReportedRule.from_dict(event["rule"]).to_rule())
-            elif event["type"] == EV_RULE_DELETED:
-                table.delete(event["rule_id"])
+        entries = self.entries
+        tables, (count, head) = self._tables, self._watermark
+        if count > len(entries) or (count and entries[count - 1].entry_hash != head):
+            tables, count = {}, 0
+        # Until the fold completes, the log holds no folded state to trust.
+        self._tables, self._watermark = {}, (0, GENESIS_HASH)
+        for i in range(count, len(entries)):
+            _fold(tables, json.loads(entries[i].data))
+        if entries:
+            self._tables, self._watermark = tables, (len(entries), entries[-1].entry_hash)
+        empty = FlowTable()
         return {
             node_id: SwitchStateReport(
                 node_id=node_id,
-                rules=canonical_rule_order(r.reported() for r in table.rules()),
+                rules=canonical_rule_order(
+                    r.reported() for r in tables.get(node_id, empty).rules()
+                ),
             )
-            for node_id, table in tables.items()
+            for node_id in node_ids
         }
 
     # -- persistence (JSON lines, one entry per line) ------------------------
 
     def to_jsonl(self) -> str:
-        return "".join(canonical_json(e.to_dict()) + "\n" for e in self.entries)
+        """One canonical JSON object per entry, keys sorted, with the event's
+        stored bytes spliced in as they were hashed."""
+        return "".join(
+            f'{{"entry_hash":"{e.entry_hash.hex()}","event":{e.data.decode()},'
+            f'"prev_hash":"{e.prev_hash.hex()}","seq":{e.seq}}}\n'
+            for e in self.entries
+        )
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ActivityLog":
         log = cls()
         for line in text.splitlines():
             if line.strip():
-                log.entries.append(LogEntry.from_dict(json.loads(line)))
+                d = json.loads(line)
+                # Re-encoding the parsed event gives back the canonical bytes
+                # its hash covers, however the line spelled them.
+                log.entries.append(LogEntry(
+                    seq=d["seq"],
+                    data=_CANONICAL.encode(d["event"]).encode(),
+                    prev_hash=bytes.fromhex(d["prev_hash"]),
+                    entry_hash=bytes.fromhex(d["entry_hash"]),
+                ))
         return log
 
     def save(self, path) -> None:

@@ -146,6 +146,24 @@ class TestNaiveBayes:
         with pytest.raises(ValueError):
             NaiveBayesClassifier().fit(np.zeros((5, 2), dtype=int), np.zeros(5, dtype=int))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = [[bad]] * 3 + [[1.0], [2.0], [2.0]]
+        y = [1, 1, 1, 0, 0, 1]
+        with pytest.raises(ValueError, match="non-finite"):
+            NaiveBayesClassifier().fit(X, y)
+        with pytest.raises(ValueError, match="non-finite"):
+            DecisionTree().fit(X, y)
+        with pytest.raises(ValueError, match="non-finite"):
+            EqualFrequencyBinner(n_bins=2).fit(X)
+        finite = [[0.0]] * 3 + [[1.0], [2.0], [2.0]]
+        model = NaiveBayesClassifier().fit(finite, y)
+        binner = EqualFrequencyBinner(n_bins=2).fit(finite)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.predict([[bad], [1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            binner.transform([[bad]])
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**31 - 1))

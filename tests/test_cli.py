@@ -7,6 +7,7 @@ import pytest
 from slice_sentinel import cli
 from slice_sentinel.cli import main
 from slice_sentinel.fabric import Drop, FlowKey, FlowMod, FlowRule, Provenance, apply_flow_mod
+from slice_sentinel.policy import EV_AUDIT_PERFORMED, ActivityLog
 from slice_sentinel.scenarios import build_world, load_default_config
 
 
@@ -221,6 +222,24 @@ class TestAuditCommand:
         trusted = [row[61:] for row in rows]
         assert any("atk-cli" in cell for cell in observed)
         assert not any("atk-cli" in cell for cell in trusted)
+
+    def test_activity_log_is_exported_next_to_the_report(self, tmp_path, monkeypatch, capsys):
+        def tampered_world(config, seed):
+            world = build_world(config, seed)
+            injected = FlowRule("atk-cli", FlowKey(src_ip="10.0.0.66"), Drop(), priority=77)
+            apply_flow_mod(world.fabric, "OVS1", FlowMod.add(injected), Provenance.EXTERNAL)
+            return world
+
+        monkeypatch.setattr(cli, "build_world", tampered_world)
+        out = tmp_path / "a"
+        assert main(["audit", "--node", "OVS1", "--out", str(out)]) == 1
+        path = out / "activity.jsonl"
+        log = ActivityLog.load(path)
+        assert log.verify()
+        assert log.to_jsonl() == path.read_text(encoding="utf-8")
+        audits = log.events(EV_AUDIT_PERFORMED)
+        assert [(a["node"], a["extra"]) for a in audits] == [("OVS1", ["atk-cli"])]
+        assert [r.rule_id for r in log.expected_switch_state("OVS1").rules] == ["default-punt"]
 
 
 def _fast_config(tmp_path):

@@ -17,6 +17,7 @@ from slice_sentinel.fabric import (
     Packet,
     Provenance,
     apply_flow_mod,
+    canonical_json,
     inject_packet,
     report_flow_rules,
 )
@@ -307,7 +308,8 @@ class TestTickAudit:
         fabric, _repo, manager = churned_world(topology_doc, policy_doc, signature_doc)
         idx = len(manager.log) // 2
         entry = manager.log.entries[idx]
-        forged = dict(entry.event, time_ms=entry.event.get("time_ms", 0) + 1)
+        event = entry.event
+        forged = canonical_json(dict(event, time_ms=event.get("time_ms", 0) + 1)).encode()
         manager.log.entries[idx] = LogEntry(entry.seq, forged, entry.prev_hash, entry.entry_hash)
         entries = len(manager.log)
         tables = {n: node.table.rules() for n, node in fabric.nodes.items()}

@@ -7,10 +7,12 @@ why in its change note.
 
 import hashlib
 
+from slice_sentinel import scenarios
 from slice_sentinel.cli import main
 from slice_sentinel.scenarios import (
     SCENARIO_IDS,
     bench_flow_setup,
+    build_world,
     bench_signature_latency,
     run_scenario,
 )
@@ -19,6 +21,8 @@ SCENARIOS_AND_BENCHES_SHA256 = "10193eabd4ab869cf25d9e6390f5a037c245819f940cba85
 ML_OUTPUTS_SHA256 = "084a5e56424a551ad07ac0503ce7619fab085f8214ea1992271eccedff3f865e"
 # Naive Bayes on all six features, noise columns included, with no selection.
 ML_NB_ALL_FEATURES_SHA256 = "fe2d10211e12ba6d4b28ea577678f212c52043f60b61e8ad10a0348bdb987ef5"
+# The activity log of every world each scenario builds at seed 0, as JSON lines.
+ACTIVITY_LOGS_SHA256 = "4acddd60d00c675f4156a060f05f8c0aaffc778e3370d05bc71170bb12ca9d67"
 
 
 def test_scenario_and_bench_reports_match_golden_hash():
@@ -31,6 +35,24 @@ def test_scenario_and_bench_reports_match_golden_hash():
         bench_signature_latency(counts=(0, 25), runs=3, packets=20, seed=17).to_json().encode()
     )
     assert digest.hexdigest() == SCENARIOS_AND_BENCHES_SHA256
+
+
+def test_activity_log_jsonl_matches_golden_hash(monkeypatch):
+    worlds = []
+
+    def recording_build_world(config, seed):
+        worlds.append(build_world(config, seed))
+        return worlds[-1]
+
+    monkeypatch.setattr(scenarios, "build_world", recording_build_world)
+    digest = hashlib.sha256()
+    for scenario_id in SCENARIO_IDS:
+        worlds.clear()
+        run_scenario(scenario_id, seed=0)
+        assert worlds, scenario_id
+        for world in worlds:
+            digest.update(world.manager.log.to_jsonl().encode())
+    assert digest.hexdigest() == ACTIVITY_LOGS_SHA256
 
 
 def test_ml_outputs_match_golden_hash(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Policy repository, profile extraction and the activity log."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slice_sentinel.controller import SecurityManager
-from slice_sentinel.fabric import Drop, FlowKey, Packet, ReportedRule, build_topology
+from slice_sentinel.fabric import (
+    Drop,
+    FlowKey,
+    Packet,
+    ReportedRule,
+    build_topology,
+    canonical_json,
+)
 from slice_sentinel.policy import (
     EV_RULE_DELETED,
     EV_RULE_INSTALLED,
@@ -262,10 +270,26 @@ class TestActivityLog:
         entry = log.entries[0]
         tampered = dict(entry.event)
         tampered["node"] = "OVS2"
-        log.entries[0] = LogEntry(entry.seq, tampered, entry.prev_hash, entry.entry_hash)
+        forged = canonical_json(tampered).encode()
+        log.entries[0] = LogEntry(entry.seq, forged, entry.prev_hash, entry.entry_hash)
         assert not log.verify()
         with pytest.raises(LogIntegrityError):
             log.expected_switch_state("OVS1")
+
+    def test_the_log_owns_its_events(self):
+        log = ActivityLog()
+        event = rule_event("OVS1", "r1")
+        log.append(event)
+        log.append(rule_event("OVS1", "r2", priority=5))
+        before = log.expected_switch_state("OVS1")
+        event["node"] = "OVS2"
+        event["rule"]["rule_id"] = "forged"
+        log.events()[1]["rule"]["priority"] = 99
+        assert log.verify()
+        assert log.events() == [rule_event("OVS1", "r1"), rule_event("OVS1", "r2", priority=5)]
+        assert log.expected_switch_state("OVS1") == before
+        fresh = ActivityLog.from_jsonl(log.to_jsonl())
+        assert fresh.expected_switch_state("OVS1") == before
 
     def test_verify_holds_on_every_prefix(self):
         log = ActivityLog()
@@ -284,11 +308,14 @@ class TestActivityLog:
         log.save(path)
         loaded = ActivityLog.load(path)
         assert loaded.verify()
+        assert [e.data for e in loaded.entries] == [e.data for e in log.entries]
         assert [e.event for e in loaded.entries] == [e.event for e in log.entries]
+        assert loaded.to_jsonl() == path.read_text(encoding="utf-8")
 
 
 class TestReplayEquivalence:
-    def _naive_replay(self, events, node):
+    @staticmethod
+    def _naive_replay(events, node):
         """Oracle: list-based replay honoring replace-on-(match, priority)."""
         table = []
         for event in events:
@@ -341,8 +368,9 @@ class TestReplayEquivalence:
     def test_one_pass_fold_rejects_an_entry_replaced_in_place(self):
         log, _events = self._random_log()
         entry = log.entries[5000]
-        forged = dict(entry.event, node="OVS2" if entry.event["node"] == "OVS1" else "OVS1")
-        log.entries[5000] = LogEntry(entry.seq, forged, entry.prev_hash, entry.entry_hash)
+        event = entry.event
+        forged = canonical_json(dict(event, node="OVS2" if event["node"] == "OVS1" else "OVS1"))
+        log.entries[5000] = LogEntry(entry.seq, forged.encode(), entry.prev_hash, entry.entry_hash)
         with pytest.raises(LogIntegrityError):
             log.expected_switch_states(["OVS1", "OVS2"])
 
@@ -360,5 +388,73 @@ def test_chain_hash_depends_on_full_event_history(names):
         entry = log.entries[idx]
         bad = dict(entry.event)
         bad["time_ms"] = 999
-        log.entries[idx] = LogEntry(entry.seq, bad, entry.prev_hash, entry.entry_hash)
+        forged = canonical_json(bad).encode()
+        log.entries[idx] = LogEntry(entry.seq, forged, entry.prev_hash, entry.entry_hash)
         assert not log.verify()
+
+
+FOLD_NODES = ("OVS1", "OVS2", "CORE1")
+
+fold_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), st.sampled_from(FOLD_NODES), st.integers(0, 3)),
+        st.tuples(st.just("delete"), st.sampled_from(FOLD_NODES), st.integers(0, 40)),
+        st.tuples(
+            st.just("audit"), st.lists(st.sampled_from(FOLD_NODES + ("OVS9",)), unique=True), st.just(0)
+        ),
+        st.tuples(st.just("rewrite"), st.sampled_from(FOLD_NODES), st.integers(0, 40)),
+    ),
+    max_size=40,
+)
+
+
+def rechain(log: ActivityLog, idx: int, event: dict) -> None:
+    """Replace entry ``idx`` with ``event`` and recompute every later hash:
+    a rewrite the chain check alone cannot see."""
+    prev = log.entries[idx].prev_hash
+    for seq in range(idx, len(log.entries)):
+        data = canonical_json(event).encode() if seq == idx else log.entries[seq].data
+        entry_hash = hashlib.sha256(seq.to_bytes(8, "big") + data + prev).digest()
+        log.entries[seq] = LogEntry(seq, data, prev, entry_hash)
+        prev = entry_hash
+
+
+def assert_fold_from_scratch(log: ActivityLog, nodes) -> None:
+    reports = log.expected_switch_states(nodes)
+    assert list(reports) == list(nodes)
+    assert reports == ActivityLog.from_jsonl(log.to_jsonl()).expected_switch_states(nodes)
+    events = log.events()
+    for node in nodes:
+        assert list(reports[node].rules) == TestReplayEquivalence._naive_replay(events, node)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(FOLD_NODES + ("OVS9",)), min_size=1, unique=True), fold_steps)
+def test_forward_fold_equals_a_fold_from_scratch(queried, steps):
+    # ``eager`` is audited after every step; ``lazy`` only at audit steps, so
+    # its forward folds span runs of appends and rewrites.
+    eager, lazy = ActivityLog(), ActivityLog()
+    issued: list[str] = []
+    for i, (kind, arg, n) in enumerate(steps):
+        if kind == "install":
+            issued.append(f"r{i}")
+            event = rule_event(arg, issued[-1], priority=n)
+        elif kind == "delete":
+            event = delete_event(arg, issued[n % len(issued)] if issued else "r-none")
+        if kind in ("install", "delete"):
+            eager.append(event)
+            lazy.append(event)
+        elif kind == "rewrite" and eager.entries:
+            idx = n % ((len(eager.entries) + 1) // 2)
+            for log in (eager, lazy):
+                rechain(log, idx, rule_event(arg, f"x{i}"))
+        elif kind == "audit":
+            assert_fold_from_scratch(lazy, arg)
+        assert_fold_from_scratch(eager, queried)
+    assert_fold_from_scratch(lazy, queried)
+    if eager.entries:
+        entry = eager.entries[len(eager.entries) // 2]
+        forged = canonical_json(dict(entry.event, time_ms=1)).encode()
+        eager.entries[entry.seq] = LogEntry(entry.seq, forged, entry.prev_hash, entry.entry_hash)
+        with pytest.raises(LogIntegrityError):
+            eager.expected_switch_states(queried)
