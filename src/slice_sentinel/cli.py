@@ -211,14 +211,12 @@ def cmd_ml(args) -> int:
 
     if args.classifier == "nb":
         model = NaiveBayesClassifier().fit(train_binned.features, train_binned.labels)
-        predict = model.predict_one
     else:  # dt
         model = DecisionTree(max_depth=args.max_depth).fit(
             train_binned.features, train_binned.labels
         )
-        predict = model.predict_one
 
-    metrics = evaluate(predict, test_binned)
+    metrics = evaluate(model.predict_one, test_binned)
     out = _out_dir(args)
     payload = {
         "classifier": args.classifier,

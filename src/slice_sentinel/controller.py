@@ -117,9 +117,10 @@ class HandoverResult:
 
 @dataclass(eq=False)
 class IngressProcessor:
-    """The security functions deployed at one edge node, and the datapath
-    hook that runs them: slice access check, then flow validation, then on
-    to the table (encryption is applied by the fabric as the packet leaves)."""
+    """The security functions deployed at one edge node.  ``screen`` runs
+    them, slice access check then flow validation, for the datapath hook
+    ``process`` and for a punted first packet alike; an admitted packet goes
+    on to the table (encryption is applied by the fabric as it leaves)."""
 
     manager: "SecurityManager"
     node: str
@@ -127,46 +128,41 @@ class IngressProcessor:
     validator: sf.FlowValidatorState
     covered_users: set[str] = field(default_factory=set)
 
-    def process(self, packet: Packet) -> IngressDecision:
+    def screen(
+        self, packet: Packet, headers_only: bool = False
+    ) -> tuple[sf.AccessVerdict, Optional[sf.FlowValidationResult], int]:
+        """Run the slice access check and, unless it denies, flow validation.
+
+        Logs an access denial and records any alert.  Returns the verdict,
+        the validation result (``None`` after an access denial) and the
+        virtual cost.  ``headers_only`` is the scope of a punted first
+        packet: no payload signatures, no rate window.
+        """
         mgr = self.manager
         cfg = mgr.config
-        events: list[TraceEvent] = []
-        cost = cfg.access_check_us
-
-        requested = mgr.requested_pair(packet.dst_ip)
-        verdict = sf.check_slice_access(self.access, packet, requested)
-        events.append(
-            TraceEvent(
-                kind="slice-access",
-                node=self.node,
-                time_ms=packet.virtual_timestamp,
-                detail={"verdict": verdict.value, "device": packet.src_mac},
-            )
-        )
+        verdict = sf.check_slice_access(self.access, packet, mgr.requested_pair(packet.dst_ip))
         if verdict in (sf.AccessVerdict.DENY_UNAUTHORIZED, sf.AccessVerdict.DENY_BLACKLISTED):
             mgr.log_access_denied(self.node, packet.src_mac, packet.flow_id, verdict.value)
-            return IngressDecision(allow=False, reason=verdict.value, events=events, cost_us=cost)
-
-        result = sf.validate_flow(self.validator, packet)
-        cost += cfg.flow_validation_base_us + result.signatures_scanned * cfg.signature_scan_us
-        events.append(
-            TraceEvent(
-                kind="flow-validation",
-                node=self.node,
-                time_ms=packet.virtual_timestamp,
-                detail={
-                    "drop_reason": result.drop_reason,
-                    "signatures_scanned": result.signatures_scanned,
-                },
-            )
-        )
+            return verdict, None, cfg.access_check_us
+        result = sf.validate_flow(self.validator, packet, headers_only)
         if result.alert is not None:
             mgr.record_alert(result.alert)
-        if result.drop_reason is not None:
-            return IngressDecision(
-                allow=False, reason=result.drop_reason, events=events, cost_us=cost
-            )
-        return IngressDecision(allow=True, events=events, cost_us=cost)
+        cost = (cfg.access_check_us + cfg.flow_validation_base_us
+                + result.signatures_scanned * cfg.signature_scan_us)
+        return verdict, result, cost
+
+    def process(self, packet: Packet) -> IngressDecision:
+        verdict, result, cost = self.screen(packet)
+        events = [TraceEvent(kind="slice-access", node=self.node, time_ms=packet.virtual_timestamp,
+                             detail={"verdict": verdict.value, "device": packet.src_mac})]
+        if result is None:
+            return IngressDecision(allow=False, reason=verdict.value, events=events, cost_us=cost)
+        events.append(TraceEvent(kind="flow-validation", node=self.node,
+                                 time_ms=packet.virtual_timestamp,
+                                 detail={"drop_reason": result.drop_reason,
+                                         "signatures_scanned": result.signatures_scanned}))
+        return IngressDecision(allow=result.drop_reason is None, reason=result.drop_reason,
+                               events=events, cost_us=cost)
 
 
 class SecurityManager:
@@ -186,7 +182,6 @@ class SecurityManager:
         self.log = activity_log if activity_log is not None else pol.ActivityLog()
         self.signatures = list(signatures or [])
         self.config = config or ManagerConfig()
-        self.deployments: dict[str, IngressProcessor] = {}
         self.flows: dict[str, FlowRecord] = {}
         self.global_blacklist: set[str] = set()
         self.admin_alerts: list[dict] = []
@@ -208,16 +203,16 @@ class SecurityManager:
             if node.kind == NodeKind.HOST:
                 continue
             for rule in sorted(node.table.rules(), key=lambda r: r.rule_id):
-                self.log.append(
-                    {
-                        "type": pol.EV_RULE_INSTALLED,
-                        "node": node_id,
-                        "rule": rule.reported().to_dict(),
-                        "time_ms": 0,
-                    }
-                )
+                self._log(pol.EV_RULE_INSTALLED, node_id, rule=rule.reported().to_dict(), time_ms=0)
 
     # -- small helpers --------------------------------------------------------
+
+    def _log(self, event_type: str, node: Optional[str], **fields) -> None:
+        """Append one event stamped with the fabric clock; a ``time_ms``
+        among ``fields`` overrides the stamp."""
+        self.log.append(
+            {"type": event_type, "node": node, "time_ms": self.fabric.clock_ms, **fields}
+        )
 
     def _emit(self, event: dict) -> None:
         if self.event_sink is not None:
@@ -241,7 +236,7 @@ class SecurityManager:
 
     def record_alert(self, alert: sf.Alert) -> None:
         """Log an alert into the activity log and queue it for handling."""
-        self.log.append({"type": pol.EV_ALERT_RAISED, "node": None, **alert.to_dict()})
+        self._log(pol.EV_ALERT_RAISED, None, **alert.to_dict())
         self.pending_alerts.append(alert)
         self._emit({"event": "alert", **alert.to_dict()})
 
@@ -251,38 +246,19 @@ class SecurityManager:
         if key in self._denial_logged:
             return
         self._denial_logged.add(key)
-        self.log.append(
-            {
-                "type": pol.EV_ACCESS_DENIED,
-                "node": node,
-                "device_id": device_id,
-                "flow_id": flow_id,
-                "reason": reason,
-                "time_ms": self.fabric.clock_ms,
-            }
-        )
+        self._log(pol.EV_ACCESS_DENIED, node, device_id=device_id, flow_id=flow_id, reason=reason)
 
     # -- rule installation -----------------------------------------------------
 
-    def _install_rule(self, node: str, rule: FlowRule, time_ms: int) -> None:
+    def _install_rule(self, node: str, rule: FlowRule) -> None:
         apply_flow_mod(self.fabric, node, FlowMod.add(rule), Provenance.CONTROLLER)
-        self.log.append(
-            {
-                "type": pol.EV_RULE_INSTALLED,
-                "node": node,
-                "rule": rule.reported().to_dict(),
-                "time_ms": time_ms,
-            }
-        )
+        self._log(pol.EV_RULE_INSTALLED, node, rule=rule.reported().to_dict())
 
     def _clear_rules(self, record: FlowRecord) -> None:
         """Delete every rule of a flow record, logging each deletion."""
-        time_ms = self.fabric.clock_ms
         for node, rule_id in record.rules:
             apply_flow_mod(self.fabric, node, FlowMod.delete(rule_id), Provenance.CONTROLLER)
-            self.log.append(
-                {"type": pol.EV_RULE_DELETED, "node": node, "rule_id": rule_id, "time_ms": time_ms}
-            )
+            self._log(pol.EV_RULE_DELETED, node, rule_id=rule_id)
         record.rules.clear()
 
     def _install_path_rules(self, record: FlowRecord) -> int:
@@ -290,7 +266,6 @@ class SecurityManager:
         per hop the forward rule, then the reverse one back toward the device."""
         fabric = self.fabric
         path = record.path
-        time_ms = fabric.clock_ms
         installed = 0
         forward_key = FlowKey(src_ip=record.src_ip, dst_ip=record.dst_ip)
         reverse_key = FlowKey(src_ip=record.dst_ip, dst_ip=record.src_ip)
@@ -308,7 +283,7 @@ class SecurityManager:
                     action=Forward(port=out_port, slice_id=record.slice_id),
                     priority=10,
                 )
-                self._install_rule(node, rule, time_ms)
+                self._install_rule(node, rule)
                 record.rules.append((node, rule.rule_id))
                 installed += 1
         return installed
@@ -324,7 +299,7 @@ class SecurityManager:
         service those devices are subscribed to.  An empty profile yields a
         generic-only deployment.  Every edge shares the one global blacklist.
         """
-        dep = self.deployments.get(node)
+        dep = self.fabric.ingress_processors.get(node)
         if dep is None:
             dep = IngressProcessor(
                 manager=self,
@@ -343,16 +318,10 @@ class SecurityManager:
         return dep
 
     def _deploy(self, dep: IngressProcessor) -> None:
-        self.deployments[dep.node] = dep
         self.fabric.set_ingress_processor(dep.node, dep)
-        self.log.append(
-            {
-                "type": pol.EV_FUNCTIONS_DEPLOYED,
-                "node": dep.node,
-                "covered_users": sorted(dep.covered_users),
-                "devices": sorted(dep.access.allowed),
-                "time_ms": self.fabric.clock_ms,
-            }
+        self._log(
+            pol.EV_FUNCTIONS_DEPLOYED, dep.node,
+            covered_users=sorted(dep.covered_users), devices=sorted(dep.access.allowed),
         )
 
     # -- command API ---------------------------------------------------------
@@ -376,19 +345,12 @@ class SecurityManager:
                 punt, flow_id, "permitted", self.requested_pair(header.dst_ip), header.dst_ip, cost
             )
 
-        dep = self.deployments.get(punt.node)
+        dep = self.fabric.ingress_processors.get(punt.node)
         user_id = self.repository.user_of_device(device)
         extraction = False
         if user_id is not None and (dep is None or user_id not in dep.covered_users):
             profile = pol.extract_profile(self.repository, user_id)
-            self.log.append(
-                {
-                    "type": pol.EV_PROFILE_EXTRACTED,
-                    "node": punt.node,
-                    "user_id": user_id,
-                    "time_ms": self.fabric.clock_ms,
-                }
-            )
+            self._log(pol.EV_PROFILE_EXTRACTED, punt.node, user_id=user_id)
             extraction = True
             cost += cfg.profile_extract_us
             dep = self.compose_deployment(profile, punt.node)
@@ -401,7 +363,6 @@ class SecurityManager:
             cost += cfg.compose_us + cfg.deploy_us
             self._deploy(dep)
 
-        requested = self.requested_pair(header.dst_ip)
         probe = Packet(
             src_ip=header.src_ip,
             dst_ip=header.dst_ip,
@@ -411,22 +372,17 @@ class SecurityManager:
             slice_id=header.slice_id,
             virtual_timestamp=header.virtual_timestamp,
         )
-        verdict = sf.check_slice_access(dep.access, probe, requested)
-        cost += cfg.access_check_us
-
-        if verdict in (sf.AccessVerdict.DENY_BLACKLISTED, sf.AccessVerdict.DENY_UNAUTHORIZED):
-            self.log_access_denied(punt.node, device, flow_id, verdict.value)
+        # The edge's own functions judge the first packet, at header scope,
+        # before any rules go in.
+        verdict, result, screen_cost = dep.screen(probe, headers_only=True)
+        cost += screen_cost
+        if result is None:
             return FlowDecision(
                 flow_id=flow_id, verdict=verdict.value,
                 extraction_performed=extraction, cost_us=cost,
             )
-
-        # Header-scope validation before any rules go in.
-        result = sf.validate_flow(dep.validator, probe, headers_only=True)
-        cost += cfg.flow_validation_base_us + result.signatures_scanned * cfg.signature_scan_us
-        if result.alert is not None:
-            self.record_alert(result.alert)
         if result.drop_reason is not None:
+            # Unlike the datapath, flow setup logs a validation drop as a denial.
             self.log_access_denied(punt.node, device, flow_id, result.drop_reason)
             return FlowDecision(
                 flow_id=flow_id, verdict="deny-validation",
@@ -434,6 +390,7 @@ class SecurityManager:
             )
 
         if verdict == sf.AccessVerdict.PERMIT:
+            requested = self.requested_pair(header.dst_ip)
             return self._route_flow(
                 punt, flow_id, "permitted", requested, header.dst_ip, cost,
                 reqs=self.repository.security_reqs(device, requested), extraction=extraction,
@@ -516,15 +473,7 @@ class SecurityManager:
             return ReconfigAction(kind="noop")
 
         self.global_blacklist.add(device)
-        self.log.append(
-            {
-                "type": pol.EV_DEVICE_BLACKLISTED,
-                "node": None,
-                "device_id": device,
-                "reason": alert.reason,
-                "time_ms": self.fabric.clock_ms,
-            }
-        )
+        self._log(pol.EV_DEVICE_BLACKLISTED, None, device_id=device, reason=alert.reason)
         for record in self.flows.values():
             if record.device_id != device:
                 continue
@@ -541,7 +490,7 @@ class SecurityManager:
             action=Drop(),
             priority=100,
         )
-        self._install_rule(edge, drop, self.fabric.clock_ms)
+        self._install_rule(edge, drop)
         record.edge = edge
         record.rules.append((edge, drop.rule_id))
 
@@ -576,14 +525,7 @@ class SecurityManager:
             "missing": tuple(r.rule_id for r in result.missing_rules),
             "modified": tuple(e.rule_id for e, _o in result.modified_rules),
         }
-        self.log.append(
-            {
-                "type": pol.EV_AUDIT_PERFORMED,
-                "clean": result.clean,
-                **findings,
-                "time_ms": self.fabric.clock_ms,
-            }
-        )
+        self._log(pol.EV_AUDIT_PERFORMED, **findings, clean=result.clean)
         if not result.clean:
             diff = sf.render_audit_diff(trusted, observed)
             self._admin_alert("switch-state-mismatch", {**findings, "diff": diff})
@@ -599,14 +541,10 @@ class SecurityManager:
         reinstalled = [*result.missing_rules, *(e for e, _o in result.modified_rules)]
         for rule in reinstalled:
             apply_flow_mod(self.fabric, node_id, FlowMod.add(rule.to_rule()), Provenance.CONTROLLER)
-        self.log.append(
-            {
-                "type": pol.EV_CORRECTIVE_ACTION,
-                "node": node_id,
-                "deleted": [r.rule_id for r in result.extra_rules],
-                "reinstalled": sorted(r.rule_id for r in reinstalled),
-                "time_ms": self.fabric.clock_ms,
-            }
+        self._log(
+            pol.EV_CORRECTIVE_ACTION, node_id,
+            deleted=[r.rule_id for r in result.extra_rules],
+            reinstalled=sorted(r.rule_id for r in reinstalled),
         )
 
     def deploy_service_gated(self, host: str, service: str) -> DeployResult:
@@ -614,24 +552,9 @@ class SecurityManager:
         measured state matches the expected one."""
         verdict = self.attest_node(host)
         if verdict == sf.TrustVerdict.TRUSTED:
-            self.log.append(
-                {
-                    "type": pol.EV_SERVICE_DEPLOYED,
-                    "node": host,
-                    "service": service,
-                    "time_ms": self.fabric.clock_ms,
-                }
-            )
+            self._log(pol.EV_SERVICE_DEPLOYED, host, service=service)
             return DeployResult(deployed=True, verdict=verdict)
-        self.log.append(
-            {
-                "type": pol.EV_SERVICE_REFUSED,
-                "node": host,
-                "service": service,
-                "verdict": verdict.value,
-                "time_ms": self.fabric.clock_ms,
-            }
-        )
+        self._log(pol.EV_SERVICE_REFUSED, host, service=service, verdict=verdict.value)
         self._admin_alert(
             "service-deployment-refused",
             {"node": host, "service": service, "verdict": verdict.value},
@@ -651,12 +574,12 @@ class SecurityManager:
         consulted and no profile extraction event appears in the log.
         """
         self.fabric.node(to_edge)
-        from_dep = self.deployments.get(from_edge)
+        from_dep = self.fabric.ingress_processors.get(from_edge)
         blacklisted = device_id in self.global_blacklist
         if from_dep is None or (device_id not in from_dep.access.allowed and not blacklisted):
             raise UnknownDeviceError(f"device {device_id!r} has no state at {from_edge!r}")
 
-        to_dep = self.deployments.get(to_edge)
+        to_dep = self.fabric.ingress_processors.get(to_edge)
         if to_dep is None:
             to_dep = self.compose_deployment(None, to_edge)
             self._deploy(to_dep)
@@ -687,16 +610,7 @@ class SecurityManager:
             record.ingress_port = new_port
             record.path = tuple(path)
             reanchored += self._install_path_rules(record)
-        self.log.append(
-            {
-                "type": pol.EV_HANDOVER,
-                "node": to_edge,
-                "device_id": device_id,
-                "from": from_edge,
-                "to": to_edge,
-                "time_ms": self.fabric.clock_ms,
-            }
-        )
+        self._log(pol.EV_HANDOVER, to_edge, device_id=device_id, **{"from": from_edge, "to": to_edge})
         return HandoverResult(blacklisted=blacklisted, rules_reanchored=reanchored)
 
     def provision_security(self, flow_id: str) -> str:
@@ -726,24 +640,9 @@ class SecurityManager:
                     f"endpoint {endpoint!r} failed attestation ({verdict.value})"
                 )
         key = self.keygen.generate((ingress, egress))
-        self.log.append(
-            {
-                "type": pol.EV_KEY_GENERATED,
-                "node": None,
-                "key_id": key.key_id,
-                "endpoints": [ingress, egress],
-                "time_ms": self.fabric.clock_ms,
-            }
-        )
+        self._log(pol.EV_KEY_GENERATED, None, key_id=key.key_id, endpoints=[ingress, egress])
         self.fabric.set_flow_cipher(ingress, flow_id, "encrypt", sf.FlowCipher(key))
         self.fabric.set_flow_cipher(egress, flow_id, "decrypt", sf.FlowCipher(key))
         for endpoint in (ingress, egress):
-            self.log.append(
-                {
-                    "type": pol.EV_KEY_DISTRIBUTED,
-                    "node": endpoint,
-                    "key_id": key.key_id,
-                    "time_ms": self.fabric.clock_ms,
-                }
-            )
+            self._log(pol.EV_KEY_DISTRIBUTED, endpoint, key_id=key.key_id)
         return key.key_id

@@ -350,6 +350,11 @@ class SwitchStateReport:
     node_id: str
     rules: tuple[ReportedRule, ...]
 
+    @classmethod
+    def of(cls, node_id: str, table: FlowTable) -> "SwitchStateReport":
+        """The canonical report of ``table``'s rules."""
+        return cls(node_id, canonical_rule_order(r.reported() for r in table.rules()))
+
 
 # ---------------------------------------------------------------------------
 # Forwarding traces
@@ -632,9 +637,7 @@ def apply_flow_mod(
 
 def report_flow_rules(fabric: Fabric, node_id: str) -> SwitchStateReport:
     """Canonical snapshot of a node's table; pure function of its contents."""
-    node = fabric.node(node_id)
-    rules = canonical_rule_order(r.reported() for r in node.table.rules())
-    return SwitchStateReport(node_id=node_id, rules=rules)
+    return SwitchStateReport.of(node_id, fabric.node(node_id).table)
 
 
 def measure_attestation(fabric: Fabric, node_id: str, nonce: bytes) -> AttestationReport:

@@ -23,7 +23,6 @@ from .fabric import (
     FlowTable,
     ReportedRule,
     SwitchStateReport,
-    canonical_rule_order,
 )
 
 VALID_SECURITY_REQS = frozenset(
@@ -267,6 +266,42 @@ def _entry_hash(seq: int, data: bytes, prev_hash: bytes) -> bytes:
     return hashlib.sha256(seq.to_bytes(8, "big") + data + prev_hash).digest()
 
 
+_HEX_DIGEST = re.compile(r"[0-9a-fA-F]{64}")
+
+
+def _parse_entry(line: str, lineno: int) -> LogEntry:
+    """One ``to_jsonl`` line as an entry; ``ValueError`` if it is malformed."""
+
+    def bad(why: str) -> ValueError:
+        return ValueError(f"activity log line {lineno}: {why}")
+
+    try:
+        d = json.loads(line)
+    except ValueError as exc:
+        raise bad(f"not JSON ({exc})") from None
+    if not isinstance(d, dict):
+        raise bad("not a JSON object")
+    missing = [k for k in ("seq", "event", "prev_hash", "entry_hash") if k not in d]
+    if missing:
+        raise bad(f"missing {', '.join(missing)}")
+    if type(d["seq"]) is not int:
+        raise bad(f"seq must be an integer, got {d['seq']!r}")
+    for key in ("prev_hash", "entry_hash"):
+        if not isinstance(d[key], str) or not _HEX_DIGEST.fullmatch(d[key]):
+            raise bad(f"{key} must be 64 hex characters, got {d[key]!r}")
+    event = d["event"]
+    if not isinstance(event, dict) or "type" not in event:
+        raise bad("event must be an object with a 'type' field")
+    # Re-encoding the parsed event gives back the canonical bytes its hash
+    # covers, however the line spelled them.
+    return LogEntry(
+        seq=d["seq"],
+        data=_CANONICAL.encode(event).encode(),
+        prev_hash=bytes.fromhex(d["prev_hash"]),
+        entry_hash=bytes.fromhex(d["entry_hash"]),
+    )
+
+
 def _fold(tables: dict[str, FlowTable], event: dict) -> None:
     """Apply one rule install or delete to the per-node tables."""
     if event["type"] == EV_RULE_INSTALLED:
@@ -345,12 +380,7 @@ class ActivityLog:
             self._tables, self._watermark = tables, (len(entries), entries[-1].entry_hash)
         empty = FlowTable()
         return {
-            node_id: SwitchStateReport(
-                node_id=node_id,
-                rules=canonical_rule_order(
-                    r.reported() for r in tables.get(node_id, empty).rules()
-                ),
-            )
+            node_id: SwitchStateReport.of(node_id, tables.get(node_id, empty))
             for node_id in node_ids
         }
 
@@ -367,18 +397,12 @@ class ActivityLog:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ActivityLog":
+        """Parse ``to_jsonl`` output.  A malformed line raises ``ValueError``
+        naming it; whether the chain holds is left to ``verify``."""
         log = cls()
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             if line.strip():
-                d = json.loads(line)
-                # Re-encoding the parsed event gives back the canonical bytes
-                # its hash covers, however the line spelled them.
-                log.entries.append(LogEntry(
-                    seq=d["seq"],
-                    data=_CANONICAL.encode(d["event"]).encode(),
-                    prev_hash=bytes.fromhex(d["prev_hash"]),
-                    entry_hash=bytes.fromhex(d["entry_hash"]),
-                ))
+                log.entries.append(_parse_entry(line, lineno))
         return log
 
     def save(self, path) -> None:

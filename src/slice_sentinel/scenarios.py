@@ -424,11 +424,11 @@ def _scenario_attack4(config: dict, seed: int) -> ScenarioReport:
     for i, t in enumerate(_schedule(10, 10)):
         driver.send(ue1(i, t), ("OVS1", 1), "pre-handover")
 
-    pairs_before = frozenset(manager.deployments["OVS1"].access.allowed[UE_MACS[1]])
+    pairs_before = frozenset(fabric.ingress_processors["OVS1"].access.allowed[UE_MACS[1]])
     extractions_before = len(manager.log.events(pol.EV_PROFILE_EXTRACTED))
     handover = manager.handover(UE_MACS[1], "OVS1", "OVS2")
     extractions_during = len(manager.log.events(pol.EV_PROFILE_EXTRACTED)) - extractions_before
-    pairs_after = frozenset(manager.deployments["OVS2"].access.allowed.get(UE_MACS[1], set()))
+    pairs_after = frozenset(fabric.ingress_processors["OVS2"].access.allowed.get(UE_MACS[1], set()))
 
     new_port = fabric.port_toward("OVS2", "UE1")
     for i, t in enumerate(_schedule(10, n_post, start_ms=200)):

@@ -18,7 +18,7 @@ from typing import Optional
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .fabric import Packet, ReportedRule, SwitchStateReport
+from .fabric import Packet, ReportedRule, SwitchStateReport, action_to_dict
 
 KEY_BYTES = 16
 NONCE_BYTES = 12
@@ -290,10 +290,7 @@ def render_audit_diff(trusted: SwitchStateReport, observed: SwitchStateReport) -
     width = 58
 
     def lines(rules):
-        out = []
-        for r in rules:
-            action = r.to_dict()["action"]
-            out.append(f"{r.priority:>5}  {r.rule_id}  {action}")
+        out = [f"{r.priority:>5}  {r.rule_id}  {action_to_dict(r.action)}" for r in rules]
         return out or ["(empty table)"]
 
     left = lines(observed.rules)

@@ -16,6 +16,7 @@ from slice_sentinel.fabric import (
     NodeKind,
     Packet,
     Provenance,
+    Punted,
     apply_flow_mod,
     canonical_json,
     inject_packet,
@@ -63,7 +64,7 @@ class TestNewFlow:
         record = manager.flows[decision.flow_id]
         assert record.slice_id == 200 and record.service == "Service1"
         assert trace.outcome == Delivered(host="SVC1")
-        assert "OVS1" in manager.deployments
+        assert "OVS1" in fabric.ingress_processors
         # forward and reverse rules at both OVS1 and CORE1
         nodes = [node for node, _rid in manager.flows["flow-ue1"].rules]
         assert nodes.count("OVS1") == 2 and nodes.count("CORE1") == 2
@@ -89,7 +90,7 @@ class TestNewFlow:
     def test_deployment_covers_all_devices_of_the_user(self, world):
         fabric, repo, manager = world
         drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
-        dep = manager.deployments["OVS1"]
+        dep = fabric.ingress_processors["OVS1"]
         assert dep.access.allowed["00:09:00:AA"] == {(200, "Service1")}
         assert dep.access.allowed["00:09:00:AC"] == {(300, "Service2")}
 
@@ -154,7 +155,7 @@ class TestNewFlowSecurityOff:
             cfg.dispatch_us() + cfg.path_compute_us + 4 * cfg.rule_install_us
         )
         assert manager.log.events(EV_PROFILE_EXTRACTED) == []
-        assert "OVS1" not in manager.deployments
+        assert "OVS1" not in fabric.ingress_processors
         assert len(manager.log) == log_before + 4  # the four rule installs only
         assert trace.outcome == Delivered(host="SVC1")
 
@@ -197,7 +198,7 @@ class TestAlertHandling:
         )
         action = manager.alert(alert)
         assert action.kind == "blacklisted"
-        assert "00:09:00:AE" in manager.deployments["OVS1"].access.blacklist
+        assert "00:09:00:AE" in fabric.ingress_processors["OVS1"].access.blacklist
         # subsequent packets die at the entry node
         trace = inject_packet(fabric, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS1", 4))
         assert trace.outcome == Dropped(node="OVS1", reason="deny-blacklisted")
@@ -354,10 +355,10 @@ class TestHandover:
     def test_authorizations_conserved_and_no_new_extraction(self, handover_world):
         fabric, repo, manager = handover_world
         drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
-        before = frozenset(manager.deployments["OVS1"].access.allowed["00:09:00:AA"])
+        before = frozenset(fabric.ingress_processors["OVS1"].access.allowed["00:09:00:AA"])
         extractions = len(manager.log.events(EV_PROFILE_EXTRACTED))
         manager.handover("00:09:00:AA", "OVS1", "OVS2")
-        assert frozenset(manager.deployments["OVS2"].access.allowed["00:09:00:AA"]) == before
+        assert frozenset(fabric.ingress_processors["OVS2"].access.allowed["00:09:00:AA"]) == before
         assert len(manager.log.events(EV_PROFILE_EXTRACTED)) == extractions
         # flow continues from the new edge (UE1 attaches to OVS2 at port 5)
         port = fabric.port_toward("OVS2", "UE1")
@@ -388,16 +389,14 @@ class TestOneDeploymentPerEdge:
         fabric, repo, manager = handover_world
 
         def assert_one_object_per_edge():
-            assert set(manager.deployments) == set(fabric.ingress_processors)
-            for node, dep in manager.deployments.items():
-                assert fabric.ingress_processors[node] is dep
+            for dep in fabric.ingress_processors.values():
                 assert dep.access.blacklist is manager.global_blacklist
 
         drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
         drive(fabric, manager, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS1", 4))
         assert_one_object_per_edge()
         manager.handover("00:09:00:AA", "OVS1", "OVS2")
-        assert set(manager.deployments) == {"OVS1", "OVS2"}
+        assert set(fabric.ingress_processors) == {"OVS1", "OVS2"}
         assert_one_object_per_edge()
         manager.alert(Alert("flow-validator", "00:09:00:AE", "f-sensor", "anomaly:rate", "high", 1))
         assert_one_object_per_edge()
@@ -411,12 +410,54 @@ class TestOneDeploymentPerEdge:
             Alert("flow-validator", "00:09:00:AE", "f-sensor", "anomaly:rate", "high", 0)
         )
         assert action.kind == "blacklisted"
-        assert "OVS2" not in manager.deployments
+        assert "OVS2" not in fabric.ingress_processors
         port = fabric.port_toward("OVS2", "UE4")
         trace, decision = drive(fabric, manager, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS2", port))
         assert decision.verdict == "deny-blacklisted"
         assert "f-sensor" not in manager.flows
         assert trace.outcome == Dropped(node="OVS2", reason="deny-blacklisted")
+
+
+HEADER_SIGNATURE = {"id": "sig-evil-flow", "pattern_hex": b"flow=evil".hex(), "scope": "header"}
+
+# device, source ip, destination ip, flow id, ingress port, expected deny reason
+SCREEN_CASES = {
+    "authorized": ("00:09:00:AA", "10.0.0.1", "10.0.0.8", "f-ue1", 1, None),
+    "unauthorized-destination": (
+        "00:09:00:AA", "10.0.0.1", "10.0.0.6", "f-ue1-home", 1, "deny-unauthorized"
+    ),
+    "unregistered": ("de:ad:be:ef", "10.0.0.77", "10.0.0.8", "f-guest", 2, None),
+    "blacklisted": ("00:09:00:AE", "10.0.0.4", "10.0.0.8", "f-sensor", 4, "deny-blacklisted"),
+    "header-signature": (
+        "00:09:00:AA", "10.0.0.1", "10.0.0.8", "evil-ue1", 1, "signature:sig-evil-flow"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+def test_flow_setup_and_datapath_screen_a_header_alike(
+    case, topology_doc, policy_doc, signature_doc
+):
+    """The first packet of a flow passes the edge's own functions at header
+    scope: ``new_flow`` denies it exactly when ``process`` denies the same
+    header at the same edge, and for the same reason."""
+    device, src_ip, dst_ip, flow, port, expected = SCREEN_CASES[case]
+    fabric, _repo, manager = build_world(
+        topology_doc, policy_doc, signature_doc + [HEADER_SIGNATURE]
+    )
+    if case == "blacklisted":
+        manager.alert(Alert("flow-validator", device, flow, "anomaly:rate", "high", 0))
+    packet = Packet(src_ip=src_ip, dst_ip=dst_ip, src_mac=device, dst_mac="00:09:00:BB",
+                    payload=b"data", flow_id=flow)
+    assert isinstance(inject_packet(fabric, packet, ("OVS1", port)).outcome, Punted)
+    decision = manager.new_flow(fabric.punt_events.popleft())
+    ingress = fabric.ingress_processors["OVS1"].process(packet)
+
+    setup_denied = decision.verdict.startswith("deny-")
+    assert setup_denied == (not ingress.allow) == (expected is not None)
+    if setup_denied:
+        reason = decision.error if decision.verdict == "deny-validation" else decision.verdict
+        assert reason == ingress.reason == expected
 
 
 class TestProvisionSecurity:

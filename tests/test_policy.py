@@ -1,6 +1,7 @@
 """Policy repository, profile extraction and the activity log."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -311,6 +312,39 @@ class TestActivityLog:
         assert [e.data for e in loaded.entries] == [e.data for e in log.entries]
         assert [e.event for e in loaded.entries] == [e.event for e in log.entries]
         assert loaded.to_jsonl() == path.read_text(encoding="utf-8")
+
+
+def _without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+MALFORMED_LINES = {
+    "not-json": lambda d: '{"seq": 1,',
+    "not-an-object": lambda d: [d],
+    "missing-seq": _without("seq"),
+    "missing-event": _without("event"),
+    "missing-prev-hash": _without("prev_hash"),
+    "missing-entry-hash": _without("entry_hash"),
+    "seq-not-an-integer": lambda d: {**d, "seq": "1"},
+    "seq-a-boolean": lambda d: {**d, "seq": True},
+    "short-digest": lambda d: {**d, "prev_hash": d["prev_hash"][:63]},
+    "non-hex-digest": lambda d: {**d, "entry_hash": "zz" * 32},
+    "digest-not-a-string": lambda d: {**d, "entry_hash": 7},
+    "event-not-an-object": lambda d: {**d, "event": ["rule-deleted"]},
+    "event-without-type": lambda d: {**d, "event": {"node": "OVS1"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+def test_from_jsonl_rejects_a_malformed_line_by_number(case):
+    log = ActivityLog()
+    log.append(rule_event("OVS1", "r1"))
+    log.append(delete_event("OVS1", "r1"))
+    first, second = log.to_jsonl().splitlines()
+    bad = MALFORMED_LINES[case](json.loads(second))
+    text = "\n".join([first, bad if isinstance(bad, str) else json.dumps(bad)]) + "\n"
+    with pytest.raises(ValueError, match="^activity log line 2: "):
+        ActivityLog.from_jsonl(text)
 
 
 class TestReplayEquivalence:
