@@ -66,11 +66,12 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write_manifest(out: Path, command: str, args_dict: dict, seed: int) -> None:
+def _write_manifest(out: Path, args) -> None:
+    """Record the command, its seed and every other option it was given."""
     manifest = {
-        "command": command,
-        "args": args_dict,
-        "seed": seed,
+        "command": args.command,
+        "args": {k: v for k, v in vars(args).items() if k not in ("fn", "command", "seed", "out")},
+        "seed": args.seed,
         "out": str(out),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
@@ -111,17 +112,7 @@ def cmd_run(args) -> int:
     report = run_scenario(args.scenario, config=config, seed=args.seed)
     out = _out_dir(args)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    _write_manifest(
-        out, "run",
-        {
-            "scenario": args.scenario,
-            "topology": args.topology,
-            "policies": args.policies,
-            "signatures": args.signatures,
-            "scenario_config": args.scenario_config,
-        },
-        args.seed,
-    )
+    _write_manifest(out, args)
     events = list(report.alerts) + list(report.details.get("admin_alerts", []))
     _emit_events(out, events, args.verbose)
     print(f"{args.scenario}: {'PASS' if report.verdict else 'FAIL'} "
@@ -158,11 +149,7 @@ def cmd_bench(args) -> int:
         )
     (out / "bench.json").write_text(report.to_json(), encoding="utf-8")
     (out / "bench.csv").write_text(report.to_csv(), encoding="utf-8")
-    _write_manifest(
-        out, "bench",
-        {k: getattr(args, k, None) for k in ("kind", "sizes", "counts", "security", "runs", "packets")},
-        args.seed,
-    )
+    _write_manifest(out, args)
     print(f"bench {args.kind}: {len(report.entries)} rows written to {out / 'bench.csv'}")
     return EXIT_OK
 
@@ -230,12 +217,7 @@ def cmd_ml(args) -> int:
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     (out / "roc.csv").write_text(metrics.roc_csv(), encoding="utf-8")
-    _write_manifest(
-        out, "ml",
-        {k: getattr(args, k, None)
-         for k in ("dataset", "synthetic", "classifier", "select", "bins", "rows", "test_fraction")},
-        args.seed,
-    )
+    _write_manifest(out, args)
     print(f"ml {args.classifier}: accuracy={metrics.accuracy:.3f} "
           f"tpr={metrics.tpr} fpr={metrics.fpr} (metrics={out / 'metrics.json'})")
     return EXIT_OK
@@ -246,7 +228,7 @@ def cmd_ml(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_audit(args) -> int:
-    world = build_world(
+    manager = build_world(
         {
             "topology": _read_json(args.topology, "topology") if args.topology else None,
             "policies": _read_json(args.policies, "policies") if args.policies else None,
@@ -254,12 +236,11 @@ def cmd_audit(args) -> int:
         },
         args.seed,
     )
-    manager = world.manager
-    if args.node not in world.fabric.nodes:
+    if args.node not in manager.fabric.nodes:
         raise ConfigError(f"node {args.node!r} is not in the topology")
     # The diff shows the switch as observed, before the audit restores it.
     trusted = manager.log.expected_switch_state(args.node)
-    observed = report_flow_rules(world.fabric, args.node)
+    observed = report_flow_rules(manager.fabric, args.node)
     result = manager.audit_now(args.node)
     out = _out_dir(args)
     (out / "audit.json").write_text(
@@ -269,8 +250,7 @@ def cmd_audit(args) -> int:
         render_audit_diff(trusted, observed) + "\n", encoding="utf-8"
     )
     manager.log.save(out / "activity.jsonl")
-    _write_manifest(out, "audit", {"node": args.node, "topology": args.topology,
-                                   "policies": args.policies}, args.seed)
+    _write_manifest(out, args)
     _emit_events(out, manager.admin_alerts, args.verbose)
     print(f"audit {args.node}: {'clean' if result.clean else 'MISMATCH'} "
           f"(extra={len(result.extra_rules)}, missing={len(result.missing_rules)})")

@@ -33,7 +33,6 @@ from .fabric import (
     Provenance,
     PuntEvent,
     SwitchStateReport,
-    TraceEvent,
     apply_flow_mod,
     measure_attestation,
     report_flow_rules,
@@ -153,16 +152,10 @@ class IngressProcessor:
 
     def process(self, packet: Packet) -> IngressDecision:
         verdict, result, cost = self.screen(packet)
-        events = [TraceEvent(kind="slice-access", node=self.node, time_ms=packet.virtual_timestamp,
-                             detail={"verdict": verdict.value, "device": packet.src_mac})]
         if result is None:
-            return IngressDecision(allow=False, reason=verdict.value, events=events, cost_us=cost)
-        events.append(TraceEvent(kind="flow-validation", node=self.node,
-                                 time_ms=packet.virtual_timestamp,
-                                 detail={"drop_reason": result.drop_reason,
-                                         "signatures_scanned": result.signatures_scanned}))
+            return IngressDecision(allow=False, reason=verdict.value, cost_us=cost)
         return IngressDecision(allow=result.drop_reason is None, reason=result.drop_reason,
-                               events=events, cost_us=cost)
+                               cost_us=cost)
 
 
 class SecurityManager:
@@ -382,8 +375,6 @@ class SecurityManager:
                 extraction_performed=extraction, cost_us=cost,
             )
         if result.drop_reason is not None:
-            # Unlike the datapath, flow setup logs a validation drop as a denial.
-            self.log_access_denied(punt.node, device, flow_id, result.drop_reason)
             return FlowDecision(
                 flow_id=flow_id, verdict="deny-validation",
                 extraction_performed=extraction, cost_us=cost, error=result.drop_reason,

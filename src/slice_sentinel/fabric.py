@@ -380,21 +380,21 @@ Outcome = Union[Delivered, Dropped, Punted]
 
 
 @dataclass(frozen=True)
-class TraceEvent:
-    kind: str  # "slice-access" | "flow-validation" | "encrypt" | "decrypt" | "link" | "punt"
+class LinkHop:
+    """One link a packet crossed: from ``node`` to ``to`` on ``slice_id``,
+    carrying ``payload`` (an envelope when ``encrypted``)."""
+
     node: str
-    time_ms: int
-    detail: dict = field(default_factory=dict)
-    payload: Optional[bytes] = None
+    to: str
+    slice_id: Optional[int]
+    encrypted: bool
+    payload: bytes
 
 
 @dataclass
 class ForwardingTrace:
-    events: list[TraceEvent]
+    events: list[LinkHop]
     outcome: Outcome
-
-    def link_events(self) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == "link"]
 
 
 @dataclass(frozen=True)
@@ -402,20 +402,14 @@ class PuntEvent:
     node: str
     port: int
     header: PacketHeader
-    time_ms: int
 
 
 @dataclass
 class IngressDecision:
-    """What an ingress security processor tells the datapath.
-
-    ``events`` are appended to the forwarding trace in order, so the
-    processor's internal pipeline ordering is observable.
-    """
+    """What an ingress security processor tells the datapath."""
 
     allow: bool
     reason: Optional[str] = None
-    events: list[TraceEvent] = field(default_factory=list)
     cost_us: int = 0
 
 
@@ -660,8 +654,6 @@ def _apply_ciphers(
     payload: bytes,
     encrypted: bool,
     next_is_host: bool,
-    time_ms: int,
-    events: list[TraceEvent],
 ) -> tuple[Optional[bytes], bool]:
     """Run the node's cipher for this flow, if any, on the outgoing payload.
 
@@ -672,27 +664,15 @@ def _apply_ciphers(
         return payload, encrypted
     mode, cipher = entry
     if mode == "encrypt" and not encrypted:
-        envelope = cipher.encrypt(payload)
-        payload = envelope.to_bytes()
-        events.append(
-            TraceEvent(kind="encrypt", node=node_id, time_ms=time_ms,
-                       detail={"flow_id": flow_id, "key_id": envelope.key_id})
-        )
-        encrypted = True
-    elif mode == "decrypt" and encrypted and next_is_host:
+        return cipher.encrypt(payload).to_bytes(), True
+    if mode == "decrypt" and encrypted and next_is_host:
         # local import: avoid cycle
         from .security_functions import AuthenticationError, CipherEnvelope
 
         try:
-            envelope = CipherEnvelope.from_bytes(payload)
-            payload = cipher.decrypt(envelope)
+            return cipher.decrypt(CipherEnvelope.from_bytes(payload)), False
         except AuthenticationError:
             return None, encrypted
-        events.append(
-            TraceEvent(kind="decrypt", node=node_id, time_ms=time_ms,
-                       detail={"flow_id": flow_id, "key_id": envelope.key_id})
-        )
-        encrypted = False
     return payload, encrypted
 
 
@@ -701,24 +681,22 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
 
     The ingress node's security processor (if deployed) runs before table
     lookup.  A punt emits a controller event carrying only the packet header.
+    The trace holds the link hops the packet crossed, in order.
     """
-    node_id, _port = ingress
+    node_id, port = ingress
     fabric.node(node_id)
     work = Packet(packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac, packet.payload,
                   packet.flow_id, packet.slice_id, packet.virtual_timestamp)
-    events: list[TraceEvent] = []
+    hops: list[LinkHop] = []
     encrypted = False
 
     processor = fabric.ingress_processors.get(node_id)
     if processor is not None:
         decision: IngressDecision = processor.process(work)
-        events.extend(decision.events)
         work.virtual_timestamp += decision.cost_us // 1000
         if not decision.allow:
             fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
-            return ForwardingTrace(
-                events=events, outcome=Dropped(node=node_id, reason=decision.reason or "denied")
-            )
+            return ForwardingTrace(hops, Dropped(node=node_id, reason=decision.reason))
 
     at = node_id
     for _hop in range(MAX_HOPS):
@@ -728,10 +706,7 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
             outcome = Dropped(node=at, reason="no-matching-rule")
             break
         if isinstance(rule.action, PuntToController):
-            punt = PuntEvent(node=at, port=_port, header=work.header(), time_ms=work.virtual_timestamp)
-            fabric.punt_events.append(punt)
-            events.append(TraceEvent(kind="punt", node=at, time_ms=work.virtual_timestamp,
-                                     detail={"flow_id": work.flow_id}))
+            fabric.punt_events.append(PuntEvent(node=at, port=port, header=work.header()))
             outcome = Punted(node=at)
             break
         if isinstance(rule.action, Drop):
@@ -744,28 +719,18 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
         if link is None:
             outcome = Dropped(node=at, reason="dead-port")
             break
-        peer_id, peer_port, latency = link
+        peer_id, _peer_port, latency = link
         peer = fabric.nodes[peer_id]
         payload, encrypted = _apply_ciphers(
             fabric, at, work.flow_id, work.payload, encrypted,
             next_is_host=(peer.kind == NodeKind.HOST),
-            time_ms=work.virtual_timestamp, events=events,
         )
         if payload is None:
             outcome = Dropped(node=at, reason="auth-failed")
             break
         work.payload = payload
         work.virtual_timestamp += latency
-        events.append(
-            TraceEvent(
-                kind="link",
-                node=at,
-                time_ms=work.virtual_timestamp,
-                detail={"to": peer_id, "port": rule.action.port, "peer_port": peer_port,
-                        "slice_id": work.slice_id, "encrypted": encrypted},
-                payload=work.payload,
-            )
-        )
+        hops.append(LinkHop(at, peer_id, work.slice_id, encrypted, payload))
         if peer.kind == NodeKind.HOST:
             if work.slice_id is not None and peer_id not in fabric.slices.get(work.slice_id, ()):
                 outcome = Dropped(node=at, reason="slice-violation")
@@ -777,4 +742,4 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
         outcome = Dropped(node=at, reason="hop-limit")
 
     fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
-    return ForwardingTrace(events, outcome)
+    return ForwardingTrace(hops, outcome)

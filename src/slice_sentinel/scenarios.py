@@ -22,7 +22,6 @@ from .controller import ManagerConfig, SecurityManager
 from .fabric import (
     Delivered,
     Dropped,
-    Fabric,
     FlowMod,
     FlowRule,
     FlowKey,
@@ -124,14 +123,9 @@ class BenchReport:
 # World and traffic driving
 # ---------------------------------------------------------------------------
 
-@dataclass
-class World:
-    fabric: Fabric
-    repository: pol.PolicyRepository
-    manager: SecurityManager
-
-
-def build_world(config: dict, seed: int) -> World:
+def build_world(config: dict, seed: int) -> SecurityManager:
+    """The security manager over the configured (or bundled) topology,
+    policies and signatures; its ``fabric`` is the world's network."""
     topology = config.get("topology") or load_default_config("topology.json")
     policies = config.get("policies")
     if policies is None:
@@ -140,18 +134,17 @@ def build_world(config: dict, seed: int) -> World:
     if raw_signatures is None:
         raw_signatures = load_default_config("signatures.json")
     signatures = sf.parse_signatures(raw_signatures)
-    fabric = build_topology(topology)
-    repo = pol.load_policies(policies)
-    manager = SecurityManager(fabric, repo, signatures=signatures, seed=seed)
-    return World(fabric=fabric, repository=repo, manager=manager)
+    return SecurityManager(
+        build_topology(topology), pol.load_policies(policies), signatures=signatures, seed=seed
+    )
 
 
 class TrafficDriver:
     """Injects packets, relays punts to the manager, re-injects once, and
     keeps per-stream outcome accounting."""
 
-    def __init__(self, world: World, blacklist_feedback: bool = True) -> None:
-        self.world = world
+    def __init__(self, manager: SecurityManager, blacklist_feedback: bool = True) -> None:
+        self.manager = manager
         self.feedback = blacklist_feedback
         self.counts: dict[str, dict] = {}
         self.outcomes: list[dict] = []
@@ -168,8 +161,8 @@ class TrafficDriver:
         )
 
     def _drain_controller(self) -> None:
-        manager = self.world.manager
-        fabric = self.world.fabric
+        manager = self.manager
+        fabric = manager.fabric
         while fabric.punt_events:
             punt = fabric.punt_events.popleft()
             decision = manager.new_flow(punt)
@@ -185,7 +178,7 @@ class TrafficDriver:
         manager.pending_alerts.clear()
 
     def send(self, packet: Packet, ingress: tuple[str, int], stream: str):
-        fabric = self.world.fabric
+        fabric = self.manager.fabric
         self._sequence += 1
         bucket = self._bucket(stream)
         bucket["injected"] += 1
@@ -225,7 +218,7 @@ class TrafficDriver:
                 totals[key] += bucket[key]
         spread = totals["delivered"] + totals["dropped_at_entry"] + totals["dropped_in_slice"]
         assert totals["injected"] == spread, "packet accounting identity violated"
-        assert not self.world.fabric.punt_events, "packets still in flight"
+        assert not self.manager.fabric.punt_events, "packets still in flight"
         return totals
 
     def stream_counts(self) -> dict:
@@ -364,14 +357,12 @@ def _scenario_attack2(config: dict, seed: int) -> ScenarioReport:
 
 def _scenario_attack3(config: dict, seed: int) -> ScenarioReport:
     tampered = set(config.get("tampered_hosts", ["SVC3"]))
-    world = build_world(config, seed)
+    manager = build_world(config, seed)
+    fabric = manager.fabric
     for node_id in tampered:
-        world.fabric.set_tampered(node_id, True)
-    manager = world.manager
+        fabric.set_tampered(node_id, True)
 
-    hosts = sorted(
-        n.node_id for n in world.fabric.nodes.values() if n.kind.value == "host"
-    )
+    hosts = sorted(n.node_id for n in fabric.nodes.values() if n.kind.value == "host")
     results = {}
     for host in hosts:
         outcome = manager.deploy_service_gated(host, f"service@{host}")
@@ -382,9 +373,9 @@ def _scenario_attack3(config: dict, seed: int) -> ScenarioReport:
 
     # Replay: an old report never satisfies a fresh challenge.
     probe = hosts[0]
-    old_report = measure_attestation(world.fabric, probe, b"\x01" * 16)
+    old_report = measure_attestation(fabric, probe, b"\x01" * 16)
     replay_verdict = sf.validate_attestation(
-        world.fabric.nodes[probe].expected_hash, old_report, b"\x02" * 16
+        fabric.nodes[probe].expected_hash, old_report, b"\x02" * 16
     )
 
     verdict = (
@@ -414,9 +405,9 @@ def _scenario_attack4(config: dict, seed: int) -> ScenarioReport:
     topo = config.get("topology") or load_default_config("topology_handover.json")
     config = {**config, "topology": topo}
     n_post = int(config.get("post_handover_packets", 20))
-    world = build_world(config, seed)
-    fabric, manager = world.fabric, world.manager
-    driver = TrafficDriver(world)
+    manager = build_world(config, seed)
+    fabric = manager.fabric
+    driver = TrafficDriver(manager)
 
     def ue1(i: int, t: int) -> Packet:
         return _ue_packet(1, f"stream-{i}".encode(), "flow-ue1", t)
@@ -476,8 +467,8 @@ def _scenario_shellshock(config: dict, seed: int) -> ScenarioReport:
         return _ue_packet(1, SHELLSHOCK_EXPLOIT, "flow-exploit", t)
 
     # Arm A: the configured signature set is live.
-    world = build_world(config, seed)
-    driver = TrafficDriver(world)
+    manager = build_world(config, seed)
+    driver = TrafficDriver(manager)
     n_exploit = int(config.get("exploit_packets", 5))
     for i, t in enumerate(_schedule(10, n_exploit)):
         driver.send(exploit(i, t), ("OVS1", 1), "exploit")
@@ -485,13 +476,12 @@ def _scenario_shellshock(config: dict, seed: int) -> ScenarioReport:
     signature_drops = armed["reasons"].get("signature:sig-shellshock", 0)
 
     # Arm B: identical run with an empty signature set; the payload sails through.
-    control_world = build_world({**config, "signatures": []}, seed)
-    control_driver = TrafficDriver(control_world)
+    control_driver = TrafficDriver(build_world({**config, "signatures": []}, seed))
     for i, t in enumerate(_schedule(10, n_exploit)):
         control_driver.send(exploit(i, t), ("OVS1", 1), "exploit")
     control = control_driver.counts["exploit"]
 
-    isolated = UE_MACS[1] in world.manager.global_blacklist
+    isolated = UE_MACS[1] in manager.global_blacklist
     verdict = (
         armed["delivered"] == 0
         and signature_drops >= 1
@@ -507,9 +497,9 @@ def _scenario_shellshock(config: dict, seed: int) -> ScenarioReport:
 
 
 def _scenario_flowmod_audit(config: dict, seed: int) -> ScenarioReport:
-    world = build_world(config, seed)
-    fabric, manager = world.fabric, world.manager
-    driver = TrafficDriver(world)
+    manager = build_world(config, seed)
+    fabric = manager.fabric
+    driver = TrafficDriver(manager)
     for i, t in enumerate(_schedule(10, 5)):
         driver.send(_benign_factory(seed)(i, t), ("OVS1", 1), "benign")
 
@@ -542,9 +532,9 @@ def _scenario_flowmod_audit(config: dict, seed: int) -> ScenarioReport:
 
 
 def _scenario_fsf_path(config: dict, seed: int) -> ScenarioReport:
-    world = build_world(config, seed)
-    fabric, manager = world.fabric, world.manager
-    driver = TrafficDriver(world)
+    manager = build_world(config, seed)
+    fabric = manager.fabric
+    driver = TrafficDriver(manager)
 
     plaintexts = [f"meter-reading-{seed}-{i}".encode() for i in range(int(config.get("packets", 10)))]
 
@@ -558,13 +548,11 @@ def _scenario_fsf_path(config: dict, seed: int) -> ScenarioReport:
     delivered_intact = True
     for i in range(1, len(plaintexts)):
         trace = driver.send(secured(i, i * 10), ("OVS1", 2), "secured")
-        links = trace.link_events()
-        for event in links:
-            between = event.node == "OVS1" and event.detail["to"] == "CORE1"
-            if between:
-                if plaintexts[i] in event.payload or not event.detail["encrypted"]:
+        for hop in trace.events:
+            if hop.node == "OVS1" and hop.to == "CORE1":
+                if plaintexts[i] in hop.payload or not hop.encrypted:
                     mid_clean = False
-            if event.detail["to"] == "SVC2" and event.payload != plaintexts[i]:
+            if hop.to == "SVC2" and hop.payload != plaintexts[i]:
                 delivered_intact = False
         if not isinstance(trace.outcome, Delivered):
             delivered_intact = False
@@ -667,11 +655,12 @@ def _flow_setup_run(n: int, security_on: bool, run_seed: int) -> list[float]:
     for punt in punts:
         decision = manager.new_flow(punt)
         service_us = decision.cost_us - one_way_us + jitter.randint(0, FLOW_SETUP_JITTER_US)
-        arrival_us = punt.time_ms * 1000 + one_way_us
+        punted_us = punt.header.virtual_timestamp * 1000
+        arrival_us = punted_us + one_way_us
         start_us = max(arrival_us, available_us)
         completion_us = start_us + service_us
         available_us = completion_us
-        setups_ms.append((completion_us + one_way_us - punt.time_ms * 1000) / 1000.0)
+        setups_ms.append((completion_us + one_way_us - punted_us) / 1000.0)
     return setups_ms
 
 

@@ -15,6 +15,9 @@ only written, or read only by tests, fails here.
 The checks are name-level.  A field whose name is read on another class
 passes even if it is write-only: ``SliceAccessState.node`` was never read,
 yet ``.node`` is read on many other classes, so only a review catches it.
+``TraceEvent.time_ms`` (a forwarding-trace field, hidden by ``alert.time_ms``)
+and ``World.repository`` (hidden by ``manager.repository``) were write-only
+fields of the same kind.
 """
 
 import ast

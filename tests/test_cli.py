@@ -162,6 +162,16 @@ class TestMlCommand:
         payload = read_json(tmp_path / "m" / "metrics.json")
         assert payload["metrics"]["accuracy"] >= 95.0
 
+    def test_manifest_records_the_tree_depth(self, tmp_path):
+        out = tmp_path / "m"
+        code = main(["ml", "--synthetic", "--classifier", "dt", "--max-depth", "3",
+                     "--rows", "400", "--out", str(out)])
+        assert code == 0
+        manifest = read_json(out / "manifest.json")
+        assert manifest["command"] == "ml"
+        assert manifest["args"]["classifier"] == "dt"
+        assert manifest["args"]["max_depth"] == 3
+
     def test_unknown_classifier_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["ml", "--classifier", "unknownX", "--out", str(tmp_path)])
@@ -208,10 +218,10 @@ class TestAuditCommand:
 
     def test_diff_shows_the_observed_table_before_the_restore(self, tmp_path, monkeypatch, capsys):
         def tampered_world(config, seed):
-            world = build_world(config, seed)
+            manager = build_world(config, seed)
             injected = FlowRule("atk-cli", FlowKey(src_ip="10.0.0.66"), Drop(), priority=77)
-            apply_flow_mod(world.fabric, "OVS1", FlowMod.add(injected), Provenance.EXTERNAL)
-            return world
+            apply_flow_mod(manager.fabric, "OVS1", FlowMod.add(injected), Provenance.EXTERNAL)
+            return manager
 
         monkeypatch.setattr(cli, "build_world", tampered_world)
         out = tmp_path / "a"
@@ -225,10 +235,10 @@ class TestAuditCommand:
 
     def test_activity_log_is_exported_next_to_the_report(self, tmp_path, monkeypatch, capsys):
         def tampered_world(config, seed):
-            world = build_world(config, seed)
+            manager = build_world(config, seed)
             injected = FlowRule("atk-cli", FlowKey(src_ip="10.0.0.66"), Drop(), priority=77)
-            apply_flow_mod(world.fabric, "OVS1", FlowMod.add(injected), Provenance.EXTERNAL)
-            return world
+            apply_flow_mod(manager.fabric, "OVS1", FlowMod.add(injected), Provenance.EXTERNAL)
+            return manager
 
         monkeypatch.setattr(cli, "build_world", tampered_world)
         out = tmp_path / "a"

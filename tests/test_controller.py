@@ -23,6 +23,8 @@ from slice_sentinel.fabric import (
     report_flow_rules,
 )
 from slice_sentinel.policy import (
+    EV_ALERT_RAISED,
+    EV_FUNCTIONS_DEPLOYED,
     EV_PROFILE_EXTRACTED,
     EV_SERVICE_DEPLOYED,
     LogEntry,
@@ -450,14 +452,22 @@ def test_flow_setup_and_datapath_screen_a_header_alike(
     packet = Packet(src_ip=src_ip, dst_ip=dst_ip, src_mac=device, dst_mac="00:09:00:BB",
                     payload=b"data", flow_id=flow)
     assert isinstance(inject_packet(fabric, packet, ("OVS1", port)).outcome, Punted)
+    logged = len(manager.log)
     decision = manager.new_flow(fabric.punt_events.popleft())
+    setup_logged = [e["type"] for e in manager.log.events()[logged:]
+                    if e["type"] not in (EV_PROFILE_EXTRACTED, EV_FUNCTIONS_DEPLOYED)]
+    logged = len(manager.log)
     ingress = fabric.ingress_processors["OVS1"].process(packet)
+    datapath_logged = [e["type"] for e in manager.log.events()[logged:]]
 
     setup_denied = decision.verdict.startswith("deny-")
     assert setup_denied == (not ingress.allow) == (expected is not None)
     if setup_denied:
         reason = decision.error if decision.verdict == "deny-validation" else decision.verdict
         assert reason == ingress.reason == expected
+    if decision.verdict == "deny-validation":
+        # A validation drop is logged as its alert alone, by either path.
+        assert setup_logged == datapath_logged == [EV_ALERT_RAISED]
 
 
 class TestProvisionSecurity:
@@ -471,9 +481,9 @@ class TestProvisionSecurity:
         # end-to-end delivery still yields the original payload
         trace = inject_packet(fabric, ue_packet(2, "10.0.0.7", "f-ue2", payload=b"ledger"), ("OVS1", 2))
         assert trace.outcome == Delivered(host="SVC2")
-        mid = [e for e in trace.link_events() if e.detail["to"] == "CORE1"]
-        assert all(b"ledger" not in e.payload for e in mid)
-        final = [e for e in trace.link_events() if e.detail["to"] == "SVC2"]
+        mid = [hop for hop in trace.events if hop.to == "CORE1"]
+        assert all(b"ledger" not in hop.payload for hop in mid)
+        final = [hop for hop in trace.events if hop.to == "SVC2"]
         assert final[0].payload == b"ledger"
 
     def test_flow_without_confidentiality_is_a_precondition_violation(self, world):
@@ -520,7 +530,7 @@ class TestSliceAccessCompleteness:
                     deliveries.append((packet.src_mac, trace))
         assert deliveries  # the authorized flows did get through
         for device, trace in deliveries:
-            slices_seen = {e.detail["slice_id"] for e in trace.link_events()}
+            slices_seen = {hop.slice_id for hop in trace.events}
             for slice_id in slices_seen:
                 assert (device, slice_id) in allowed or slice_id == 4094, (
                     device, slice_id,
@@ -528,10 +538,29 @@ class TestSliceAccessCompleteness:
 
 
 class TestPipelineOrdering:
-    def test_security_events_precede_encryption_on_the_trace(self, world):
+    """Access control and flow validation judge the plaintext at the ingress
+    edge; encryption runs only on a packet they admit, as it leaves."""
+
+    @pytest.fixture
+    def confidential_world(self, world):
         fabric, repo, manager = world
         drive(fabric, manager, ue_packet(2, "10.0.0.7", "f-ue2"), ("OVS1", 2))
         manager.provision_security("f-ue2")
-        trace = inject_packet(fabric, ue_packet(2, "10.0.0.7", "f-ue2", payload=b"x"), ("OVS1", 2))
-        kinds = [e.kind for e in trace.events]
-        assert kinds.index("slice-access") < kinds.index("flow-validation") < kinds.index("encrypt")
+        return fabric
+
+    def test_validation_sees_the_plaintext_before_any_cipher(self, confidential_world):
+        exploit = b"User-Agent: () { :;}; /bin/sh"
+        trace = inject_packet(
+            confidential_world, ue_packet(2, "10.0.0.7", "f-ue2", payload=exploit), ("OVS1", 2)
+        )
+        assert trace.outcome == Dropped(node="OVS1", reason="signature:sig-shellshock")
+        assert trace.events == []
+
+    def test_an_admitted_packet_leaves_the_edge_encrypted(self, confidential_world):
+        trace = inject_packet(
+            confidential_world, ue_packet(2, "10.0.0.7", "f-ue2", payload=b"ledger"), ("OVS1", 2)
+        )
+        assert trace.outcome == Delivered(host="SVC2")
+        [hop] = [hop for hop in trace.events if (hop.node, hop.to) == ("OVS1", "CORE1")]
+        assert hop.encrypted
+        assert b"ledger" not in hop.payload

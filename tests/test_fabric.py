@@ -162,9 +162,8 @@ class TestInjectPacket:
         )
         trace = inject_packet(fabric, ue_packet(), ingress=("OVS1", 1))
         assert trace.outcome == Delivered(host="SVC1")
-        links = trace.link_events()
-        assert len(links) == 2
-        assert all(e.detail["slice_id"] == 200 for e in links)
+        assert len(trace.events) == 2
+        assert all(hop.slice_id == 200 for hop in trace.events)
 
     def test_drop_rule_stops_packet_with_no_downstream_hops(self):
         fabric = build_topology(small_topology())
@@ -174,7 +173,7 @@ class TestInjectPacket:
         )
         trace = inject_packet(fabric, ue_packet(), ingress=("OVS1", 1))
         assert trace.outcome == Dropped(node="OVS1", reason="drop-rule:deny")
-        assert trace.link_events() == []
+        assert trace.events == []
 
     def test_unknown_ingress_node_raises(self):
         fabric = build_topology(small_topology())

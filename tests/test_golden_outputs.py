@@ -38,20 +38,20 @@ def test_scenario_and_bench_reports_match_golden_hash():
 
 
 def test_activity_log_jsonl_matches_golden_hash(monkeypatch):
-    worlds = []
+    managers = []
 
     def recording_build_world(config, seed):
-        worlds.append(build_world(config, seed))
-        return worlds[-1]
+        managers.append(build_world(config, seed))
+        return managers[-1]
 
     monkeypatch.setattr(scenarios, "build_world", recording_build_world)
     digest = hashlib.sha256()
     for scenario_id in SCENARIO_IDS:
-        worlds.clear()
+        managers.clear()
         run_scenario(scenario_id, seed=0)
-        assert worlds, scenario_id
-        for world in worlds:
-            digest.update(world.manager.log.to_jsonl().encode())
+        assert managers, scenario_id
+        for manager in managers:
+            digest.update(manager.log.to_jsonl().encode())
     assert digest.hexdigest() == ACTIVITY_LOGS_SHA256
 
 
