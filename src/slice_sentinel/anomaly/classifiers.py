@@ -12,6 +12,16 @@ import numpy as np
 from .base import check_features_labels, check_fitted, check_matrix
 
 
+def _row_values(row, n_features: int) -> list:
+    """One feature row as a list of Python scalars.  A list is taken as it
+    stands (it must be flat); anything else is flattened through numpy, so a
+    tuple, a 1-D row and a ``(1, n)`` array all give the same values."""
+    values = row if type(row) is list else np.asarray(row).reshape(-1).tolist()
+    if len(values) != n_features:
+        raise ValueError(f"expected {n_features} features, got {len(values)}")
+    return values
+
+
 def _normalize(log_post: np.ndarray) -> np.ndarray:
     """Posterior from log posterior(s), normalized along the last axis."""
     log_post -= log_post.max(axis=-1, keepdims=True)
@@ -31,6 +41,12 @@ class NaiveBayesClassifier:
     count is zero, so it keeps the numerator of one and prediction stays
     total.  Predicting only looks rows up and adds them, in feature order, onto
     the log prior.
+
+    ``predict_one`` reads the same table rows as plain floats: ``_terms_[j]``
+    maps each category of feature ``j`` to its row's ``(class 0, class 1)``
+    terms and sits beside the unseen-category row.  Adding floats onto the two
+    prior floats is the same IEEE adds in the same order as adding table rows
+    onto the prior array, so both paths give the same bits.
     """
 
     def fit(self, X, y) -> "NaiveBayesClassifier":
@@ -45,32 +61,39 @@ class NaiveBayesClassifier:
         class_sizes = class_counts.tolist()
         self.categories_: list[np.ndarray] = []
         self.log_likelihood_: list[np.ndarray] = []
-        self._row_of_: list[dict] = []
+        self._terms_: list[tuple[dict, tuple[float, float]]] = []
         for j in range(self.n_features_):
             categories, inverse = np.unique(X[:, j], return_inverse=True)
             v = len(categories)
             counts = np.bincount(inverse * 2 + y, minlength=2 * v).reshape(v, 2).tolist()
             counts.append([0, 0])  # the unseen category
             # math.log, not np.log: each term is the float the per-row loop made.
-            self.log_likelihood_.append(np.array(
-                [[math.log((c + 1.0) / (n + v)) for c, n in zip(row, class_sizes)]
-                 for row in counts]
-            ))
+            table = [[math.log((c + 1.0) / (n + v)) for c, n in zip(row, class_sizes)]
+                     for row in counts]
+            self.log_likelihood_.append(np.array(table))
             self.categories_.append(categories)
-            self._row_of_.append({c: i for i, c in enumerate(categories.tolist())})
+            self._terms_.append(
+                (dict(zip(categories.tolist(), map(tuple, table[:-1]))), tuple(table[-1]))
+            )
+        self._prior_terms = tuple(self.log_prior_.tolist())
         return self
 
     def predict_one(self, row) -> tuple[int, np.ndarray]:
         """Label plus the normalized posterior over both classes."""
         check_fitted(self, "classes_")
-        row = np.asarray(row).reshape(-1)
-        if row.shape[0] != self.n_features_:
-            raise ValueError(f"expected {self.n_features_} features, got {row.shape[0]}")
-        log_post = self.log_prior_.copy()
-        for value, row_of, table in zip(row.tolist(), self._row_of_, self.log_likelihood_):
-            log_post += table[row_of.get(value, -1)]
-        posterior = _normalize(log_post)
-        return int(self.classes_[int(np.argmax(posterior))]), posterior
+        log0, log1 = self._prior_terms
+        for value, (terms, unseen) in zip(_row_values(row, self.n_features_), self._terms_):
+            term0, term1 = terms.get(value, unseen)
+            log0 += term0
+            log1 += term1
+        # _normalize's steps on two floats: one np.exp, as math.exp can round
+        # differently; labels are their own class index, and a tie goes to 0
+        # as np.argmax breaks it.
+        top = log0 if log0 >= log1 else log1
+        exp0, exp1 = np.exp((log0 - top, log1 - top)).tolist()
+        total = exp0 + exp1
+        post0, post1 = exp0 / total, exp1 / total
+        return (1 if post1 > post0 else 0), np.array((post0, post1))
 
     def predict(self, X) -> np.ndarray:
         """Labels of every row; each is the label ``predict_one`` gives it."""
@@ -185,12 +208,10 @@ class DecisionTree:
 
     def predict_one(self, row) -> int:
         check_fitted(self, "root_")
-        row = np.asarray(row).reshape(-1)
+        values = _row_values(row, self.n_features_)
         node = self.root_
-        while isinstance(node, _Split):
-            value = row[node.feature]
-            key = value.item() if hasattr(value, "item") else value
-            child = node.branches.get(key)
+        while type(node) is _Split:
+            child = node.branches.get(values[node.feature])
             if child is None:
                 return node.majority  # unseen branch value
             node = child

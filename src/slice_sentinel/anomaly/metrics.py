@@ -3,6 +3,12 @@
 Rates follow the usual conventions: tpr + fnr = 100 and tnr + fpr = 100 as
 percentages whenever both classes appear in the test set; rates whose class
 is absent are reported as ``None``, never as zero.
+
+``evaluate`` calls its predictor exactly once per test row, in row order,
+with the row as a flat list of Python scalars.  Each call returns a label in
+{0, 1}, either bare or as a ``(label, posterior)`` pair whose last entry is
+the attack score; any other label is a ``ValueError``.  The ROC sweep (and
+so ``auc``) is computed only when every call returned a posterior.
 """
 
 from __future__ import annotations
@@ -98,32 +104,31 @@ def auc_from_points(points: list[tuple[float, float]]) -> Optional[float]:
 
 
 def evaluate(predict_fn: Callable, test_set: Dataset) -> EvalMetrics:
-    """Score a classifier over a test set.
-
-    ``predict_fn`` takes one feature row and returns either a bare label or a
-    (label, posterior) pair; posteriors enable the ROC sweep.
-    """
+    """Score a classifier over a test set (see the module docstring for what
+    ``predict_fn`` is given and must return)."""
     if test_set.n_rows == 0:
         raise ValueError("test set is empty")
     labels = test_set.labels
-    tp = tn = fp = fn = 0
-    scores: list[Optional[float]] = []
-    for row, truth in zip(test_set.features, labels):
+    predicted: list = []
+    scores: list[float] = []
+    for row in test_set.features.tolist():
         out = predict_fn(row)
         if isinstance(out, tuple):
             label, posterior = out
-            posterior = np.asarray(posterior).reshape(-1)
-            scores.append(float(posterior[-1]) if posterior.size >= 2 else float(posterior[0]))
+            if type(posterior) is not np.ndarray or posterior.ndim != 1:
+                posterior = np.asarray(posterior).reshape(-1)
+            scores.append(float(posterior[-1]))
         else:
             label = out
-            scores.append(None)
-        label = int(label)
-        if truth == 1:
-            tp += label == 1
-            fn += label == 0
-        else:
-            tn += label == 0
-            fp += label == 1
+        predicted.append(label)
+
+    predicted_arr = np.array(predicted)
+    bad = np.flatnonzero((predicted_arr != 0) & (predicted_arr != 1))
+    if bad.size:
+        first = int(bad[0])
+        raise ValueError(f"row {first}: predicted label {predicted[first]!r} is not 0 or 1")
+    # Cell truth * 2 + predicted: 0 = tn, 1 = fp, 2 = fn, 3 = tp.
+    tn, fp, fn, tp = np.bincount(labels * 2 + predicted_arr.astype(int), minlength=4).tolist()
 
     positives = tp + fn
     negatives = tn + fp
@@ -136,7 +141,7 @@ def evaluate(predict_fn: Callable, test_set: Dataset) -> EvalMetrics:
 
     roc: list[tuple[float, float]] = []
     auc: Optional[float] = None
-    if all(s is not None for s in scores) and positives and negatives:
+    if len(scores) == len(predicted) and positives and negatives:
         roc = roc_points(np.array(scores, dtype=float), labels)
         auc = auc_from_points(roc)
 

@@ -193,7 +193,6 @@ class TrafficDriver:
         if isinstance(outcome, Delivered):
             bucket["delivered"] += 1
             category = "delivered"
-            reason = None
         elif isinstance(outcome, Dropped):
             entry = outcome.node == ingress[0]
             category = "dropped_at_entry" if entry else "dropped_in_slice"
@@ -205,10 +204,7 @@ class TrafficDriver:
             category = "dropped_at_entry"
             reason = "unresolved-punt"
             bucket["reasons"][reason] = bucket["reasons"].get(reason, 0) + 1
-        self.outcomes.append(
-            {"seq": self._sequence, "stream": stream, "category": category,
-             "reason": reason, "time_ms": packet.virtual_timestamp}
-        )
+        self.outcomes.append({"seq": self._sequence, "stream": stream, "category": category})
         return trace
 
     def packet_totals(self) -> dict:

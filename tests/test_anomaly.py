@@ -14,10 +14,12 @@ from slice_sentinel.anomaly import (
     EqualFrequencyBinner,
     Dataset,
     NaiveBayesClassifier,
+    auc_from_points,
     chi_square_score,
     evaluate,
     load_csv,
     rate_identities_hold,
+    roc_points,
     select_features,
     synthetic_flow_dataset,
     train_test_split,
@@ -255,6 +257,64 @@ def test_nb_table_posteriors_equal_the_per_row_loop_exactly(problem):
         assert np.array_equal(model.predict(rows), [model.predict_one(r)[0] for r in rows])
 
 
+def _reference_evaluate(X, y, test: Dataset) -> dict:
+    """``evaluate`` of the naive Bayes the old way: every row scored through
+    ``_reference_nb`` as a numpy row, counted cell by cell with if/else."""
+    tp = tn = fp = fn = 0
+    scores = []
+    for row, truth in zip(test.features, test.labels):
+        label, posterior = _reference_nb(X, y, row)
+        scores.append(float(posterior[-1]))
+        if truth == 1:
+            tp += label == 1
+            fn += label == 0
+        else:
+            tn += label == 0
+            fp += label == 1
+    positives, negatives = tp + fn, tn + fp
+    roc = roc_points(np.array(scores), test.labels) if positives and negatives else []
+    return {
+        "confusion": {"tp": tp, "tn": tn, "fp": fp, "fn": fn},
+        "accuracy": 100.0 * (tp + tn) / (positives + negatives),
+        "tpr": 100.0 * tp / positives if positives else None,
+        "fnr": 100.0 * fn / positives if positives else None,
+        "tnr": 100.0 * tn / negatives if negatives else None,
+        "fpr": 100.0 * fp / negatives if negatives else None,
+        "roc": roc,
+        "auc": auc_from_points(roc),
+    }
+
+
+@st.composite
+def binned_problem(draw):
+    """Bin indices as ``EqualFrequencyBinner`` makes them; test rows may hold
+    a bin no training row reached."""
+    n_features = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(2, 40))
+    n_test = draw(st.integers(1, 30))
+    cells = st.lists(st.integers(0, 9), min_size=n_features, max_size=n_features)
+    X = np.array(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    y = np.array([0, 1] + draw(st.lists(st.integers(0, 1), min_size=n_rows - 2,
+                                        max_size=n_rows - 2)))
+    test_cells = st.lists(st.integers(0, 11), min_size=n_features, max_size=n_features)
+    test_X = np.array(draw(st.lists(test_cells, min_size=n_test, max_size=n_test)))
+    test_y = np.array(draw(st.lists(st.integers(0, 1), min_size=n_test, max_size=n_test)))
+    return X, y, Dataset(test_X, test_y, [f"f{j}" for j in range(n_features)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(binned_problem())
+def test_nb_evaluate_equals_the_per_row_reference_exactly(problem):
+    X, y, test = problem
+    metrics = evaluate(NaiveBayesClassifier().fit(X, y).predict_one, test)
+    expected = _reference_evaluate(X, y, test)
+    assert metrics.confusion == expected["confusion"]
+    for rate in ("accuracy", "tpr", "fnr", "tnr", "fpr"):
+        assert getattr(metrics, rate) == expected[rate], rate
+    assert metrics.roc == expected["roc"]
+    assert metrics.auc == expected["auc"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(CATEGORY, st.integers(0, 1)), min_size=1, max_size=40))
 def test_chi_square_equals_the_oracle_exactly(pairs):
@@ -281,6 +341,40 @@ def tree_depth(tree: DecisionTree) -> int:
 
 def tree_predict(tree: DecisionTree, X) -> np.ndarray:
     return np.array([tree.predict_one(row) for row in X])
+
+
+def _row_shapes(row: list) -> list:
+    """The same feature row as a list, a tuple, a 1-D array and a (1, n) array."""
+    return [list(row), tuple(row), np.array(row), np.array([row])]
+
+
+class TestRowShapes:
+    X = np.array([[0, 1, 2], [1, 1, 0], [2, 0, 1], [0, 2, 2], [1, 0, 0], [2, 2, 1]])
+    y = np.array([0, 1, 0, 1, 1, 0])
+    ROWS = [[0, 1, 2], [2, 2, 2], [1, 0, 7], [9, 9, 9], [0.0, 1.0, 2.0]]
+
+    def test_naive_bayes_gives_every_shape_the_same_label_and_posterior(self):
+        model = NaiveBayesClassifier().fit(self.X, self.y)
+        for row in self.ROWS:
+            label, posterior = model.predict_one(row)
+            for shaped in _row_shapes(row):
+                other_label, other_posterior = model.predict_one(shaped)
+                assert other_label == label
+                assert np.array_equal(other_posterior, posterior)
+
+    def test_decision_tree_gives_every_shape_the_same_label(self):
+        tree = DecisionTree().fit(self.X, self.y)
+        for row in self.ROWS:
+            labels = {tree.predict_one(shaped) for shaped in _row_shapes(row)}
+            assert labels == {tree.predict_one(row)}
+
+    @pytest.mark.parametrize("row", [[1], [1, 2], [1, 2, 0, 1], []])
+    def test_wrong_feature_count_rejected_in_every_shape(self, row):
+        models = (NaiveBayesClassifier().fit(self.X, self.y), DecisionTree().fit(self.X, self.y))
+        for model in models:
+            for shaped in _row_shapes(row):
+                with pytest.raises(ValueError, match=f"expected 3 features, got {len(row)}"):
+                    model.predict_one(shaped)
 
 
 class TestDecisionTree:
@@ -375,6 +469,31 @@ class TestEvaluate:
             metrics.tpr, metrics.fnr, metrics.tnr, metrics.fpr, tolerance=1e-6
         )
         assert ok, deviations
+
+    def test_non_binary_prediction_rejected_naming_the_row(self):
+        data = self._dataset([0, 1, 0, 1])
+        with pytest.raises(ValueError, match=r"row 0: predicted label 2 is not 0 or 1"):
+            evaluate(lambda row: 2, data)
+        labels = iter([0, 1, -1, 1])
+
+        def predict(_row):
+            label = next(labels)
+            return label, np.array([0.5, 0.5])
+
+        with pytest.raises(ValueError, match=r"row 2: predicted label -1 is not 0 or 1"):
+            evaluate(predict, data)
+
+    def test_predictor_gets_each_row_once_in_order_as_a_list(self):
+        data = Dataset(np.array([[3, 1], [4, 1], [5, 9]]), np.array([0, 1, 0]), ["a", "b"])
+        seen = []
+
+        def predict(row):
+            seen.append(row)
+            return 0
+
+        evaluate(predict, data)
+        assert seen == [[3, 1], [4, 1], [5, 9]]
+        assert all(type(row) is list for row in seen)
 
     def test_roc_monotone_nondecreasing_along_sorted_fpr(self):
         rng = np.random.default_rng(7)
