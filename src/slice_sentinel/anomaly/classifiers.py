@@ -95,17 +95,32 @@ class NaiveBayesClassifier:
         post0, post1 = exp0 / total, exp1 / total
         return (1 if post1 > post0 else 0), np.array((post0, post1))
 
-    def predict(self, X) -> np.ndarray:
-        """Labels of every row; each is the label ``predict_one`` gives it."""
+    def column_terms(self, X) -> list[np.ndarray]:
+        """Each feature's ``(n_rows, 2)`` log-likelihood rows for the rows of
+        ``X``, in feature order; a category unseen in training reads the
+        unseen row."""
         check_fitted(self, "classes_")
         X = check_matrix(X)
         if X.shape[1] != self.n_features_:
             raise ValueError(f"expected {self.n_features_} features, got {X.shape[1]}")
-        log_post = np.repeat(self.log_prior_[None, :], X.shape[0], axis=0)
+        terms = []
         for column, categories, table in zip(X.T, self.categories_, self.log_likelihood_):
             at = np.minimum(np.searchsorted(categories, column), len(categories) - 1)
             seen = categories[at] == column
-            log_post += table[np.where(seen, at, -1)]
+            terms.append(table[np.where(seen, at, -1)])
+        return terms
+
+    def labels_from_terms(self, terms) -> np.ndarray:
+        """Labels of the rows whose feature terms are ``terms`` (one or more
+        ``column_terms`` entries).  The terms are added onto the log prior in
+        list order, the order ``predict_one`` adds its features in, so the
+        terms of every column give each row the label ``predict_one`` does,
+        and the terms of a subset of columns, in that subset's order, give the
+        labels of a model fitted on that subset alone."""
+        check_fitted(self, "classes_")
+        log_post = np.repeat(self.log_prior_[None, :], terms[0].shape[0], axis=0)
+        for column in terms:
+            log_post += column
         posterior = _normalize(log_post)
         return self.classes_[np.argmax(posterior, axis=1)]
 
@@ -173,14 +188,15 @@ class DecisionTree:
             return _Leaf(label=majority, counts=counts)
 
         base = _entropy(y)
-        best_feature, best_ratio = None, 0.0
+        # best and fallback are (feature, its values, each row's value index)
+        best, best_ratio = None, 0.0
         fallback = None
         for j in range(X.shape[1]):
             values, inverse = np.unique(X[:, j], return_inverse=True)
             if len(values) < 2:
                 continue
             if fallback is None:
-                fallback = j
+                fallback = (j, values, inverse)
             gain = base
             split_info = 0.0
             for vi in range(len(values)):
@@ -192,17 +208,17 @@ class DecisionTree:
                 continue
             ratio = gain / split_info
             if gain > 1e-12 and ratio > best_ratio + 1e-12:
-                best_feature, best_ratio = j, ratio
+                best, best_ratio = (j, values, inverse), ratio
 
-        if best_feature is None:
+        if best is None:
             if fallback is None:
                 return _Leaf(label=majority, counts=counts)
-            best_feature = fallback  # zero-gain split: keep going on structure
+            best = fallback  # zero-gain split: keep going on structure
 
-        node = _Split(feature=best_feature, majority=majority)
-        for value in np.unique(X[:, best_feature]):
-            mask = X[:, best_feature] == value
-            key = value.item() if hasattr(value, "item") else value
+        feature, values, inverse = best
+        node = _Split(feature=feature, majority=majority)
+        for vi, key in enumerate(values.tolist()):
+            mask = inverse == vi
             node.branches[key] = self._build(X[mask], y[mask], depth + 1)
         return node
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import check_features_labels
+from .classifiers import NaiveBayesClassifier
 
 
 def chi_square_score(column, labels) -> float:
@@ -41,34 +42,56 @@ def chi_square_ranking(X, y) -> list[int]:
     return sorted(range(X.shape[1]), key=lambda j: (-scores[j], j))
 
 
-def _holdout_accuracy(X, y, columns, train_rows, test_rows) -> float:
-    from .classifiers import NaiveBayesClassifier
-
-    cols = list(columns)
-    model = NaiveBayesClassifier().fit(X[np.ix_(train_rows, cols)], y[train_rows])
-    predictions = model.predict(X[np.ix_(test_rows, cols)])
-    return float(np.mean(predictions == y[test_rows]))
+def _check_candidates(candidates, n_features: int) -> list[int]:
+    if len(candidates) == 0:
+        raise ValueError("backward elimination needs at least one candidate")
+    seen = set()
+    for f in candidates:
+        if not isinstance(f, (int, np.integer)) or not 0 <= f < n_features:
+            raise ValueError(f"candidate {f!r} is not a feature index in 0..{n_features - 1}")
+        if f in seen:
+            raise ValueError(f"candidate {f!r} is repeated")
+        seen.add(f)
+    return list(candidates)
 
 
 def backward_elimination_ranking(X, y, candidates: list[int], seed: int = 0) -> dict[int, int]:
     """Wrapper ranking: repeatedly drop the feature whose removal helps (or
-    hurts least) a held-out classifier.  Rank 0 is the longest survivor."""
+    hurts least) a held-out naive Bayes.  Rank 0 is the longest survivor.
+
+    ``candidates`` are distinct feature indices; an empty list, a repeat or
+    an index outside the matrix is a ``ValueError``.
+
+    One naive Bayes is fitted, on the whole candidate pool.  Its table for a
+    feature depends only on that column, the labels and the class counts, so
+    a model fitted on any trial subset is the pool model restricted to the
+    subset: each candidate's held-out terms are computed once and a trial is
+    scored by adding only its own columns' terms onto the prior.  They are
+    added in the trial's own column order, the order a model refitted on the
+    subset would add them in, so every trial accuracy, and so the ranking, is
+    the refit's bit for bit.  A dropped column's terms are never subtracted
+    from a pool-wide sum: a float subtraction does not undo an add, and one
+    flipped near-tie would be enough to change the ranking.
+    """
     X, y = check_features_labels(X, y)
+    remaining = _check_candidates(candidates, X.shape[1])
     rng = np.random.default_rng(seed)
     order = rng.permutation(X.shape[0])
     n_test = max(1, int(round(X.shape[0] * 0.3)))
     test_rows, train_rows = order[:n_test], order[n_test:]
     if len(set(y[train_rows].tolist())) < 2:
         # Degenerate split: fall back to keeping the chi-square order.
-        return {f: i for i, f in enumerate(candidates)}
+        return {f: i for i, f in enumerate(remaining)}
 
-    remaining = list(candidates)
+    model = NaiveBayesClassifier().fit(X[np.ix_(train_rows, remaining)], y[train_rows])
+    terms = dict(zip(remaining, model.column_terms(X[np.ix_(test_rows, remaining)])))
+    truth = y[test_rows]
     removal_order: list[int] = []
     while len(remaining) > 1:
         best_feature, best_acc = None, -1.0
         for feature in remaining:
-            trial = [f for f in remaining if f != feature]
-            acc = _holdout_accuracy(X, y, trial, train_rows, test_rows)
+            trial = [terms[f] for f in remaining if f != feature]
+            acc = float(np.mean(model.labels_from_terms(trial) == truth))
             # ties: prefer removing the higher index, keeping low indices longer
             if acc > best_acc or (acc == best_acc and feature > best_feature):
                 best_feature, best_acc = feature, acc

@@ -81,11 +81,10 @@ def roc_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, floa
     points = [(0.0, 0.0)]
     tp = fp = 0
     previous = None
-    for idx in order:
-        score = scores[idx]
+    for score, label in zip(scores[order].tolist(), labels[order].tolist()):
         if previous is not None and score != previous:
             points.append((fp / negatives, tp / positives))
-        if labels[idx] == 1:
+        if label == 1:
             tp += 1
         else:
             fp += 1

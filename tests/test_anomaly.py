@@ -15,6 +15,7 @@ from slice_sentinel.anomaly import (
     Dataset,
     NaiveBayesClassifier,
     auc_from_points,
+    backward_elimination_ranking,
     chi_square_score,
     evaluate,
     load_csv,
@@ -113,12 +114,17 @@ class TestSelectFeatures:
         assert len(runs) == 1
 
 
+def nb_labels(model: NaiveBayesClassifier, X) -> np.ndarray:
+    """Labels of every row of ``X`` from the terms of all of its columns."""
+    return model.labels_from_terms(model.column_terms(X))
+
+
 class TestNaiveBayes:
     def test_disjoint_single_feature_values_train_perfectly(self):
         X = np.array([[0]] * 20 + [[1]] * 20)
         y = np.array([0] * 20 + [1] * 20)
         model = NaiveBayesClassifier().fit(X, y)
-        assert np.all(model.predict(X) == y)
+        assert np.all(nb_labels(model, X) == y)
 
     def test_all_unseen_row_falls_back_to_majority_prior(self):
         # Hand-computed smoothed posterior, one feature, values {0, 1}:
@@ -142,7 +148,7 @@ class TestNaiveBayes:
         test = rng.integers(0, 4, size=(50, 3))
         single = NaiveBayesClassifier().fit(X, y)
         doubled = NaiveBayesClassifier().fit(np.vstack([X, X]), np.concatenate([y, y]))
-        assert np.all(single.predict(test) == doubled.predict(test))
+        assert np.all(nb_labels(single, test) == nb_labels(doubled, test))
 
     def test_single_class_training_rejected(self):
         with pytest.raises(ValueError):
@@ -162,7 +168,7 @@ class TestNaiveBayes:
         model = NaiveBayesClassifier().fit(finite, y)
         binner = EqualFrequencyBinner(n_bins=2).fit(finite)
         with pytest.raises(ValueError, match="non-finite"):
-            model.predict([[bad], [1.0]])
+            model.column_terms([[bad], [1.0]])
         with pytest.raises(ValueError, match="non-finite"):
             binner.transform([[bad]])
 
@@ -254,7 +260,7 @@ def test_nb_table_posteriors_equal_the_per_row_loop_exactly(problem):
             ref_label, ref_posterior = _reference_nb(X, y, row)
             assert label == ref_label
             assert np.array_equal(posterior, ref_posterior)
-        assert np.array_equal(model.predict(rows), [model.predict_one(r)[0] for r in rows])
+        assert np.array_equal(nb_labels(model, rows), [model.predict_one(r)[0] for r in rows])
 
 
 def _reference_evaluate(X, y, test: Dataset) -> dict:
@@ -325,7 +331,91 @@ def test_chi_square_equals_the_oracle_exactly(pairs):
 
 def test_nb_predict_before_fit_raises():
     with pytest.raises(RuntimeError):
-        NaiveBayesClassifier().predict(np.zeros((3, 2), dtype=int))
+        NaiveBayesClassifier().column_terms(np.zeros((3, 2), dtype=int))
+    with pytest.raises(RuntimeError):
+        NaiveBayesClassifier().labels_from_terms([np.zeros((3, 2))])
+
+
+def test_nb_column_terms_rejects_the_wrong_feature_count():
+    model = NaiveBayesClassifier().fit(np.array([[0, 1, 2], [1, 0, 2]]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="expected 3 features, got 2"):
+        model.column_terms(np.zeros((4, 2), dtype=int))
+
+
+# ---------------------------------------------------------------------------
+# Backward elimination from one fit, against a refit per trial subset
+# ---------------------------------------------------------------------------
+
+def _refit_elimination_ranking(X, y, candidates, seed) -> dict:
+    """Backward elimination with a naive Bayes refitted on every trial subset
+    and every held-out row scored through ``predict_one``."""
+    order = np.random.default_rng(seed).permutation(X.shape[0])
+    n_test = max(1, int(round(X.shape[0] * 0.3)))
+    test_rows, train_rows = order[:n_test], order[n_test:]
+    if len(set(y[train_rows].tolist())) < 2:
+        return {f: i for i, f in enumerate(candidates)}
+    remaining, removed = list(candidates), []
+    while len(remaining) > 1:
+        scored = []
+        for feature in remaining:
+            trial = [f for f in remaining if f != feature]
+            model = NaiveBayesClassifier().fit(X[np.ix_(train_rows, trial)], y[train_rows])
+            rows = X[np.ix_(test_rows, trial)]
+            hits = sum(model.predict_one(row)[0] == truth for row, truth in zip(rows, y[test_rows]))
+            scored.append((hits / n_test, feature))
+        _, dropped = max(scored)  # best accuracy; a tie drops the higher index
+        remaining.remove(dropped)
+        removed.append(dropped)
+    return {f: rank for rank, f in enumerate(remaining + removed[::-1])}
+
+
+@st.composite
+def elimination_problem(draw):
+    """Few rows over few bins, so held-out rows often hold a bin no training
+    row has and trial accuracies often tie; the labels may be one class."""
+    pool = draw(st.integers(1, 6))
+    n_features = draw(st.integers(pool, 7))
+    n_rows = draw(st.integers(2, 40))
+    cells = st.lists(st.integers(0, 5), min_size=n_features, max_size=n_features)
+    X = np.array(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows)))
+    candidates = draw(st.permutations(range(n_features)))[:pool]
+    return X, y, candidates, draw(st.integers(0, 2**16))
+
+
+def _seeded_elimination_problem(seed: int):
+    rng = np.random.default_rng(seed)
+    X, y = rng.integers(0, 6, (20, 4)), rng.integers(0, 2, 20)
+    return X, y, rng.permutation(4).tolist(), seed
+
+
+# Adding a trial's terms in sorted column order instead of the trial's own
+# order, or subtracting the dropped column's terms from the pool's sum, each
+# changes this example's ranking.
+ORDER_SENSITIVE_EXAMPLE = _seeded_elimination_problem(109)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_problem())
+@example(ORDER_SENSITIVE_EXAMPLE)
+@example((np.array([[0, 1, 2]] * 6), np.zeros(6, dtype=int), [2, 0], 0))
+def test_one_fit_elimination_ranking_equals_a_refit_per_trial(problem):
+    X, y, candidates, seed = problem
+    assert (backward_elimination_ranking(X, y, candidates, seed=seed)
+            == _refit_elimination_ranking(X, y, candidates, seed))
+
+
+@pytest.mark.parametrize("y", [[0, 1] * 5, [0] * 10], ids=["two-class", "one-class"])
+@pytest.mark.parametrize("candidates, message", [
+    pytest.param([], "at least one candidate", id="empty"),
+    pytest.param([7, 1], r"candidate 7 is not a feature index in 0\.\.3", id="past-the-end"),
+    pytest.param([1, 1], "candidate 1 is repeated", id="repeated"),
+    pytest.param([-1, 2], r"candidate -1 is not a feature index in 0\.\.3", id="negative"),
+])
+def test_backward_elimination_rejects_bad_candidates(candidates, message, y):
+    X = np.arange(40).reshape(10, 4) % 3
+    with pytest.raises(ValueError, match=message):
+        backward_elimination_ranking(X, np.array(y), candidates)
 
 
 def tree_depth(tree: DecisionTree) -> int:
@@ -420,7 +510,7 @@ class TestDecisionTree:
             if len(set(y.tolist())) < 2:
                 continue
             tree_acc = float(np.mean(tree_predict(DecisionTree().fit(X, y), X) == y))
-            nb_acc = float(np.mean(NaiveBayesClassifier().fit(X, y).predict(X) == y))
+            nb_acc = float(np.mean(nb_labels(NaiveBayesClassifier().fit(X, y), X) == y))
             assert tree_acc >= nb_acc
 
 
