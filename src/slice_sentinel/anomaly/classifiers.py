@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -145,12 +145,11 @@ class _Split:
 _TreeNode = Union[_Leaf, _Split]
 
 
-def _entropy(y: np.ndarray) -> float:
-    total = y.shape[0]
-    if total == 0:
-        return 0.0
+def _entropy(counts: Sequence[int]) -> float:
+    """Entropy in bits of the two-class distribution ``counts``."""
+    total = counts[0] + counts[1]
     out = 0.0
-    for count in np.bincount(y, minlength=2):
+    for count in counts:
         if count:
             p = count / total
             out -= p * math.log2(p)
@@ -187,7 +186,7 @@ class DecisionTree:
         if pure or depth_reached:
             return _Leaf(label=majority, counts=counts)
 
-        base = _entropy(y)
+        base = _entropy(counts)
         # best and fallback are (feature, its values, each row's value index)
         best, best_ratio = None, 0.0
         fallback = None
@@ -199,10 +198,11 @@ class DecisionTree:
                 fallback = (j, values, inverse)
             gain = base
             split_info = 0.0
-            for vi in range(len(values)):
-                mask = inverse == vi
-                fraction = mask.sum() / y.shape[0]
-                gain -= fraction * _entropy(y[mask])
+            # Row (value, class) of the bincount is each value's class counts.
+            by_value = np.bincount(inverse * 2 + y, minlength=2 * len(values)).reshape(-1, 2)
+            for value_counts in by_value.tolist():
+                fraction = (value_counts[0] + value_counts[1]) / y.shape[0]
+                gain -= fraction * _entropy(value_counts)
                 split_info -= fraction * math.log2(fraction)
             if split_info <= 0:
                 continue

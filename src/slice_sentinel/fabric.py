@@ -263,12 +263,14 @@ class FlowTable:
     bucket per mask present instead of scanning every rule.
     """
 
-    __slots__ = ("_rules", "_buckets", "_masks")
+    __slots__ = ("_rules", "_buckets", "_masks", "_reported")
 
     def __init__(self) -> None:
         self._rules: dict[str, FlowRule] = {}
         self._buckets: dict[tuple, list[FlowRule]] = {}
         self._masks: dict[itemgetter, int] = {}
+        # The canonical reported rules; None once an add or delete may change them.
+        self._reported: Optional[tuple[ReportedRule, ...]] = None
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -276,7 +278,14 @@ class FlowTable:
     def rules(self) -> list[FlowRule]:
         return list(self._rules.values())
 
+    def reported(self) -> tuple[ReportedRule, ...]:
+        """The rules as the switch reports them, in canonical order."""
+        if self._reported is None:
+            self._reported = canonical_rule_order(r.reported() for r in self._rules.values())
+        return self._reported
+
     def add(self, rule: FlowRule) -> None:
+        self._reported = None
         previous = self._rules.pop(rule.rule_id, None)
         if previous is not None:
             self._unindex(previous)
@@ -299,6 +308,7 @@ class FlowTable:
         self._rules[rule.rule_id] = rule
 
     def delete(self, rule_id: str) -> None:
+        self._reported = None
         rule = self._rules.pop(rule_id, None)
         if rule is not None:
             self._unindex(rule)
@@ -349,11 +359,6 @@ class SwitchStateReport:
 
     node_id: str
     rules: tuple[ReportedRule, ...]
-
-    @classmethod
-    def of(cls, node_id: str, table: FlowTable) -> "SwitchStateReport":
-        """The canonical report of ``table``'s rules."""
-        return cls(node_id, canonical_rule_order(r.reported() for r in table.rules()))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +636,7 @@ def apply_flow_mod(
 
 def report_flow_rules(fabric: Fabric, node_id: str) -> SwitchStateReport:
     """Canonical snapshot of a node's table; pure function of its contents."""
-    return SwitchStateReport.of(node_id, fabric.node(node_id).table)
+    return SwitchStateReport(node_id, fabric.node(node_id).table.reported())
 
 
 def measure_attestation(fabric: Fabric, node_id: str, nonce: bytes) -> AttestationReport:

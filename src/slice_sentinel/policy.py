@@ -20,9 +20,10 @@ from typing import Iterable, Optional
 from .fabric import (
     VLAN_MAX,
     VLAN_MIN,
-    FlowTable,
+    FlowKey,
     ReportedRule,
     SwitchStateReport,
+    canonical_rule_order,
 )
 
 VALID_SECURITY_REQS = frozenset(
@@ -302,17 +303,52 @@ def _parse_entry(line: str, lineno: int) -> LogEntry:
     )
 
 
-def _fold(tables: dict[str, FlowTable], event: dict) -> None:
-    """Apply one rule install or delete to the per-node tables."""
-    if event["type"] == EV_RULE_INSTALLED:
-        table = tables.get(event["node"])
-        if table is None:
-            table = tables[event["node"]] = FlowTable()
-        table.add(ReportedRule.from_dict(event["rule"]).to_rule())
-    elif event["type"] == EV_RULE_DELETED:
-        table = tables.get(event["node"])
-        if table is not None:
-            table.delete(event["rule_id"])
+class _TrustedRules:
+    """Every node's rules as the log's installs and deletes leave them.
+
+    An install replaces the node's rule with the same id and the one with the
+    same (match, priority), as ``FlowTable.add`` does.  A node's canonical
+    report is kept until an install or delete changes its rules.
+    """
+
+    __slots__ = ("rules", "slots", "reports")
+
+    def __init__(self) -> None:
+        self.rules: dict[str, dict[str, ReportedRule]] = {}
+        self.slots: dict[str, dict[tuple[FlowKey, int], str]] = {}
+        self.reports: dict[str, SwitchStateReport] = {}
+
+    def fold(self, event: dict) -> None:
+        """Apply one rule install or delete; other events change nothing."""
+        if event["type"] == EV_RULE_INSTALLED:
+            node = event["node"]
+            rule = ReportedRule.from_dict(event["rule"])
+            rules = self.rules.setdefault(node, {})
+            slots = self.slots.setdefault(node, {})
+            previous = rules.pop(rule.rule_id, None)
+            if previous is not None:
+                del slots[(previous.match, previous.priority)]
+            slot = (rule.match, rule.priority)
+            displaced = slots.get(slot)
+            if displaced is not None:
+                del rules[displaced]
+            slots[slot] = rule.rule_id
+            rules[rule.rule_id] = rule
+            self.reports.pop(node, None)
+        elif event["type"] == EV_RULE_DELETED:
+            node = event["node"]
+            rule = self.rules.get(node, {}).pop(event["rule_id"], None)
+            if rule is not None:
+                del self.slots[node][(rule.match, rule.priority)]
+                self.reports.pop(node, None)
+
+    def report(self, node_id: str) -> SwitchStateReport:
+        report = self.reports.get(node_id)
+        if report is None:
+            rules = self.rules.get(node_id, {})
+            report = SwitchStateReport(node_id, canonical_rule_order(rules.values()))
+            self.reports[node_id] = report
+        return report
 
 
 class ActivityLog:
@@ -320,9 +356,9 @@ class ActivityLog:
 
     def __init__(self) -> None:
         self.entries: list[LogEntry] = []
-        # Every node's table folded over entries[:count], where
+        # Every node's rules folded over entries[:count], where
         # entries[count - 1] hashed to head when it was folded.
-        self._tables: dict[str, FlowTable] = {}
+        self._trusted = _TrustedRules()
         self._watermark: tuple[int, bytes] = (0, GENESIS_HASH)
 
     def __len__(self) -> int:
@@ -339,11 +375,13 @@ class ActivityLog:
         return entry
 
     def verify(self) -> bool:
+        # _entry_hash, inlined: this loop re-hashes the whole chain per audit.
+        sha256 = hashlib.sha256
         prev = GENESIS_HASH
         for i, entry in enumerate(self.entries):
             if entry.seq != i or entry.prev_hash != prev:
                 return False
-            if entry.entry_hash != _entry_hash(i, entry.data, prev):
+            if entry.entry_hash != sha256(i.to_bytes(8, "big") + entry.data + prev).digest():
                 return False
             prev = entry.entry_hash
         return True
@@ -361,28 +399,32 @@ class ActivityLog:
     def expected_switch_states(self, node_ids: Iterable[str]) -> dict[str, SwitchStateReport]:
         """Verify the whole chain, then fold the entries past the watermark.
 
-        A verified chain commits every entry to the hash of the last one, so
-        the folded tables are still the trusted state of the first ``count``
-        entries exactly when entry ``count - 1`` still has the watermark's
-        hash.  Otherwise the chain was rewritten and the fold starts over.
+        The trusted state is each node's reported rules.  A verified chain
+        commits every entry to the hash of the last one, so the folded rules
+        are still the trusted state of the first ``count`` entries exactly
+        when entry ``count - 1`` still has the watermark's hash.  Otherwise
+        the chain was rewritten and the fold starts over.  Each node's report
+        is cached, and rebuilt only after an entry changes that node's rules.
         """
         if not self.verify():
             raise LogIntegrityError("activity log hash chain is broken")
         entries = self.entries
-        tables, (count, head) = self._tables, self._watermark
-        if count > len(entries) or (count and entries[count - 1].entry_hash != head):
-            tables, count = {}, 0
+        trusted, (count, head) = self._trusted, self._watermark
+        if count == 0 or count > len(entries) or entries[count - 1].entry_hash != head:
+            trusted, count = _TrustedRules(), 0
         # Until the fold completes, the log holds no folded state to trust.
-        self._tables, self._watermark = {}, (0, GENESIS_HASH)
+        self._watermark = (0, GENESIS_HASH)
         for i in range(count, len(entries)):
-            _fold(tables, json.loads(entries[i].data))
+            data = entries[i].data
+            # Only an install or delete changes the state, and its stored
+            # bytes spell the type with "rule-" unless they escape it (a
+            # backslash) or are UTF-16/32, which json.loads also reads (NULs).
+            if b"rule-" in data or b"\\" in data or b"\x00" in data:
+                trusted.fold(json.loads(data))
+        self._trusted = trusted
         if entries:
-            self._tables, self._watermark = tables, (len(entries), entries[-1].entry_hash)
-        empty = FlowTable()
-        return {
-            node_id: SwitchStateReport.of(node_id, tables.get(node_id, empty))
-            for node_id in node_ids
-        }
+            self._watermark = (len(entries), entries[-1].entry_hash)
+        return {node_id: trusted.report(node_id) for node_id in node_ids}
 
     # -- persistence (JSON lines, one entry per line) ------------------------
 

@@ -147,11 +147,9 @@ class TrafficDriver:
         self.manager = manager
         self.feedback = blacklist_feedback
         self.counts: dict[str, dict] = {}
-        self.outcomes: list[dict] = []
         self.alerts: list[sf.Alert] = []
         self.setup_times_ms: dict[str, float] = {}
-        self.blacklist_points: dict[str, int] = {}  # device -> packet sequence index
-        self._sequence = 0
+        self.blacklisted: set[str] = set()  # devices an alert of this driver blacklisted
 
     def _bucket(self, stream: str) -> dict:
         return self.counts.setdefault(
@@ -174,12 +172,11 @@ class TrafficDriver:
             if self.feedback:
                 action = manager.alert(alert)
                 if action.kind == "blacklisted":
-                    self.blacklist_points.setdefault(alert.device_id, self._sequence)
+                    self.blacklisted.add(alert.device_id)
         manager.pending_alerts.clear()
 
     def send(self, packet: Packet, ingress: tuple[str, int], stream: str):
         fabric = self.manager.fabric
-        self._sequence += 1
         bucket = self._bucket(stream)
         bucket["injected"] += 1
 
@@ -192,19 +189,15 @@ class TrafficDriver:
         outcome = trace.outcome
         if isinstance(outcome, Delivered):
             bucket["delivered"] += 1
-            category = "delivered"
         elif isinstance(outcome, Dropped):
             entry = outcome.node == ingress[0]
-            category = "dropped_at_entry" if entry else "dropped_in_slice"
-            bucket[category] += 1
+            bucket["dropped_at_entry" if entry else "dropped_in_slice"] += 1
             reason = outcome.reason
             bucket["reasons"][reason] = bucket["reasons"].get(reason, 0) + 1
         else:  # a re-punt: no controller resolution for this flow
             bucket["dropped_at_entry"] += 1
-            category = "dropped_at_entry"
             reason = "unresolved-punt"
             bucket["reasons"][reason] = bucket["reasons"].get(reason, 0) + 1
-        self.outcomes.append({"seq": self._sequence, "stream": stream, "category": category})
         return trace
 
     def packet_totals(self) -> dict:
@@ -271,11 +264,13 @@ def _benign_factory(seed: int):
 
 
 def _flood_run(config: dict, seed: int, ue: int, default_packets: int, tag: str,
-               flow_id: str) -> tuple[int, int, TrafficDriver]:
-    """Flood from UE ``ue`` at ``("OVS1", ue)`` beside benign UE1 telemetry.
+               flow_id: str) -> tuple[int, int, TrafficDriver, list]:
+    """Set up a flood from UE ``ue`` at ``("OVS1", ue)`` beside benign UE1
+    telemetry.
 
     Returns the flood size, the benign deliveries of a telemetry-only control
-    run, and the driver of the flood run.
+    run, the driver of the flood run, and the merged packets for the caller
+    to send through it.
     """
     n_attack = int(config.get("attack_packets", default_packets))
     n_benign = int(config.get("benign_packets", 50))
@@ -297,15 +292,15 @@ def _flood_run(config: dict, seed: int, ue: int, default_packets: int, tag: str,
         ("attacker", _schedule(attack_interval, n_attack), attacker, ("OVS1", ue)),
         ("benign", benign_times, benign, ("OVS1", 1)),
     )
-    for _t, _i, stream, packet, ingress in events:
-        driver.send(packet, ingress, stream)
-    return n_attack, control.counts["benign"]["delivered"], driver
+    return n_attack, control.counts["benign"]["delivered"], driver, events
 
 
 def _scenario_attack1(config: dict, seed: int) -> ScenarioReport:
-    n_attack, control_delivered, driver = _flood_run(
+    n_attack, control_delivered, driver, events = _flood_run(
         config, seed, 3, 1000, "flood", "flow-printer-flood"
     )
+    for _t, _i, stream, packet, ingress in events:
+        driver.send(packet, ingress, stream)
     attacker_bucket = driver.counts["attacker"]
     benign_bucket = driver.counts["benign"]
     unauthorized_drops = attacker_bucket["reasons"].get("deny-unauthorized", 0)
@@ -322,30 +317,42 @@ def _scenario_attack1(config: dict, seed: int) -> ScenarioReport:
 
 
 def _scenario_attack2(config: dict, seed: int) -> ScenarioReport:
-    _n_attack, control_delivered, driver = _flood_run(
+    _n_attack, control_delivered, driver, events = _flood_run(
         config, seed, 4, 600, "burst", "flow-sensor-flood"
     )
-    sensor_alerts = [a for a in driver.alerts if a.device_id == UE_MACS[4]]
-    blacklist_seq = driver.blacklist_points.get(UE_MACS[4])
-    post = [o for o in driver.outcomes
-            if o["stream"] == "attacker" and blacklist_seq is not None and o["seq"] > blacklist_seq]
-    post_dropped_entry = sum(1 for o in post if o["category"] == "dropped_at_entry")
-    post_delivered = sum(1 for o in post if o["category"] == "delivered")
+    sensor = UE_MACS[4]
+
+    def attacker_counts() -> list[int]:
+        bucket = driver.counts.get("attacker", {})
+        return [bucket.get(key, 0) for key in ("injected", "dropped_at_entry", "delivered")]
+
+    # The attacker's counts just after the packet whose alert blacklisted the
+    # sensor: every later attacker packet is post-blacklist.
+    at_blacklist = None
+    for _t, _i, stream, packet, ingress in events:
+        driver.send(packet, ingress, stream)
+        if at_blacklist is None and sensor in driver.blacklisted:
+            at_blacklist = attacker_counts()
+    post, post_dropped_entry, post_delivered = (
+        [end - start for end, start in zip(attacker_counts(), at_blacklist)]
+        if at_blacklist is not None else (0, 0, 0)
+    )
+    sensor_alerts = [a for a in driver.alerts if a.device_id == sensor]
     single_alert_in_window = (
         len(sensor_alerts) == 1 and sensor_alerts[0].time_ms <= ManagerConfig.anomaly_window_ms
     )
     verdict = (
         single_alert_in_window
-        and blacklist_seq is not None
-        and len(post) > 0
+        and at_blacklist is not None
+        and post > 0
         and post_delivered == 0
-        and post_dropped_entry >= 0.99 * len(post)
+        and post_dropped_entry >= 0.99 * post
         and driver.counts["benign"]["delivered"] == control_delivered
     )
     return _driver_report("attack2", seed, driver, verdict, {
         "control_benign_delivered": control_delivered,
         "alerts_for_device": len(sensor_alerts),
-        "post_blacklist_packets": len(post),
+        "post_blacklist_packets": post,
         "post_blacklist_dropped_at_entry": post_dropped_entry,
         "post_blacklist_delivered": post_delivered,
     })

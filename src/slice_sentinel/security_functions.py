@@ -271,6 +271,8 @@ def audit_flow_rules(trusted: SwitchStateReport, observed: SwitchStateReport) ->
         raise ValueError(
             f"audit node mismatch: trusted={trusted.node_id!r} observed={observed.node_id!r}"
         )
+    if trusted.rules == observed.rules:
+        return AuditResult(node=trusted.node_id, extra_rules=(), missing_rules=(), modified_rules=())
     expected = {r.rule_id: r for r in trusted.rules}
     seen = {r.rule_id: r for r in observed.rules}
     extra = tuple(r for r in observed.rules if r.rule_id not in expected)

@@ -1,10 +1,13 @@
 """Security manager tests: flow setup, alert handling, attestation gating,
 handover and key provisioning."""
 
+import json
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 
+from slice_sentinel import policy as pol
 from slice_sentinel.controller import ManagerConfig, ProvisioningError, UnknownDeviceError
 from slice_sentinel.fabric import (
     Delivered,
@@ -304,6 +307,35 @@ class TestTickAudit:
         results = manager.tick(now_ms=manager.config.audit_interval_ms)
         assert len(results) == len(switches_of(fabric)) > 1
         assert len(calls) == 1
+
+    def test_a_tick_parses_only_the_installs_and_deletes_since_the_last(
+        self, topology_doc, policy_doc, signature_doc, monkeypatch
+    ):
+        fabric, _repo, manager = churned_world(topology_doc, policy_doc, signature_doc)
+        interval = manager.config.audit_interval_ms
+        assert not all(r.clean for r in manager.tick(now_ms=interval))
+        parsed = []
+
+        def counting_loads(data, *args, **kwargs):
+            parsed.append(data)
+            return json.loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(pol, "json", SimpleNamespace(loads=counting_loads))
+        # Since the last tick the log grew only by audit and corrective entries.
+        results = manager.tick(now_ms=2 * interval)
+        assert len(results) == len(switches_of(fabric)) and all(r.clean for r in results)
+        assert parsed == []
+        # New flows add installs, and the next tick parses exactly those.
+        before = len(manager.log)
+        drive(fabric, manager, ue_packet(3, "10.0.0.6", "f-ue3"), ("OVS1", 3))
+        drive(fabric, manager, ue_packet(4, "10.0.0.8", "f-ue4"), ("OVS1", 4))
+        table_entries = [
+            e.data for e in manager.log.entries[before:]
+            if json.loads(e.data)["type"] in (pol.EV_RULE_INSTALLED, pol.EV_RULE_DELETED)
+        ]
+        assert table_entries
+        assert all(r.clean for r in manager.tick(now_ms=3 * interval))
+        assert parsed == table_entries
 
     def test_tampered_log_fails_the_tick_before_any_audit(
         self, topology_doc, policy_doc, signature_doc

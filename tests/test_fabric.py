@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slice_sentinel.fabric import (
     DEFAULT_PUNT_RULE_ID,
@@ -17,11 +19,13 @@ from slice_sentinel.fabric import (
     Provenance,
     Punted,
     PuntToController,
+    SwitchStateReport,
     TopologyError,
     UnknownNodeError,
     apply_flow_mod,
     build_topology,
     canonical_json,
+    canonical_rule_order,
     inject_packet,
     measure_attestation,
     report_flow_rules,
@@ -379,6 +383,44 @@ class TestReports:
         first = [r.to_dict() for r in report_flow_rules(fabric, "OVS1").rules]
         second = [r.to_dict() for r in report_flow_rules(fabric, "OVS1").rules]
         assert canonical_json(first) == canonical_json(second)
+
+
+table_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.sampled_from(["r1", "r2", "r3", "r4"]),
+            st.sampled_from([FlowKey(), FlowKey(src_ip="10.0.0.1"), FlowKey(slice_id=200)]),
+            st.integers(0, 2),
+            st.sampled_from([Drop(), Forward(port=1, slice_id=200)]),
+            st.sampled_from(list(Provenance)),
+        ),
+        st.tuples(st.just("delete"), st.sampled_from(["r1", "r2", "r3", "r4", "r9"])),
+        st.tuples(st.just("report")),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_steps)
+def test_cached_report_equals_a_fresh_canonical_build(steps):
+    """Adds (with replaces by id and by (match, priority)) and deletes, by the
+    controller or externally, between reports of the same table."""
+    fabric = build_topology(small_topology())
+    table = fabric.nodes["CORE1"].table
+    for step in steps:
+        if step[0] == "add":
+            _kind, rule_id, match, priority, action, provenance = step
+            rule = FlowRule(rule_id, match, action, priority)
+            apply_flow_mod(fabric, "CORE1", FlowMod.add(rule), provenance)
+        elif step[0] == "delete":
+            apply_flow_mod(fabric, "CORE1", FlowMod.delete(step[1]), Provenance.EXTERNAL)
+        else:
+            fresh = canonical_rule_order(r.reported() for r in table.rules())
+            assert report_flow_rules(fabric, "CORE1").rules == fresh
+    fresh = canonical_rule_order(r.reported() for r in table.rules())
+    assert report_flow_rules(fabric, "CORE1") == SwitchStateReport("CORE1", fresh)
 
 
 class TestAttestation:

@@ -18,6 +18,9 @@ from slice_sentinel.fabric import (
     canonical_json,
 )
 from slice_sentinel.policy import (
+    EV_ALERT_RAISED,
+    EV_AUDIT_PERFORMED,
+    EV_CORRECTIVE_ACTION,
     EV_RULE_DELETED,
     EV_RULE_INSTALLED,
     ActivityLog,
@@ -264,6 +267,18 @@ class TestActivityLog:
         report = ActivityLog().expected_switch_state("OVS1")
         assert report.rules == ()
 
+    def test_only_a_node_whose_rules_changed_gets_a_new_report(self):
+        log = ActivityLog()
+        log.append(rule_event("OVS1", "r1"))
+        log.append(rule_event("OVS2", "r2"))
+        first = log.expected_switch_states(["OVS1", "OVS2"])
+        log.append(rule_event("OVS2", "r3", priority=5))
+        log.append(delete_event("OVS1", "r-absent"))
+        log.append({"type": EV_AUDIT_PERFORMED, "node": "OVS1", "extra": ["rule-x"], "time_ms": 0})
+        second = log.expected_switch_states(["OVS1", "OVS2"])
+        assert second["OVS1"] is first["OVS1"]
+        assert [r.rule_id for r in second["OVS2"].rules] == ["r2", "r3"]
+
     def test_tampering_with_any_event_breaks_verification(self):
         log = ActivityLog()
         log.append(rule_event("OVS1", "r1"))
@@ -436,18 +451,30 @@ fold_steps = st.lists(
         st.tuples(
             st.just("audit"), st.lists(st.sampled_from(FOLD_NODES + ("OVS9",)), unique=True), st.just(0)
         ),
-        st.tuples(st.just("rewrite"), st.sampled_from(FOLD_NODES), st.integers(0, 40)),
+        st.tuples(
+            st.sampled_from(["rewrite", "audit-entry", "corrective", "note"]),
+            st.sampled_from(FOLD_NODES),
+            st.integers(0, 40),
+        ),
     ),
     max_size=40,
 )
 
+# How a rewrite stores its install: canonically, with spaces and the type's
+# "-" escaped as \u002d, or as UTF-16, which json.loads also reads.
+REWRITE_ENCODINGS = (
+    lambda event: canonical_json(event).encode(),
+    lambda event: json.dumps(event).replace("rule-", "rule\\u002d").encode(),
+    lambda event: json.dumps(event).encode("utf-16"),
+)
 
-def rechain(log: ActivityLog, idx: int, event: dict) -> None:
-    """Replace entry ``idx`` with ``event`` and recompute every later hash:
-    a rewrite the chain check alone cannot see."""
+
+def rechain(log: ActivityLog, idx: int, event: dict, encode=REWRITE_ENCODINGS[0]) -> None:
+    """Replace entry ``idx`` with ``event``, stored as ``encode`` gives it,
+    and recompute every later hash: a rewrite the chain check alone cannot see."""
     prev = log.entries[idx].prev_hash
     for seq in range(idx, len(log.entries)):
-        data = canonical_json(event).encode() if seq == idx else log.entries[seq].data
+        data = encode(event) if seq == idx else log.entries[seq].data
         entry_hash = hashlib.sha256(seq.to_bytes(8, "big") + data + prev).digest()
         log.entries[seq] = LogEntry(seq, data, prev, entry_hash)
         prev = entry_hash
@@ -456,7 +483,12 @@ def rechain(log: ActivityLog, idx: int, event: dict) -> None:
 def assert_fold_from_scratch(log: ActivityLog, nodes) -> None:
     reports = log.expected_switch_states(nodes)
     assert list(reports) == list(nodes)
-    assert reports == ActivityLog.from_jsonl(log.to_jsonl()).expected_switch_states(nodes)
+    scratch = ActivityLog()
+    scratch.entries = list(log.entries)
+    assert reports == scratch.expected_switch_states(nodes)
+    if all(e.data == canonical_json(e.event).encode() for e in log.entries):
+        # to_jsonl splices the stored bytes, which from_jsonl re-encodes.
+        assert reports == ActivityLog.from_jsonl(log.to_jsonl()).expected_switch_states(nodes)
     events = log.events()
     for node in nodes:
         assert list(reports[node].rules) == TestReplayEquivalence._naive_replay(events, node)
@@ -466,22 +498,34 @@ def assert_fold_from_scratch(log: ActivityLog, nodes) -> None:
 @given(st.lists(st.sampled_from(FOLD_NODES + ("OVS9",)), min_size=1, unique=True), fold_steps)
 def test_forward_fold_equals_a_fold_from_scratch(queried, steps):
     # ``eager`` is audited after every step; ``lazy`` only at audit steps, so
-    # its forward folds span runs of appends and rewrites.
+    # its forward folds span runs of appends and rewrites.  Audit, corrective
+    # and note entries fold to nothing; a note's text contains "rule-".
     eager, lazy = ActivityLog(), ActivityLog()
     issued: list[str] = []
     for i, (kind, arg, n) in enumerate(steps):
+        named = issued[n % len(issued)] if issued else "r-none"
         if kind == "install":
             issued.append(f"r{i}")
             event = rule_event(arg, issued[-1], priority=n)
         elif kind == "delete":
-            event = delete_event(arg, issued[n % len(issued)] if issued else "r-none")
-        if kind in ("install", "delete"):
+            event = delete_event(arg, named)
+        elif kind == "audit-entry":
+            event = {"type": EV_AUDIT_PERFORMED, "node": arg, "extra": [named], "missing": [],
+                     "modified": [named], "clean": False, "time_ms": 0}
+        elif kind == "corrective":
+            event = {"type": EV_CORRECTIVE_ACTION, "node": arg, "deleted": [named],
+                     "reinstalled": [named], "time_ms": 0}
+        elif kind == "note":
+            event = {"type": EV_ALERT_RAISED, "node": arg, "reason": f"rule-installed {named}",
+                     "time_ms": 0}
+        if kind not in ("audit", "rewrite"):
             eager.append(event)
             lazy.append(event)
         elif kind == "rewrite" and eager.entries:
             idx = n % ((len(eager.entries) + 1) // 2)
+            encode = REWRITE_ENCODINGS[n % len(REWRITE_ENCODINGS)]
             for log in (eager, lazy):
-                rechain(log, idx, rule_event(arg, f"x{i}"))
+                rechain(log, idx, rule_event(arg, f"x{i}"), encode)
         elif kind == "audit":
             assert_fold_from_scratch(lazy, arg)
         assert_fold_from_scratch(eager, queried)

@@ -15,6 +15,7 @@ from slice_sentinel.fabric import (
 )
 from slice_sentinel.security_functions import (
     AccessVerdict,
+    AuditResult,
     AuthenticationError,
     CipherEnvelope,
     FlowCipher,
@@ -319,3 +320,37 @@ def test_encrypt_decrypt_identity_property(payload):
 
     assert decrypt_flow_payload(key, envelope) == payload
 
+
+
+def full_diff(trusted, observed):
+    """Reference: the audit as a dict diff by rule id, with no shortcut."""
+    expected = {r.rule_id: r for r in trusted.rules}
+    seen = {r.rule_id: r for r in observed.rules}
+    return AuditResult(
+        node=trusted.node_id,
+        extra_rules=tuple(r for r in observed.rules if r.rule_id not in expected),
+        missing_rules=tuple(r for r in trusted.rules if r.rule_id not in seen),
+        modified_rules=tuple((expected[rid], seen[rid]) for rid in sorted(expected.keys() & seen.keys())
+                             if expected[rid] != seen[rid]),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule_ids, st.randoms(use_true_random=False))
+def test_audit_equals_the_full_diff(ids, rng):
+    rules = [reported(rid, priority=rng.randint(0, 3)) for rid in ids]
+    permuted = rng.sample(ids, len(ids))
+    changed = {rid for rid in ids if rng.random() < 0.3}
+    pairs = {
+        "identical": [reported(r.rule_id, r.priority) for r in rules],
+        "permuted-id": [reported(rid, r.priority) for rid, r in zip(permuted, rules)],
+        "modified": [reported(r.rule_id, r.priority + (r.rule_id in changed)) for r in rules],
+    }
+    for name, observed_rules in pairs.items():
+        trusted, observed = make_reports(rules, observed_rules)
+        assert audit_flow_rules(trusted, observed) == full_diff(trusted, observed), name
+    # The same rules out of canonical order are clean too.
+    shuffled = SwitchStateReport(node_id="OVS1", rules=tuple(rng.sample(rules, len(rules))))
+    trusted, _observed = make_reports(rules, rules)
+    assert audit_flow_rules(trusted, shuffled) == full_diff(trusted, shuffled)
+    assert audit_flow_rules(trusted, shuffled).clean
