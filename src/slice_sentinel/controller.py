@@ -15,8 +15,8 @@ fixed number of message hops that cost virtual time, nothing more.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Optional
 
 from . import policy as pol
 from . import security_functions as sf
@@ -179,7 +179,6 @@ class SecurityManager:
         self.global_blacklist: set[str] = set()
         self.admin_alerts: list[dict] = []
         self.pending_alerts: list[sf.Alert] = []
-        self.event_sink: Optional[Callable[[dict], None]] = None
         self.keygen = sf.KeyGenerator(seed)
         self._rng = random.Random(seed)
         self._rule_counter = 0
@@ -207,14 +206,8 @@ class SecurityManager:
             {"type": event_type, "node": node, "time_ms": self.fabric.clock_ms, **fields}
         )
 
-    def _emit(self, event: dict) -> None:
-        if self.event_sink is not None:
-            self.event_sink(event)
-
     def _admin_alert(self, kind: str, detail: dict) -> None:
-        record = {"kind": kind, "time_ms": self.fabric.clock_ms, **detail}
-        self.admin_alerts.append(record)
-        self._emit({"event": "admin-alert", **record})
+        self.admin_alerts.append({"kind": kind, "time_ms": self.fabric.clock_ms, **detail})
 
     def _next_rule_id(self) -> str:
         self._rule_counter += 1
@@ -231,7 +224,6 @@ class SecurityManager:
         """Log an alert into the activity log and queue it for handling."""
         self._log(pol.EV_ALERT_RAISED, None, **alert.to_dict())
         self.pending_alerts.append(alert)
-        self._emit({"event": "alert", **alert.to_dict()})
 
     def log_access_denied(self, node: str, device_id: str, flow_id: str, reason: str) -> None:
         # One log entry per (device, flow): floods must not balloon the log.
@@ -281,15 +273,14 @@ class SecurityManager:
                 installed += 1
         return installed
 
-    # -- deployment composition --------------------------------------------------
+    # -- deployment -------------------------------------------------------------
 
-    def compose_deployment(
-        self, profile: Optional[pol.SecurityProfile], node: str
-    ) -> IngressProcessor:
-        """Build (or extend) the security deployment for an edge node.
+    def deploy_functions(self, node: str, profile: Optional[pol.SecurityProfile]) -> IngressProcessor:
+        """Build (or extend) the security functions of an edge node, register
+        them as its ingress hook and log the deployment.
 
         The whole profile goes in: every device of the user, every slice and
-        service those devices are subscribed to.  An empty profile yields a
+        service those devices are subscribed to.  No profile yields a
         generic-only deployment.  Every edge shares the one global blacklist.
         """
         dep = self.fabric.ingress_processors.get(node)
@@ -308,14 +299,12 @@ class SecurityManager:
             for device, pairs in sorted(profile.allowed.items()):
                 dep.access.allowed.setdefault(device, set()).update(pairs)
             dep.covered_users.add(profile.user_id)
-        return dep
-
-    def _deploy(self, dep: IngressProcessor) -> None:
-        self.fabric.set_ingress_processor(dep.node, dep)
+        self.fabric.set_ingress_processor(node, dep)
         self._log(
-            pol.EV_FUNCTIONS_DEPLOYED, dep.node,
+            pol.EV_FUNCTIONS_DEPLOYED, node,
             covered_users=sorted(dep.covered_users), devices=sorted(dep.access.allowed),
         )
+        return dep
 
     # -- command API ---------------------------------------------------------
 
@@ -327,15 +316,15 @@ class SecurityManager:
         deployment without touching the repository.
         """
         cfg = self.config
-        header = punt.header
-        device = header.src_mac
+        packet = punt.packet
+        device = packet.src_mac
         cost = cfg.dispatch_us()
-        flow_id = header.flow_id or f"{header.src_ip}->{header.dst_ip}"
+        flow_id = packet.flow_id or f"{packet.src_ip}->{packet.dst_ip}"
 
         if not cfg.security_enabled:
             # Baseline reactive forwarding: no security functions at all.
             return self._route_flow(
-                punt, flow_id, "permitted", self.requested_pair(header.dst_ip), header.dst_ip, cost
+                punt, flow_id, "permitted", self.requested_pair(packet.dst_ip), packet.dst_ip, cost
             )
 
         dep = self.fabric.ingress_processors.get(punt.node)
@@ -346,28 +335,20 @@ class SecurityManager:
             self._log(pol.EV_PROFILE_EXTRACTED, punt.node, user_id=user_id)
             extraction = True
             cost += cfg.profile_extract_us
-            dep = self.compose_deployment(profile, punt.node)
+            dep = self.deploy_functions(punt.node, profile)
             cost += cfg.compose_us + cfg.deploy_us
-            self._deploy(dep)
         elif dep is None:
             # No registered user behind this punt: deploy a generic-only bundle
             # so the edge can police and rate-cap guest traffic.
-            dep = self.compose_deployment(None, punt.node)
+            dep = self.deploy_functions(punt.node, None)
             cost += cfg.compose_us + cfg.deploy_us
-            self._deploy(dep)
 
-        probe = Packet(
-            src_ip=header.src_ip,
-            dst_ip=header.dst_ip,
-            src_mac=header.src_mac,
-            dst_mac=header.dst_mac,
-            flow_id=flow_id,
-            slice_id=header.slice_id,
-            virtual_timestamp=header.virtual_timestamp,
-        )
+        if not packet.flow_id:
+            # Denials and alerts name the flow by its default id.
+            packet = replace(packet, flow_id=flow_id)
         # The edge's own functions judge the first packet, at header scope,
         # before any rules go in.
-        verdict, result, screen_cost = dep.screen(probe, headers_only=True)
+        verdict, result, screen_cost = dep.screen(packet, headers_only=True)
         cost += screen_cost
         if result is None:
             return FlowDecision(
@@ -381,15 +362,15 @@ class SecurityManager:
             )
 
         if verdict == sf.AccessVerdict.PERMIT:
-            requested = self.requested_pair(header.dst_ip)
+            requested = self.requested_pair(packet.dst_ip)
             return self._route_flow(
-                punt, flow_id, "permitted", requested, header.dst_ip, cost,
+                punt, flow_id, "permitted", requested, packet.dst_ip, cost,
                 reqs=self.repository.security_reqs(device, requested), extraction=extraction,
             )
         # ROUTE_GENERIC
         return self._route_flow(
             punt, flow_id, "generic", (cfg.generic_slice, "generic"),
-            self._generic_host_ip() or header.dst_ip, cost, extraction=extraction,
+            self._generic_host_ip() or packet.dst_ip, cost, extraction=extraction,
         )
 
     def _route_flow(
@@ -406,7 +387,7 @@ class SecurityManager:
         """Route an admitted flow toward ``route_ip`` on ``pair``: path,
         record and bidirectional rules.  Adds path and install costs."""
         cfg = self.config
-        header = punt.header
+        packet = punt.packet
         dst_node = self.fabric.host_by_ip(route_ip)
         if dst_node is None:
             return FlowDecision(
@@ -424,9 +405,9 @@ class SecurityManager:
             )
         slice_id, service = pair
         record = FlowRecord(
-            device_id=header.src_mac,
-            src_ip=header.src_ip,
-            dst_ip=header.dst_ip,
+            device_id=packet.src_mac,
+            src_ip=packet.src_ip,
+            dst_ip=packet.dst_ip,
             slice_id=slice_id,
             service=service,
             security_reqs=reqs,
@@ -572,8 +553,7 @@ class SecurityManager:
 
         to_dep = self.fabric.ingress_processors.get(to_edge)
         if to_dep is None:
-            to_dep = self.compose_deployment(None, to_edge)
-            self._deploy(to_dep)
+            to_dep = self.deploy_functions(to_edge, None)
         if device_id in from_dep.access.allowed:
             to_dep.access.allowed[device_id] = set(from_dep.access.allowed[device_id])
         window = from_dep.validator.windows.get(device_id)

@@ -44,26 +44,13 @@ class Provenance(str, Enum):
     EXTERNAL = "external"
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# Keys sorted, no whitespace; a bound method, so a call pays for no wrapper.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 # ---------------------------------------------------------------------------
 # Packets and flow rules
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PacketHeader:
-    """What a punt event carries to the controller: header fields only."""
-
-    src_ip: str
-    dst_ip: str
-    src_mac: str
-    dst_mac: str
-    flow_id: str
-    slice_id: Optional[int]
-    virtual_timestamp: int
-
 
 @dataclass
 class Packet:
@@ -75,17 +62,6 @@ class Packet:
     flow_id: str = ""
     slice_id: Optional[int] = None
     virtual_timestamp: int = 0
-
-    def header(self) -> PacketHeader:
-        return PacketHeader(
-            src_ip=self.src_ip,
-            dst_ip=self.dst_ip,
-            src_mac=self.src_mac,
-            dst_mac=self.dst_mac,
-            flow_id=self.flow_id,
-            slice_id=self.slice_id,
-            virtual_timestamp=self.virtual_timestamp,
-        )
 
 
 @dataclass(frozen=True)
@@ -386,12 +362,11 @@ Outcome = Union[Delivered, Dropped, Punted]
 
 @dataclass(frozen=True)
 class LinkHop:
-    """One link a packet crossed: from ``node`` to ``to`` on ``slice_id``,
-    carrying ``payload`` (an envelope when ``encrypted``)."""
+    """One link a packet crossed: from ``node`` to ``to``, carrying
+    ``payload`` (an envelope when ``encrypted``)."""
 
     node: str
     to: str
-    slice_id: Optional[int]
     encrypted: bool
     payload: bytes
 
@@ -404,9 +379,11 @@ class ForwardingTrace:
 
 @dataclass(frozen=True)
 class PuntEvent:
+    """A packet-in: the punted packet cut to its header (empty payload)."""
+
     node: str
     port: int
-    header: PacketHeader
+    packet: Packet
 
 
 @dataclass
@@ -685,7 +662,8 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
     """Push a packet into the fabric at an edge and run it to an outcome.
 
     The ingress node's security processor (if deployed) runs before table
-    lookup.  A punt emits a controller event carrying only the packet header.
+    lookup.  A punt emits a controller event carrying the fabric's own copy
+    of the packet with its payload emptied; ``packet`` is never changed.
     The trace holds the link hops the packet crossed, in order.
     """
     node_id, port = ingress
@@ -711,7 +689,8 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
             outcome = Dropped(node=at, reason="no-matching-rule")
             break
         if isinstance(rule.action, PuntToController):
-            fabric.punt_events.append(PuntEvent(node=at, port=port, header=work.header()))
+            work.payload = b""
+            fabric.punt_events.append(PuntEvent(node=at, port=port, packet=work))
             outcome = Punted(node=at)
             break
         if isinstance(rule.action, Drop):
@@ -735,7 +714,7 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
             break
         work.payload = payload
         work.virtual_timestamp += latency
-        hops.append(LinkHop(at, peer_id, work.slice_id, encrypted, payload))
+        hops.append(LinkHop(at, peer_id, encrypted, payload))
         if peer.kind == NodeKind.HOST:
             if work.slice_id is not None and peer_id not in fabric.slices.get(work.slice_id, ()):
                 outcome = Dropped(node=at, reason="slice-violation")

@@ -23,6 +23,7 @@ from .fabric import (
     FlowKey,
     ReportedRule,
     SwitchStateReport,
+    canonical_json,
     canonical_rule_order,
 )
 
@@ -141,8 +142,8 @@ class PolicyRepository:
     """Indexed store of policy rules, keyed by device and by user."""
 
     def __init__(self) -> None:
-        self.rules: list[PolicyRule] = []
-        self._by_id: dict[str, PolicyRule] = {}
+        # policy id -> rule, in registration order
+        self.rules: dict[str, PolicyRule] = {}
         self._by_mac: dict[str, list[PolicyRule]] = {}
         self._by_user: dict[str, list[PolicyRule]] = {}
         self._service_at: dict[str, tuple[int, str]] = {}
@@ -154,7 +155,7 @@ class PolicyRepository:
         maps a known destination to another pair is rejected before any index
         changes.
         """
-        if rule.policy_id in self._by_id:
+        if rule.policy_id in self.rules:
             raise PolicyError(f"duplicate policy id {rule.policy_id!r}")
         action = rule.actions[0]
         pair = (action.slice_id, action.service)
@@ -164,8 +165,7 @@ class PolicyRepository:
                 f"policy {rule.policy_id!r}: destination {rule.dest_ip} already hosts "
                 f"{hosted}, cannot also host {pair}"
             )
-        self.rules.append(rule)
-        self._by_id[rule.policy_id] = rule
+        self.rules[rule.policy_id] = rule
         self._by_mac.setdefault(rule.device_id, []).append(rule)
         self._by_user.setdefault(rule.user_id, []).append(rule)
         self._service_at[rule.dest_ip] = pair
@@ -245,10 +245,6 @@ class LogIntegrityError(Exception):
     """Raised when the activity log's hash chain does not verify."""
 
 
-# The canonical encoding of an event, byte for byte ``canonical_json``.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 @dataclass(frozen=True)
 class LogEntry:
     seq: int
@@ -297,7 +293,7 @@ def _parse_entry(line: str, lineno: int) -> LogEntry:
     # covers, however the line spelled them.
     return LogEntry(
         seq=d["seq"],
-        data=_CANONICAL.encode(event).encode(),
+        data=canonical_json(event).encode(),
         prev_hash=bytes.fromhex(d["prev_hash"]),
         entry_hash=bytes.fromhex(d["entry_hash"]),
     )
@@ -369,7 +365,7 @@ class ActivityLog:
             raise ValueError("activity log events need a 'type' field")
         seq = len(self.entries)
         prev = self.entries[-1].entry_hash if self.entries else GENESIS_HASH
-        data = _CANONICAL.encode(event).encode()
+        data = canonical_json(event).encode()
         entry = LogEntry(seq=seq, data=data, prev_hash=prev, entry_hash=_entry_hash(seq, data, prev))
         self.entries.append(entry)
         return entry

@@ -26,6 +26,7 @@ from .fabric import (
     FlowRule,
     FlowKey,
     Drop as DropAction,
+    NodeKind,
     Packet,
     Provenance,
     Punted,
@@ -365,7 +366,7 @@ def _scenario_attack3(config: dict, seed: int) -> ScenarioReport:
     for node_id in tampered:
         fabric.set_tampered(node_id, True)
 
-    hosts = sorted(n.node_id for n in fabric.nodes.values() if n.kind.value == "host")
+    hosts = sorted(n.node_id for n in fabric.nodes.values() if n.kind == NodeKind.HOST)
     results = {}
     for host in hosts:
         outcome = manager.deploy_service_gated(host, f"service@{host}")
@@ -597,6 +598,11 @@ def run_scenario(scenario_id: str, config: Optional[dict] = None, seed: int = 0)
 # Benchmarks
 # ---------------------------------------------------------------------------
 
+def _fleet_ue(i: int) -> tuple[str, str]:
+    """The IP and MAC of the UE behind gNodeB ``i`` of a bench fleet."""
+    return f"10.{1 + i // 250}.{(i % 250)}.2", f"02:00:00:{i:04d}"
+
+
 def _fleet_documents(n_gnodebs: int) -> tuple[dict, list]:
     nodes = [
         {"id": "COREB", "kind": "core"},
@@ -608,7 +614,7 @@ def _fleet_documents(n_gnodebs: int) -> tuple[dict, list]:
     for i in range(n_gnodebs):
         edge = f"E{i:04d}"
         ue = f"U{i:04d}"
-        ip = f"10.{1 + i // 250}.{(i % 250)}.2"
+        ip, mac = _fleet_ue(i)
         nodes.append({"id": edge, "kind": "edge"})
         nodes.append({"id": ue, "kind": "host", "ip": ip})
         links.append({"a": ue, "b": edge, "latency_ms": 1})
@@ -617,7 +623,7 @@ def _fleet_documents(n_gnodebs: int) -> tuple[dict, list]:
             {
                 "id": f"p{i:04d}",
                 "hostip": ip,
-                "hostmac": f"02:00:00:{i:04d}",
+                "hostmac": mac,
                 "destip": "10.9.0.1",
                 "user": {"id": f"user-{i:04d}", "name": f"user-{i:04d}",
                          "role": "Personal-Role", "organization": ""},
@@ -642,11 +648,9 @@ def _flow_setup_run(n: int, security_on: bool, run_seed: int) -> list[float]:
     manager = SecurityManager(fabric, repo, signatures=[], config=cfg, seed=run_seed)
 
     for i in range(n):
-        packet = Packet(
-            src_ip=f"10.{1 + i // 250}.{(i % 250)}.2", dst_ip="10.9.0.1",
-            src_mac=f"02:00:00:{i:04d}", dst_mac="0e:00:00:01",
-            payload=b"first", flow_id=f"bench-{i:04d}", virtual_timestamp=0,
-        )
+        ip, mac = _fleet_ue(i)
+        packet = Packet(src_ip=ip, dst_ip="10.9.0.1", src_mac=mac, dst_mac="0e:00:00:01",
+                        payload=b"first", flow_id=f"bench-{i:04d}", virtual_timestamp=0)
         inject_packet(fabric, packet, (f"E{i:04d}", 1))
 
     jitter = random.Random(run_seed)
@@ -658,7 +662,7 @@ def _flow_setup_run(n: int, security_on: bool, run_seed: int) -> list[float]:
     for punt in punts:
         decision = manager.new_flow(punt)
         service_us = decision.cost_us - one_way_us + jitter.randint(0, FLOW_SETUP_JITTER_US)
-        punted_us = punt.header.virtual_timestamp * 1000
+        punted_us = punt.packet.virtual_timestamp * 1000
         arrival_us = punted_us + one_way_us
         start_us = max(arrival_us, available_us)
         completion_us = start_us + service_us

@@ -17,7 +17,16 @@ passes even if it is write-only: ``SliceAccessState.node`` was never read,
 yet ``.node`` is read on many other classes, so only a review catches it.
 ``TraceEvent.time_ms`` (a forwarding-trace field, hidden by ``alert.time_ms``)
 and ``World.repository`` (hidden by ``manager.repository``) were write-only
-fields of the same kind.
+fields of the same kind.  So were ``LinkHop.slice_id`` (hidden by
+``Packet.slice_id``) and the ``PolicyRepository.rules`` list (hidden by
+``SwitchStateReport.rules``), read only by tests; the first is deleted, the
+second is now the id-keyed dict the duplicate check reads.  One such field
+is left: ``FlowDecision.error`` is read only by tests and passes because
+perfbench calls ``parser.error``.  Per-reason drop counters in the reports
+(ROADMAP item 3) are its natural reader.
+
+Every module of the package and of perfbench, ``__init__.py`` re-exports
+aside, must use each name it imports.
 """
 
 import ast
@@ -142,3 +151,29 @@ def test_every_dataclass_field_is_read_somewhere():
                 if stmt.target.id not in reads and qualname not in FIELDS_READ_BY_EQUALITY:
                     unread.append(f"{path.relative_to(ROOT)}:{stmt.lineno} {qualname}")
     assert unread == [], "dataclass fields never read as an attribute:\n" + "\n".join(unread)
+
+
+def _imported_names(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, bound name) for every import in a module, at any depth."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    return bound
+
+
+def test_every_import_is_used():
+    # Parsed apart from PARSED: ``test_smoke.py`` counts here.  Package
+    # ``__init__.py`` files import in order to re-export, so they do not.
+    files = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    unused = []
+    for path in files:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for line, name in _imported_names(tree) if name not in names]
+    assert unused == [], "imports never used in their module:\n" + "\n".join(unused)

@@ -119,6 +119,17 @@ class TestNewFlow:
         assert "f-printer" not in manager.flows
         assert trace.outcome == Dropped(node="OVS1", reason="deny-unauthorized")
 
+    def test_a_packet_without_flow_id_is_named_by_its_addresses(self, world):
+        fabric, repo, manager = world
+        _trace, decision = drive(fabric, manager, ue_packet(1, "10.0.0.8", ""), ("OVS1", 1))
+        assert decision.flow_id == "10.0.0.1->10.0.0.8"
+        assert list(manager.flows) == ["10.0.0.1->10.0.0.8"]
+        # The controller's denial entry carries the same default id.
+        _trace, denied = drive(fabric, manager, ue_packet(3, "10.0.0.8", ""), ("OVS1", 3))
+        assert denied.verdict == "deny-unauthorized"
+        first_denial = manager.log.events(pol.EV_ACCESS_DENIED)[0]
+        assert first_denial["flow_id"] == "10.0.0.3->10.0.0.8"
+
     def test_no_route_reported_as_error(self, topology_doc, policy_doc, world):
         fabric, repo, manager = world
         # island host: registered service IP with no attached node
@@ -181,12 +192,13 @@ class TestComposeDeployment:
     def test_profile_with_two_devices_lands_both(self, world):
         fabric, repo, manager = world
         profile = extract_profile(repo, "alice")
-        dep = manager.compose_deployment(profile, "OVS1")
+        dep = manager.deploy_functions("OVS1", profile)
         assert set(dep.access.allowed) == {"00:09:00:AA", "00:09:00:AC"}
+        assert fabric.ingress_processors["OVS1"] is dep
 
     def test_no_profile_gives_generic_only_deployment(self, world):
         fabric, repo, manager = world
-        dep = manager.compose_deployment(None, "OVS1")
+        dep = manager.deploy_functions("OVS1", None)
         assert dep.access.allowed == {}
         # with no allowed pairs every device, registered or not, rides generic
         probe = ue_packet(1, "10.0.0.8", "f")
@@ -542,7 +554,7 @@ class TestSliceAccessCompleteness:
         fabric, repo, manager = world
         allowed = {
             (rule.device_id, action.slice_id)
-            for rule in repo.rules
+            for rule in repo.rules.values()
             for action in rule.actions
         }
         traffic = [
@@ -562,11 +574,12 @@ class TestSliceAccessCompleteness:
                     deliveries.append((packet.src_mac, trace))
         assert deliveries  # the authorized flows did get through
         for device, trace in deliveries:
-            slices_seen = {hop.slice_id for hop in trace.events}
-            for slice_id in slices_seen:
-                assert (device, slice_id) in allowed or slice_id == 4094, (
-                    device, slice_id,
-                )
+            # The fabric delivers only to a host on the packet's final slice tag.
+            host = trace.outcome.host
+            host_slices = {vlan for vlan, hosts in fabric.slices.items() if host in hosts}
+            assert any((device, vlan) in allowed or vlan == 4094 for vlan in host_slices), (
+                device, host,
+            )
 
 
 class TestPipelineOrdering:

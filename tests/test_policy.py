@@ -65,7 +65,7 @@ def sample_policy_doc() -> list:
 class TestLoadPolicies:
     def test_sample_entry_maps_device_to_service_and_slice(self):
         repo = load_policies(sample_policy_doc())
-        rule = repo.rules[0]
+        rule = next(iter(repo.rules.values()))
         assert rule.policy_id == "02"
         assert rule.device_id == "00:09:00:AA"
         assert rule.user_id == "alice"
@@ -75,7 +75,7 @@ class TestLoadPolicies:
 
     def test_empty_document_gives_empty_repo_and_unknown_matches(self):
         repo = load_policies([])
-        assert repo.rules == []
+        assert repo.rules == {}
         assert repo.service_at("10.0.0.8") is None
         assert repo.user_of_device("aa:bb") is None
         assert not repo.device_known("aa:bb")
@@ -100,7 +100,7 @@ class TestLoadPolicies:
 
     def test_conflicting_destination_mapping_rejected_before_indexing(self):
         repo = load_policies(sample_policy_doc())
-        rules_before = list(repo.rules)
+        rules_before = dict(repo.rules)
         conflicting = parse_policy_rule({
             "id": "99", "hostip": "10.0.0.3", "hostmac": "00:09:00:AD",
             "destip": "10.0.0.8",
@@ -158,7 +158,7 @@ class TestExtractProfile:
         profile = extract_profile(repo, "alice")
         expected = {
             (action.slice_id, action.service)
-            for rule in repo.rules
+            for rule in repo.rules.values()
             if rule.user_id == "alice" and rule.device_id == "00:09:00:AA"
             for action in rule.actions
         }
@@ -171,7 +171,7 @@ class TestExtractProfile:
         profile = extract_profile(repo, "alice")
         backing = {
             (rule.device_id, action.slice_id, action.service)
-            for rule in repo.rules
+            for rule in repo.rules.values()
             for action in rule.actions
         }
         for device, pairs in profile.allowed.items():
@@ -220,14 +220,16 @@ def test_profile_is_the_per_device_union_of_the_users_rules(document):
         pairs = expected[raw["user"]["id"]].setdefault(raw["hostmac"], set())
         pairs.update((int(a["Slice-id"][4:]), a["Service"]) for a in raw["actions"])
     repo = load_policies(document)
-    manager = SecurityManager(build_topology({"nodes": [{"id": "E", "kind": "edge"}]}), repo)
     for user in USERS:
         profile = extract_profile(repo, user)
         if not expected[user]:
             assert profile is None
             continue
         assert profile.allowed == expected[user]
-        access = manager.compose_deployment(profile, "E").access
+        # A fresh edge per user: deploying registers the functions, so one
+        # edge would gather every user's devices.
+        manager = SecurityManager(build_topology({"nodes": [{"id": "E", "kind": "edge"}]}), repo)
+        access = manager.deploy_functions("E", profile).access
         for device in DEVICES:
             probe = Packet(src_ip="10.0.0.1", dst_ip="10.9.0.1", src_mac=device,
                            dst_mac="bb", payload=b"", flow_id="f")
