@@ -39,6 +39,16 @@ from .fabric import (
 )
 
 
+# The access verdicts that stop a packet at slice entry.  A tuple: its
+# identity-first membership test is cheaper than hashing an enum member.
+_DENIALS = (sf.AccessVerdict.DENY_UNAUTHORIZED, sf.AccessVerdict.DENY_BLACKLISTED)
+
+
+def _flow_id(packet: Packet) -> str:
+    """A packet's flow id; a packet without one is named by its addresses."""
+    return packet.flow_id or f"{packet.src_ip}->{packet.dst_ip}"
+
+
 class UnknownDeviceError(KeyError):
     """Raised when an operation names a device with no state at that edge."""
 
@@ -140,7 +150,7 @@ class IngressProcessor:
         mgr = self.manager
         cfg = mgr.config
         verdict = sf.check_slice_access(self.access, packet, mgr.requested_pair(packet.dst_ip))
-        if verdict in (sf.AccessVerdict.DENY_UNAUTHORIZED, sf.AccessVerdict.DENY_BLACKLISTED):
+        if verdict in _DENIALS:
             mgr.log_access_denied(self.node, packet.src_mac, packet.flow_id, verdict.value)
             return verdict, None, cfg.access_check_us
         result = sf.validate_flow(self.validator, packet, headers_only)
@@ -151,6 +161,9 @@ class IngressProcessor:
         return verdict, result, cost
 
     def process(self, packet: Packet) -> IngressDecision:
+        if not packet.flow_id:
+            # Denials and alerts name the flow by its default id, as in new_flow.
+            packet = replace(packet, flow_id=_flow_id(packet))
         verdict, result, cost = self.screen(packet)
         if result is None:
             return IngressDecision(allow=False, reason=verdict.value, cost_us=cost)
@@ -319,7 +332,7 @@ class SecurityManager:
         packet = punt.packet
         device = packet.src_mac
         cost = cfg.dispatch_us()
-        flow_id = packet.flow_id or f"{packet.src_ip}->{packet.dst_ip}"
+        flow_id = _flow_id(packet)
 
         if not cfg.security_enabled:
             # Baseline reactive forwarding: no security functions at all.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 VLAN_MIN = 1
 VLAN_MAX = 4094
@@ -302,10 +302,13 @@ class FlowTable:
         else:
             self._masks[project] -= 1
 
-    def lookup(self, packet: Packet) -> Optional[FlowRule]:
-        """Highest priority first; equal priorities break on lowest rule id."""
-        fields = (packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac,
-                  packet.slice_id, None)
+    def lookup(self, fields: tuple) -> Optional[FlowRule]:
+        """The rule a packet with these header fields hits: highest priority
+        first, equal priorities break on lowest rule id.
+
+        ``fields`` is ``(src_ip, dst_ip, src_mac, dst_mac, slice_id, None)``:
+        the packet's match fields, then the ``None`` a wildcard projects to.
+        """
         best = None
         for project in self._masks:
             bucket = self._buckets.get(project(fields))
@@ -343,6 +346,9 @@ class SwitchStateReport:
 
 @dataclass(frozen=True)
 class Delivered:
+    """Built once per host by ``build_topology``; every delivery to that
+    host returns the same object."""
+
     host: str
 
 
@@ -360,10 +366,10 @@ class Punted:
 Outcome = Union[Delivered, Dropped, Punted]
 
 
-@dataclass(frozen=True)
-class LinkHop:
+class LinkHop(NamedTuple):
     """One link a packet crossed: from ``node`` to ``to``, carrying
-    ``payload`` (an envelope when ``encrypted``)."""
+    ``payload`` (an envelope when ``encrypted``).  A named tuple, so it
+    equals the plain tuple of its fields."""
 
     node: str
     to: str
@@ -429,6 +435,8 @@ class Fabric:
         self._route_cache: dict[str, dict[str, str]] = {}
         # host ip -> host node id; the first host in document order wins
         self._host_by_ip: dict[str, str] = {}
+        # host node id -> the one outcome every delivery to it returns
+        self._delivered: dict[str, Delivered] = {}
 
     # -- node helpers -------------------------------------------------------
 
@@ -549,8 +557,10 @@ def build_topology(config: dict) -> Fabric:
                 )
             )
         fabric.nodes[node_id] = node
-        if kind == NodeKind.HOST and node.ip is not None:
-            fabric._host_by_ip.setdefault(node.ip, node_id)
+        if kind == NodeKind.HOST:
+            fabric._delivered[node_id] = Delivered(host=node_id)
+            if node.ip is not None:
+                fabric._host_by_ip.setdefault(node.ip, node_id)
 
     for link in _entries(config, "links", ("a", "b")):
         a, b = link["a"], link["b"]
@@ -630,18 +640,18 @@ def measure_attestation(fabric: Fabric, node_id: str, nonce: bytes) -> Attestati
 
 
 def _apply_ciphers(
-    fabric: Fabric,
-    node_id: str,
+    ciphers: dict[str, tuple[str, object]],
     flow_id: str,
     payload: bytes,
     encrypted: bool,
     next_is_host: bool,
 ) -> tuple[Optional[bytes], bool]:
-    """Run the node's cipher for this flow, if any, on the outgoing payload.
+    """Run a node's cipher for this flow, if any, on the outgoing payload.
 
-    The payload comes back as ``None`` when an envelope fails authentication.
+    ``ciphers`` is the node's ``flow_ciphers`` entry.  The payload comes back
+    as ``None`` when an envelope fails authentication.
     """
-    entry = fabric.flow_ciphers.get(node_id, {}).get(flow_id)
+    entry = ciphers.get(flow_id)
     if entry is None:
         return payload, encrypted
     mode, cipher = entry
@@ -662,68 +672,75 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
     """Push a packet into the fabric at an edge and run it to an outcome.
 
     The ingress node's security processor (if deployed) runs before table
-    lookup.  A punt emits a controller event carrying the fabric's own copy
-    of the packet with its payload emptied; ``packet`` is never changed.
-    The trace holds the link hops the packet crossed, in order.
+    lookup.  The walk keeps the packet's slice tag, payload and virtual
+    timestamp in locals; ``packet`` is never changed.  A punt emits a
+    controller event carrying a new packet cut to its header: empty payload,
+    the slice tag and timestamp it had at the punting node.  The trace holds
+    the link hops the packet crossed, in order.
     """
     node_id, port = ingress
-    fabric.node(node_id)
-    work = Packet(packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac, packet.payload,
-                  packet.flow_id, packet.slice_id, packet.virtual_timestamp)
+    node = fabric.node(node_id)
     hops: list[LinkHop] = []
+    slice_id = packet.slice_id
+    payload = packet.payload
+    timestamp = packet.virtual_timestamp
     encrypted = False
 
     processor = fabric.ingress_processors.get(node_id)
     if processor is not None:
-        decision: IngressDecision = processor.process(work)
-        work.virtual_timestamp += decision.cost_us // 1000
+        decision: IngressDecision = processor.process(packet)
+        timestamp += decision.cost_us // 1000
         if not decision.allow:
-            fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
+            fabric.clock_ms = max(fabric.clock_ms, timestamp)
             return ForwardingTrace(hops, Dropped(node=node_id, reason=decision.reason))
 
+    src_ip, dst_ip, src_mac, dst_mac = packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac
+    flow_ciphers = fabric.flow_ciphers
     at = node_id
     for _hop in range(MAX_HOPS):
-        node = fabric.nodes[at]
-        rule = node.table.lookup(work)
+        rule = node.table.lookup((src_ip, dst_ip, src_mac, dst_mac, slice_id, None))
         if rule is None:
             outcome = Dropped(node=at, reason="no-matching-rule")
             break
-        if isinstance(rule.action, PuntToController):
-            work.payload = b""
-            fabric.punt_events.append(PuntEvent(node=at, port=port, packet=work))
-            outcome = Punted(node=at)
-            break
-        if isinstance(rule.action, Drop):
-            outcome = Dropped(node=at, reason=f"drop-rule:{rule.rule_id}")
+        action = rule.action
+        if not isinstance(action, Forward):
+            if isinstance(action, PuntToController):
+                header = Packet(src_ip, dst_ip, src_mac, dst_mac, b"", packet.flow_id,
+                                slice_id, timestamp)
+                fabric.punt_events.append(PuntEvent(node=at, port=port, packet=header))
+                outcome = Punted(node=at)
+            else:
+                outcome = Dropped(node=at, reason=f"drop-rule:{rule.rule_id}")
             break
 
-        # Forward
-        work.slice_id = rule.action.slice_id
-        link = node.ports.get(rule.action.port)
+        slice_id = action.slice_id
+        link = node.ports.get(action.port)
         if link is None:
             outcome = Dropped(node=at, reason="dead-port")
             break
         peer_id, _peer_port, latency = link
         peer = fabric.nodes[peer_id]
-        payload, encrypted = _apply_ciphers(
-            fabric, at, work.flow_id, work.payload, encrypted,
-            next_is_host=(peer.kind == NodeKind.HOST),
-        )
-        if payload is None:
-            outcome = Dropped(node=at, reason="auth-failed")
-            break
-        work.payload = payload
-        work.virtual_timestamp += latency
+        to_host = peer.kind is NodeKind.HOST
+        ciphers = flow_ciphers.get(at)
+        if ciphers is not None:
+            payload, encrypted = _apply_ciphers(
+                ciphers, packet.flow_id, payload, encrypted, next_is_host=to_host
+            )
+            if payload is None:
+                outcome = Dropped(node=at, reason="auth-failed")
+                break
+        timestamp += latency
         hops.append(LinkHop(at, peer_id, encrypted, payload))
-        if peer.kind == NodeKind.HOST:
-            if work.slice_id is not None and peer_id not in fabric.slices.get(work.slice_id, ()):
+        if to_host:
+            if slice_id is not None and peer_id not in fabric.slices.get(slice_id, ()):
                 outcome = Dropped(node=at, reason="slice-violation")
             else:
-                outcome = Delivered(host=peer_id)
+                outcome = fabric._delivered[peer_id]
             break
         at = peer_id
+        node = peer
     else:
         outcome = Dropped(node=at, reason="hop-limit")
 
-    fabric.clock_ms = max(fabric.clock_ms, work.virtual_timestamp)
+    fabric.clock_ms = max(fabric.clock_ms, timestamp)
     return ForwardingTrace(hops, outcome)

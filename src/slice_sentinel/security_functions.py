@@ -165,11 +165,13 @@ def validate_flow(
     reached the controller.
     """
     device = packet.src_mac
-    header = packet_header_bytes(packet)
+    header = None  # built at the first header-scope signature
     scanned = 0
     for sig in state.signatures:
         scanned += 1
         if sig.scope == "header":
+            if header is None:
+                header = packet_header_bytes(packet)
             haystack = header
         elif headers_only:
             continue
@@ -190,7 +192,9 @@ def validate_flow(
     if headers_only:
         return FlowValidationResult(None, None, scanned)
 
-    window = state.windows.setdefault(device, deque())
+    window = state.windows.get(device)
+    if window is None:
+        window = state.windows[device] = deque()
     now = packet.virtual_timestamp
     cutoff = now - state.window_ms
     while window and window[0] <= cutoff:

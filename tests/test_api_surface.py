@@ -8,9 +8,10 @@ benchmark tracer wraps methods).  Package ``__init__.py`` re-exports and the
 tests do not count, so an API kept alive only by a re-export or by its own
 tests fails here.
 
-Every field of a dataclass must also be read as an attribute (``obj.field``
-in load context) somewhere in ``src/`` or ``perfbench/``; a field that is
-only written, or read only by tests, fails here.
+Every field of a dataclass or a ``NamedTuple`` class must also be read as an
+attribute (``obj.field`` in load context) somewhere in ``src/`` or
+``perfbench/``; a field that is only written, or read only by tests, fails
+here.
 
 The checks are name-level.  A field whose name is read on another class
 passes even if it is write-only: ``SliceAccessState.node`` was never read,
@@ -125,16 +126,22 @@ def test_every_public_method_has_a_use_outside_its_body():
 FIELDS_READ_BY_EQUALITY = {"Delivered.host"}
 
 
+def _name(node: ast.expr):
+    """The last name of ``x`` or ``a.x``; None for any other expression."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
 def _is_dataclass(cls: ast.ClassDef) -> bool:
-    for deco in cls.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name == "dataclass":
-            return True
-    return False
+    return any(_name(deco.func if isinstance(deco, ast.Call) else deco) == "dataclass"
+               for deco in cls.decorator_list)
+
+
+def _is_named_tuple(cls: ast.ClassDef) -> bool:
+    return any(_name(base) == "NamedTuple" for base in cls.bases)
 
 
 def test_every_dataclass_field_is_read_somewhere():
+    """Dataclasses and ``NamedTuple`` classes alike."""
     reads = {
         node.attr
         for _text, tree in PARSED.values()
@@ -143,14 +150,16 @@ def test_every_dataclass_field_is_read_somewhere():
     }
     unread = []
     for path, tree in _package_modules():
-        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and _is_dataclass(n)):
+        records = (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+                   and (_is_dataclass(n) or _is_named_tuple(n)))
+        for cls in records:
             for stmt in cls.body:
                 if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
                     continue
                 qualname = f"{cls.name}.{stmt.target.id}"
                 if stmt.target.id not in reads and qualname not in FIELDS_READ_BY_EQUALITY:
                     unread.append(f"{path.relative_to(ROOT)}:{stmt.lineno} {qualname}")
-    assert unread == [], "dataclass fields never read as an attribute:\n" + "\n".join(unread)
+    assert unread == [], "record fields never read as an attribute:\n" + "\n".join(unread)
 
 
 def _imported_names(tree: ast.Module) -> list[tuple[int, str]]:

@@ -477,6 +477,8 @@ SCREEN_CASES = {
     "header-signature": (
         "00:09:00:AA", "10.0.0.1", "10.0.0.8", "evil-ue1", 1, "signature:sig-evil-flow"
     ),
+    # No flow id: both paths name the flow "10.0.0.3->10.0.0.8".
+    "no-flow-id": ("00:09:00:AD", "10.0.0.3", "10.0.0.8", "", 3, "deny-unauthorized"),
 }
 
 
@@ -512,6 +514,11 @@ def test_flow_setup_and_datapath_screen_a_header_alike(
     if decision.verdict == "deny-validation":
         # A validation drop is logged as its alert alone, by either path.
         assert setup_logged == datapath_logged == [EV_ALERT_RAISED]
+    # An access denial is logged once, and both paths name the flow alike.
+    denied = [e["flow_id"] for e in manager.log.events(pol.EV_ACCESS_DENIED)]
+    access_denied = decision.verdict in ("deny-unauthorized", "deny-blacklisted")
+    assert denied == ([decision.flow_id] if access_denied else [])
+    assert {e["flow_id"] for e in manager.log.events(EV_ALERT_RAISED)} <= {decision.flow_id}
 
 
 class TestProvisionSecurity:

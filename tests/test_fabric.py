@@ -314,7 +314,9 @@ class TestPriorityMatching:
                 for _probe in range(rng.randint(0, 2)):
                     packet = random_packet(model)
                     expected = self._linear_scan_oracle(model.values(), packet)
-                    assert table.lookup(packet) == expected
+                    header = (packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac,
+                              packet.slice_id, None)
+                    assert table.lookup(header) == expected
                     if expected is not None:
                         tied = {r.match for r in model.values()
                                 if r.priority == expected.priority

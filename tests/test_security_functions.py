@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slice_sentinel import security_functions
 from slice_sentinel.fabric import (
     Drop,
     FlowKey,
@@ -64,6 +65,35 @@ class TestSliceAccess:
         assert check_slice_access(state, packet(mac="ue1"), (200, "Service1")) == AccessVerdict.PERMIT
 
 
+MIXED_SIGNATURES = [
+    Signature("d-head", b"slice=7", "header"),
+    Signature("c-pay", b"BAD", "payload"),
+    Signature("b-head", b"flow=evil", "header"),
+    Signature("a-pay", b"PAY", "payload"),
+]
+PAYLOAD_SIGNATURES = [s for s in MIXED_SIGNATURES if s.scope == "payload"]
+
+# signatures, payload, flow id, slice, headers_only
+#   -> drop reason, signatures scanned, header builds
+VALIDATION_CASES = {
+    "payload-match-before-any-header-signature":
+        (MIXED_SIGNATURES, b"xPAYx", "f1", None, False, "signature:a-pay", 1, 0),
+    "payload-match-after-a-header-signature":
+        (MIXED_SIGNATURES, b"BAD", "f1", None, False, "signature:c-pay", 3, 1),
+    "header-match": (MIXED_SIGNATURES, b"", "evil", None, False, "signature:b-head", 2, 1),
+    "second-header-signature-reuses-the-header":
+        (MIXED_SIGNATURES, b"", "f1", 7, False, "signature:d-head", 4, 1),
+    "clean": (MIXED_SIGNATURES, b"ok", "f1", None, False, None, 4, 1),
+    "headers-only-skips-payload-signatures":
+        (MIXED_SIGNATURES, b"PAY", "f1", None, True, None, 4, 1),
+    "headers-only-header-match":
+        (MIXED_SIGNATURES, b"", "evil", None, True, "signature:b-head", 2, 1),
+    "payload-signatures-only": (PAYLOAD_SIGNATURES, b"ok", "f1", None, False, None, 2, 0),
+    "payload-signatures-only-headers-only":
+        (PAYLOAD_SIGNATURES, b"PAY", "f1", None, True, None, 2, 0),
+}
+
+
 class TestFlowValidation:
     def test_shellshock_payload_dropped_by_signature(self):
         state = FlowValidatorState(signatures=[Signature("sig-shellshock", SHELLSHOCK, "payload")])
@@ -111,6 +141,29 @@ class TestFlowValidation:
         for t in range(0, 2000, 20):  # 50 packets per second
             result = validate_flow(state, packet(ts=t))
             assert result.drop_reason is None
+
+    @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+    def test_mixed_scope_first_match_and_scan_count(self, case, monkeypatch):
+        """First match by id order, ``signatures_scanned`` against a hand
+        count (a payload signature skipped at header scope still counts), and
+        the header built once, at the first header-scope signature reached."""
+        signatures, payload, flow, slice_id, headers_only, reason, scanned, built = (
+            VALIDATION_CASES[case]
+        )
+        builds = []
+        header_bytes = security_functions.packet_header_bytes
+
+        def counting(pkt):
+            builds.append(pkt)
+            return header_bytes(pkt)
+
+        monkeypatch.setattr(security_functions, "packet_header_bytes", counting)
+        probe = packet(payload=payload, flow=flow)
+        probe.slice_id = slice_id
+        result = validate_flow(FlowValidatorState(signatures=signatures), probe, headers_only)
+        assert result.drop_reason == reason
+        assert result.signatures_scanned == scanned
+        assert len(builds) == built
 
     def test_parse_signatures_rejects_duplicates_and_bad_scope(self):
         with pytest.raises(ValueError, match="duplicate"):
