@@ -30,7 +30,6 @@ from .fabric import (
     IngressDecision,
     NodeKind,
     Packet,
-    Provenance,
     PuntEvent,
     SwitchStateReport,
     apply_flow_mod,
@@ -178,14 +177,13 @@ class SecurityManager:
         self,
         fabric: Fabric,
         repository: pol.PolicyRepository,
-        activity_log: Optional[pol.ActivityLog] = None,
         signatures: Optional[list[sf.Signature]] = None,
         config: Optional[ManagerConfig] = None,
         seed: int = 0,
     ) -> None:
         self.fabric = fabric
         self.repository = repository
-        self.log = activity_log if activity_log is not None else pol.ActivityLog()
+        self.log = pol.ActivityLog()
         self.signatures = list(signatures or [])
         self.config = config or ManagerConfig()
         self.flows: dict[str, FlowRecord] = {}
@@ -208,7 +206,7 @@ class SecurityManager:
             if node.kind == NodeKind.HOST:
                 continue
             for rule in sorted(node.table.rules(), key=lambda r: r.rule_id):
-                self._log(pol.EV_RULE_INSTALLED, node_id, rule=rule.reported().to_dict(), time_ms=0)
+                self._log(pol.EV_RULE_INSTALLED, node_id, rule=rule.to_dict(), time_ms=0)
 
     # -- small helpers --------------------------------------------------------
 
@@ -249,13 +247,13 @@ class SecurityManager:
     # -- rule installation -----------------------------------------------------
 
     def _install_rule(self, node: str, rule: FlowRule) -> None:
-        apply_flow_mod(self.fabric, node, FlowMod.add(rule), Provenance.CONTROLLER)
-        self._log(pol.EV_RULE_INSTALLED, node, rule=rule.reported().to_dict())
+        apply_flow_mod(self.fabric, node, FlowMod.add(rule))
+        self._log(pol.EV_RULE_INSTALLED, node, rule=rule.to_dict())
 
     def _clear_rules(self, record: FlowRecord) -> None:
         """Delete every rule of a flow record, logging each deletion."""
         for node, rule_id in record.rules:
-            apply_flow_mod(self.fabric, node, FlowMod.delete(rule_id), Provenance.CONTROLLER)
+            apply_flow_mod(self.fabric, node, FlowMod.delete(rule_id))
             self._log(pol.EV_RULE_DELETED, node, rule_id=rule_id)
         record.rules.clear()
 
@@ -522,10 +520,10 @@ class SecurityManager:
         # corrections, not policy changes, so the trusted state itself (the
         # install/delete history) is left untouched.
         for rule in result.extra_rules:
-            apply_flow_mod(self.fabric, node_id, FlowMod.delete(rule.rule_id), Provenance.CONTROLLER)
+            apply_flow_mod(self.fabric, node_id, FlowMod.delete(rule.rule_id))
         reinstalled = [*result.missing_rules, *(e for e, _o in result.modified_rules)]
         for rule in reinstalled:
-            apply_flow_mod(self.fabric, node_id, FlowMod.add(rule.to_rule()), Provenance.CONTROLLER)
+            apply_flow_mod(self.fabric, node_id, FlowMod.add(rule))
         self._log(
             pol.EV_CORRECTIVE_ACTION, node_id,
             deleted=[r.rule_id for r in result.extra_rules],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from operator import itemgetter
@@ -40,6 +40,8 @@ class NodeKind(str, Enum):
 
 
 class Provenance(str, Enum):
+    """Who sent a flow mod; ``apply_flow_mod`` accepts it and stores nothing."""
+
     CONTROLLER = "controller"
     EXTERNAL = "external"
 
@@ -136,28 +138,8 @@ def action_from_dict(d: dict) -> Action:
 
 @dataclass(frozen=True)
 class FlowRule:
-    rule_id: str
-    match: FlowKey
-    action: Action
-    priority: int
-    provenance: Provenance = Provenance.CONTROLLER
-
-    def reported(self) -> "ReportedRule":
-        return ReportedRule(
-            rule_id=self.rule_id,
-            match=self.match,
-            action=self.action,
-            priority=self.priority,
-        )
-
-
-@dataclass(frozen=True)
-class ReportedRule:
-    """A flow rule as a switch reports it: no injection provenance.
-
-    A real switch cannot know whether a rule came from its controller or from
-    an attacker, so provenance is stripped before a rule enters any report.
-    """
+    """A flow entry as a switch holds and reports it.  It records no sender:
+    a switch cannot tell its controller's rules from injected ones."""
 
     rule_id: str
     match: FlowKey
@@ -173,7 +155,7 @@ class ReportedRule:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ReportedRule":
+    def from_dict(cls, d: dict) -> "FlowRule":
         return cls(
             rule_id=d["rule_id"],
             match=FlowKey.from_dict(d["match"]),
@@ -181,14 +163,8 @@ class ReportedRule:
             priority=d["priority"],
         )
 
-    def to_rule(self) -> FlowRule:
-        """The controller-provenance flow rule this report describes."""
-        return FlowRule(
-            rule_id=self.rule_id, match=self.match, action=self.action, priority=self.priority
-        )
 
-
-def canonical_rule_order(rules: Iterable[ReportedRule]) -> tuple[ReportedRule, ...]:
+def canonical_rule_order(rules: Iterable[FlowRule]) -> tuple[FlowRule, ...]:
     """Priority descending, then rule id ascending. Shared by every report."""
     return tuple(sorted(rules, key=lambda r: (-r.priority, r.rule_id)))
 
@@ -245,8 +221,8 @@ class FlowTable:
         self._rules: dict[str, FlowRule] = {}
         self._buckets: dict[tuple, list[FlowRule]] = {}
         self._masks: dict[itemgetter, int] = {}
-        # The canonical reported rules; None once an add or delete may change them.
-        self._reported: Optional[tuple[ReportedRule, ...]] = None
+        # The rules in canonical order; None once an add or delete changes them.
+        self._reported: Optional[tuple[FlowRule, ...]] = None
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -254,10 +230,10 @@ class FlowTable:
     def rules(self) -> list[FlowRule]:
         return list(self._rules.values())
 
-    def reported(self) -> tuple[ReportedRule, ...]:
-        """The rules as the switch reports them, in canonical order."""
+    def reported(self) -> tuple[FlowRule, ...]:
+        """The table's own rules in canonical order, as the switch reports them."""
         if self._reported is None:
-            self._reported = canonical_rule_order(r.reported() for r in self._rules.values())
+            self._reported = canonical_rule_order(self._rules.values())
         return self._reported
 
     def add(self, rule: FlowRule) -> None:
@@ -284,9 +260,9 @@ class FlowTable:
         self._rules[rule.rule_id] = rule
 
     def delete(self, rule_id: str) -> None:
-        self._reported = None
         rule = self._rules.pop(rule_id, None)
         if rule is not None:
+            self._reported = None
             self._unindex(rule)
 
     def _unindex(self, rule: FlowRule) -> None:
@@ -337,7 +313,7 @@ class SwitchStateReport:
     expected, folded from the activity log."""
 
     node_id: str
-    rules: tuple[ReportedRule, ...]
+    rules: tuple[FlowRule, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +529,6 @@ def build_topology(config: dict) -> Fabric:
                     match=FlowKey(),
                     action=PuntToController(),
                     priority=0,
-                    provenance=Provenance.CONTROLLER,
                 )
             )
         fabric.nodes[node_id] = node
@@ -604,15 +579,16 @@ def apply_flow_mod(
     mod: FlowMod,
     provenance: Provenance = Provenance.CONTROLLER,
 ) -> None:
-    """Apply an add or delete to a node's table, stamping provenance."""
+    """Apply an add or delete to a node's table.
+
+    ``provenance``, who sent the mod, is accepted and not stored: a switch
+    cannot tell its controller's mods from injected ones.
+    """
     node = fabric.node(node_id)
     if mod.kind == "add":
         if mod.rule is None:
             raise ValueError("add flow mod without a rule")
-        rule = mod.rule
-        if rule.provenance != provenance:
-            rule = replace(rule, provenance=provenance)
-        node.table.add(rule)
+        node.table.add(mod.rule)
     elif mod.kind == "delete":
         if mod.rule_id is None:
             raise ValueError("delete flow mod without a rule id")
@@ -674,9 +650,10 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
     The ingress node's security processor (if deployed) runs before table
     lookup.  The walk keeps the packet's slice tag, payload and virtual
     timestamp in locals; ``packet`` is never changed.  A punt emits a
-    controller event carrying a new packet cut to its header: empty payload,
-    the slice tag and timestamp it had at the punting node.  The trace holds
-    the link hops the packet crossed, in order.
+    controller event naming the port the packet arrived on at the punting
+    node, and carrying a new packet cut to its header: empty payload, the
+    slice tag and timestamp it had at that node.  The trace holds the link
+    hops the packet crossed, in order.
     """
     node_id, port = ingress
     node = fabric.node(node_id)
@@ -718,7 +695,7 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
         if link is None:
             outcome = Dropped(node=at, reason="dead-port")
             break
-        peer_id, _peer_port, latency = link
+        peer_id, peer_port, latency = link
         peer = fabric.nodes[peer_id]
         to_host = peer.kind is NodeKind.HOST
         ciphers = flow_ciphers.get(at)
@@ -739,6 +716,7 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
             break
         at = peer_id
         node = peer
+        port = peer_port
     else:
         outcome = Dropped(node=at, reason="hop-limit")
 

@@ -20,11 +20,10 @@ from typing import Iterable, Optional
 from .fabric import (
     VLAN_MAX,
     VLAN_MIN,
-    FlowKey,
-    ReportedRule,
+    FlowRule,
+    FlowTable,
     SwitchStateReport,
     canonical_json,
-    canonical_rule_order,
 )
 
 VALID_SECURITY_REQS = frozenset(
@@ -299,62 +298,14 @@ def _parse_entry(line: str, lineno: int) -> LogEntry:
     )
 
 
-class _TrustedRules:
-    """Every node's rules as the log's installs and deletes leave them.
-
-    An install replaces the node's rule with the same id and the one with the
-    same (match, priority), as ``FlowTable.add`` does.  A node's canonical
-    report is kept until an install or delete changes its rules.
-    """
-
-    __slots__ = ("rules", "slots", "reports")
-
-    def __init__(self) -> None:
-        self.rules: dict[str, dict[str, ReportedRule]] = {}
-        self.slots: dict[str, dict[tuple[FlowKey, int], str]] = {}
-        self.reports: dict[str, SwitchStateReport] = {}
-
-    def fold(self, event: dict) -> None:
-        """Apply one rule install or delete; other events change nothing."""
-        if event["type"] == EV_RULE_INSTALLED:
-            node = event["node"]
-            rule = ReportedRule.from_dict(event["rule"])
-            rules = self.rules.setdefault(node, {})
-            slots = self.slots.setdefault(node, {})
-            previous = rules.pop(rule.rule_id, None)
-            if previous is not None:
-                del slots[(previous.match, previous.priority)]
-            slot = (rule.match, rule.priority)
-            displaced = slots.get(slot)
-            if displaced is not None:
-                del rules[displaced]
-            slots[slot] = rule.rule_id
-            rules[rule.rule_id] = rule
-            self.reports.pop(node, None)
-        elif event["type"] == EV_RULE_DELETED:
-            node = event["node"]
-            rule = self.rules.get(node, {}).pop(event["rule_id"], None)
-            if rule is not None:
-                del self.slots[node][(rule.match, rule.priority)]
-                self.reports.pop(node, None)
-
-    def report(self, node_id: str) -> SwitchStateReport:
-        report = self.reports.get(node_id)
-        if report is None:
-            rules = self.rules.get(node_id, {})
-            report = SwitchStateReport(node_id, canonical_rule_order(rules.values()))
-            self.reports[node_id] = report
-        return report
-
-
 class ActivityLog:
     """Hash-chained append-only log of controller actions."""
 
     def __init__(self) -> None:
         self.entries: list[LogEntry] = []
-        # Every node's rules folded over entries[:count], where
+        # Every node's table folded over entries[:count], where
         # entries[count - 1] hashed to head when it was folded.
-        self._trusted = _TrustedRules()
+        self._tables: dict[str, FlowTable] = {}
         self._watermark: tuple[int, bytes] = (0, GENESIS_HASH)
 
     def __len__(self) -> int:
@@ -395,19 +346,21 @@ class ActivityLog:
     def expected_switch_states(self, node_ids: Iterable[str]) -> dict[str, SwitchStateReport]:
         """Verify the whole chain, then fold the entries past the watermark.
 
-        The trusted state is each node's reported rules.  A verified chain
-        commits every entry to the hash of the last one, so the folded rules
-        are still the trusted state of the first ``count`` entries exactly
-        when entry ``count - 1`` still has the watermark's hash.  Otherwise
-        the chain was rewritten and the fold starts over.  Each node's report
-        is cached, and rebuilt only after an entry changes that node's rules.
+        The trusted state is a flow table per node: an install adds to it
+        and a delete removes from it, so an install replaces the rule with
+        the same id and the one with the same (match, priority).  A verified
+        chain commits every entry to the hash of the last one, so the folded
+        tables are still the trusted state of the first ``count`` entries
+        exactly when entry ``count - 1`` still has the watermark's hash.
+        Otherwise the chain was rewritten and the fold starts over.  Each
+        table keeps its canonical rules until an entry changes them.
         """
         if not self.verify():
             raise LogIntegrityError("activity log hash chain is broken")
         entries = self.entries
-        trusted, (count, head) = self._trusted, self._watermark
+        tables, (count, head) = self._tables, self._watermark
         if count == 0 or count > len(entries) or entries[count - 1].entry_hash != head:
-            trusted, count = _TrustedRules(), 0
+            tables, count = {}, 0
         # Until the fold completes, the log holds no folded state to trust.
         self._watermark = (0, GENESIS_HASH)
         for i in range(count, len(entries)):
@@ -416,11 +369,23 @@ class ActivityLog:
             # bytes spell the type with "rule-" unless they escape it (a
             # backslash) or are UTF-16/32, which json.loads also reads (NULs).
             if b"rule-" in data or b"\\" in data or b"\x00" in data:
-                trusted.fold(json.loads(data))
-        self._trusted = trusted
+                event = json.loads(data)
+                if event["type"] == EV_RULE_INSTALLED:
+                    rule = FlowRule.from_dict(event["rule"])
+                    tables.setdefault(event["node"], FlowTable()).add(rule)
+                elif event["type"] == EV_RULE_DELETED:
+                    table = tables.get(event["node"])
+                    if table is not None:
+                        table.delete(event["rule_id"])
+        self._tables = tables
         if entries:
             self._watermark = (len(entries), entries[-1].entry_hash)
-        return {node_id: trusted.report(node_id) for node_id in node_ids}
+        reports = {}
+        for node_id in node_ids:
+            table = tables.get(node_id)
+            rules = table.reported() if table is not None else ()
+            reports[node_id] = SwitchStateReport(node_id, rules)
+        return reports
 
     # -- persistence (JSON lines, one entry per line) ------------------------
 

@@ -28,7 +28,6 @@ from .fabric import (
     Drop as DropAction,
     NodeKind,
     Packet,
-    Provenance,
     Punted,
     apply_flow_mod,
     build_topology,
@@ -514,7 +513,7 @@ def _scenario_flowmod_audit(config: dict, seed: int) -> ScenarioReport:
         action=DropAction(),
         priority=77,
     )
-    apply_flow_mod(fabric, "OVS1", FlowMod.add(injected), Provenance.EXTERNAL)
+    apply_flow_mod(fabric, "OVS1", FlowMod.add(injected))
 
     first = manager.audit_now("OVS1")
     second = manager.audit_now("OVS1")

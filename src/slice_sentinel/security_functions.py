@@ -18,7 +18,7 @@ from typing import Optional
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .fabric import Packet, ReportedRule, SwitchStateReport, action_to_dict
+from .fabric import FlowRule, Packet, SwitchStateReport, action_to_dict
 
 KEY_BYTES = 16
 NONCE_BYTES = 12
@@ -244,9 +244,9 @@ def validate_attestation(expected_hash: bytes, report, nonce: bytes) -> TrustVer
 @dataclass
 class AuditResult:
     node: str
-    extra_rules: tuple[ReportedRule, ...]
-    missing_rules: tuple[ReportedRule, ...]
-    modified_rules: tuple[tuple[ReportedRule, ReportedRule], ...]  # (expected, observed)
+    extra_rules: tuple[FlowRule, ...]
+    missing_rules: tuple[FlowRule, ...]
+    modified_rules: tuple[tuple[FlowRule, FlowRule], ...]  # (expected, observed)
 
     @property
     def clean(self) -> bool:

@@ -24,7 +24,7 @@ from slice_sentinel.anomaly import (
     synthetic_flow_dataset,
     train_test_split,
 )
-from slice_sentinel.fabric import Drop, FlowKey, ReportedRule, SwitchStateReport, canonical_rule_order
+from slice_sentinel.fabric import Drop, FlowKey, FlowRule, SwitchStateReport, canonical_rule_order
 from slice_sentinel.scenarios import (
     SCENARIO_IDS,
     bench_flow_setup,
@@ -138,8 +138,8 @@ def test_criterion_4_handover_conservation():
 # 5. Switch audit exactness
 # ---------------------------------------------------------------------------
 
-def _random_rule(rng: random.Random, rule_id: str) -> ReportedRule:
-    return ReportedRule(
+def _random_rule(rng: random.Random, rule_id: str) -> FlowRule:
+    return FlowRule(
         rule_id=rule_id,
         match=FlowKey(
             src_ip=rng.choice([None, f"10.0.0.{rng.randint(1, 20)}"]),

@@ -24,7 +24,10 @@ fields of the same kind.  So were ``LinkHop.slice_id`` (hidden by
 second is now the id-keyed dict the duplicate check reads.  One such field
 is left: ``FlowDecision.error`` is read only by tests and passes because
 perfbench calls ``parser.error``.  Per-reason drop counters in the reports
-(ROADMAP item 3) are its natural reader.
+(ROADMAP item 3) are its natural reader.  A field read only by the code that
+writes it is invisible here too: ``FlowRule.provenance`` was read only by
+``apply_flow_mod``, to decide whether to overwrite it, and by one test.  It
+is deleted; a switch cannot tell who sent a rule.
 
 Every module of the package and of perfbench, ``__init__.py`` re-exports
 aside, must use each name it imports.

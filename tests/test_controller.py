@@ -19,6 +19,7 @@ from slice_sentinel.fabric import (
     NodeKind,
     Packet,
     Provenance,
+    PuntEvent,
     Punted,
     apply_flow_mod,
     canonical_json,
@@ -348,6 +349,28 @@ class TestTickAudit:
         assert table_entries
         assert all(r.clean for r in manager.tick(now_ms=3 * interval))
         assert parsed == table_entries
+
+    def test_a_second_flow_on_the_same_addresses_replaces_the_first_flows_rules(self, world):
+        fabric, _repo, manager = world
+        drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-a"), ("OVS1", 1))
+        # The first flow's rules now match every packet on these addresses,
+        # so the second flow id reaches the controller only as its own punt.
+        header = replace(ue_packet(1, "10.0.0.8", "f-b"), payload=b"")
+        assert manager.new_flow(PuntEvent(node="OVS1", port=1, packet=header)).verdict == "permitted"
+        first, second = manager.flows["f-a"], manager.flows["f-b"]
+        assert [n for n, _r in first.rules] == [n for n, _r in second.rules]
+        for (node, old_id), (_node, new_id) in zip(first.rules, second.rules):
+            ids = {r.rule_id for r in fabric.nodes[node].table.rules()}
+            assert old_id not in ids and new_id in ids
+        interval = manager.config.audit_interval_ms
+        assert all(r.clean for r in manager.tick(now_ms=interval))
+        # Blacklisting clears both flows: the first flow's ids are gone from
+        # the tables already, and its drop rule is replaced by the second's.
+        alert = Alert("flow-validator", "00:09:00:AA", "f-b", "anomaly:rate", "high", 5)
+        assert manager.alert(alert).kind == "blacklisted"
+        results = manager.tick(now_ms=2 * interval)
+        assert len(results) == len(switches_of(fabric))
+        assert all(r.clean for r in results), [r.to_dict() for r in results if not r.clean]
 
     def test_tampered_log_fails_the_tick_before_any_audit(
         self, topology_doc, policy_doc, signature_doc

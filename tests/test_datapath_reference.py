@@ -2,15 +2,18 @@
 
 ``reference_inject_packet`` is the walk as it stood before hop state moved
 into locals: it copies the packet once and mutates the copy hop by hop.  It
-differs from that original only where an interface changed since:
-``FlowTable.lookup`` takes the header tuple, and the cipher step takes the
-fabric and node id.  Two identical worlds run the same generated traffic in
-lockstep, one through ``inject_packet`` and one through the reference, and
-must agree on every hop, outcome, punt, clock reading and log byte.
+differs from that original only where an interface changed since, and in one
+fix both walks take: ``FlowTable.lookup`` takes the header tuple, the cipher
+step takes the fabric and node id, and a punt names the port the packet
+arrived on at the punting node, not the ingress port.  Two identical worlds
+run the same generated traffic in lockstep, one through ``inject_packet`` and
+one through the reference, and must agree on every hop, outcome, punt, clock
+reading and log byte.
 """
 
 from dataclasses import astuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,7 +117,7 @@ def reference_inject_packet(fabric, packet, ingress):
         if link is None:
             outcome = Dropped(node=at, reason="dead-port")
             break
-        peer_id, _peer_port, latency = link
+        peer_id, peer_port, latency = link
         peer = fabric.nodes[peer_id]
         payload, encrypted = _reference_ciphers(
             fabric, at, work.flow_id, work.payload, encrypted,
@@ -133,6 +136,7 @@ def reference_inject_packet(fabric, packet, ingress):
                 outcome = Delivered(host=peer_id)
             break
         at = peer_id
+        port = peer_port
     else:
         outcome = Dropped(node=at, reason="hop-limit")
 
@@ -388,3 +392,39 @@ def test_the_fixed_plan_reaches_every_outcome():
         "signature", "anomaly", "auth-failed", "dead-port", "no-matching-rule", "hop-limit",
         "drop-rule", "slice-violation",
     }
+
+
+@pytest.mark.parametrize("inject", [inject_packet, reference_inject_packet],
+                         ids=["inject_packet", "reference"])
+def test_a_punt_past_the_ingress_names_the_port_it_arrived_on(inject):
+    """The fixed plan's ``detour``: U2 enters E1 on port 1, C0 sends it down
+    to E0, and E0 punts it.  The punt names E0's port toward C0 (3), not
+    E1's ingress port, which on E0 is U0's link."""
+    topology, policies, ues = fleet(FIXED_FLEET)
+    w = World(topology, policies, True, inject)
+    _ue, edge, port, ip, mac = ues[2]
+    assert (edge, port) == ("E1", 1)
+
+    def send():
+        packet = Packet(src_ip=ip, dst_ip=UNKNOWN_IP, src_mac=mac, dst_mac="0e:00:00:01",
+                        payload=b"data", slice_id=200)
+        return w.inject(w.fabric, packet, (edge, port))
+
+    assert isinstance(send().outcome, Punted)  # at E1: the generic route goes in
+    w.manager.new_flow(w.fabric.punt_events.popleft())
+    for node, action in _external_actions(w.fabric, "detour", "C0"):
+        apply_flow_mod(w.fabric, node, FlowMod.add(FlowRule("x-detour", FlowKey(), action, 50)))
+    trace = send()
+    assert trace.outcome == Punted(node="E0")
+    punt = w.fabric.punt_events.popleft()
+    toward_c0 = w.fabric.port_toward("E0", "C0")
+    assert (punt.node, punt.port, toward_c0) == ("E0", 3, 3)
+    assert w.fabric.nodes["E0"].ports[1][0] == "U0"
+
+    before = {r.rule_id for r in w.fabric.nodes["E0"].table.rules()}
+    decision = w.manager.new_flow(punt)
+    assert decision.verdict == "generic"
+    installed = [r for r in w.fabric.nodes["E0"].table.rules() if r.rule_id not in before]
+    reverse = [r for r in installed if r.match == FlowKey(src_ip=UNKNOWN_IP, dst_ip=ip)]
+    assert len(reverse) == 1
+    assert reverse[0].action.port == toward_c0

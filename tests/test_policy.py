@@ -12,8 +12,8 @@ from slice_sentinel.controller import SecurityManager
 from slice_sentinel.fabric import (
     Drop,
     FlowKey,
+    FlowRule,
     Packet,
-    ReportedRule,
     build_topology,
     canonical_json,
 )
@@ -239,8 +239,8 @@ def test_profile_is_the_per_device_union_of_the_users_rules(document):
 
 
 def rule_event(node: str, rule_id: str, priority: int = 10) -> dict:
-    rule = ReportedRule(rule_id=rule_id, match=FlowKey(src_ip="10.0.0.1"),
-                        action=Drop(), priority=priority)
+    rule = FlowRule(rule_id=rule_id, match=FlowKey(src_ip="10.0.0.1"),
+                    action=Drop(), priority=priority)
     return {"type": EV_RULE_INSTALLED, "node": node, "rule": rule.to_dict(), "time_ms": 0}
 
 
@@ -278,7 +278,7 @@ class TestActivityLog:
         log.append(delete_event("OVS1", "r-absent"))
         log.append({"type": EV_AUDIT_PERFORMED, "node": "OVS1", "extra": ["rule-x"], "time_ms": 0})
         second = log.expected_switch_states(["OVS1", "OVS2"])
-        assert second["OVS1"] is first["OVS1"]
+        assert second["OVS1"].rules is first["OVS1"].rules
         assert [r.rule_id for r in second["OVS2"].rules] == ["r2", "r3"]
 
     def test_tampering_with_any_event_breaks_verification(self):
@@ -373,7 +373,7 @@ class TestReplayEquivalence:
             if event.get("node") != node:
                 continue
             if event["type"] == EV_RULE_INSTALLED:
-                rule = ReportedRule.from_dict(event["rule"])
+                rule = FlowRule.from_dict(event["rule"])
                 table = [
                     r for r in table
                     if r.rule_id != rule.rule_id

@@ -9,8 +9,8 @@ from slice_sentinel import security_functions
 from slice_sentinel.fabric import (
     Drop,
     FlowKey,
+    FlowRule,
     Packet,
-    ReportedRule,
     SwitchStateReport,
     canonical_rule_order,
 )
@@ -194,7 +194,7 @@ class TestAttestationValidation:
 
 
 def reported(rule_id, priority=10, src_ip=None, action=None):
-    return ReportedRule(
+    return FlowRule(
         rule_id=rule_id,
         match=FlowKey(src_ip=src_ip),
         action=action or Drop(),
