@@ -206,7 +206,7 @@ class SecurityManager:
             if node.kind == NodeKind.HOST:
                 continue
             for rule in sorted(node.table.rules(), key=lambda r: r.rule_id):
-                self._log(pol.EV_RULE_INSTALLED, node_id, rule=rule.to_dict(), time_ms=0)
+                self._log(pol.EV_RULE_INSTALLED, node_id, rule=rule, time_ms=0)
 
     # -- small helpers --------------------------------------------------------
 
@@ -248,7 +248,7 @@ class SecurityManager:
 
     def _install_rule(self, node: str, rule: FlowRule) -> None:
         apply_flow_mod(self.fabric, node, FlowMod.add(rule))
-        self._log(pol.EV_RULE_INSTALLED, node, rule=rule.to_dict())
+        self._log(pol.EV_RULE_INSTALLED, node, rule=rule)
 
     def _clear_rules(self, record: FlowRecord) -> None:
         """Delete every rule of a flow record, logging each deletion."""

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -46,8 +47,40 @@ class Provenance(str, Enum):
     EXTERNAL = "external"
 
 
-# Keys sorted, no whitespace; a bound method, so a call pays for no wrapper.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _encode_default(obj):
+    if isinstance(obj, FlowRule):
+        return obj.to_dict()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+if c_make_encoder is not None:
+    # The C encoder that JSONEncoder(sort_keys=True, separators=(",", ":"))
+    # .encode builds on every call, built once; it keeps no circular-reference
+    # markers, as a log event is a tree.
+    _encode = c_make_encoder(
+        None, _encode_default, encode_basestring_ascii, None, ":", ",", True, False, True
+    )
+
+    def canonical_json(obj) -> str:
+        """Keys sorted, no whitespace, ASCII only; a ``FlowRule`` as its dict."""
+        return "".join(_encode(obj, 0))
+
+else:
+    canonical_json = json.JSONEncoder(
+        sort_keys=True, separators=(",", ":"), default=_encode_default
+    ).encode
+
+
+def json_scalar(value) -> str:
+    """``canonical_json(value)``, spelled directly for a str, an int or None."""
+    if value is None:
+        return "null"
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    return canonical_json(value)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +186,26 @@ class FlowRule:
             "action": action_to_dict(self.action),
             "priority": self.priority,
         }
+
+    def to_json(self) -> str:
+        """``canonical_json(self.to_dict())``, written from a fixed template."""
+        action = self.action
+        if isinstance(action, Forward):
+            action_json = (f'{{"kind":"forward","port":{json_scalar(action.port)},'
+                           f'"slice_id":{json_scalar(action.slice_id)}}}')
+        elif isinstance(action, Drop):
+            action_json = '{"kind":"drop"}'
+        elif isinstance(action, PuntToController):
+            action_json = '{"kind":"punt"}'
+        else:
+            raise TypeError(f"not a flow action: {action!r}")
+        m = self.match
+        return (
+            f'{{"action":{action_json},"match":{{"dst_ip":{json_scalar(m.dst_ip)},'
+            f'"dst_mac":{json_scalar(m.dst_mac)},"slice_id":{json_scalar(m.slice_id)},'
+            f'"src_ip":{json_scalar(m.src_ip)},"src_mac":{json_scalar(m.src_mac)}}},'
+            f'"priority":{json_scalar(self.priority)},"rule_id":{json_scalar(self.rule_id)}}}'
+        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "FlowRule":
@@ -622,15 +675,12 @@ def _apply_ciphers(
     encrypted: bool,
     next_is_host: bool,
 ) -> tuple[Optional[bytes], bool]:
-    """Run a node's cipher for this flow, if any, on the outgoing payload.
+    """Run a node's cipher for this flow on the outgoing payload.
 
-    ``ciphers`` is the node's ``flow_ciphers`` entry.  The payload comes back
-    as ``None`` when an envelope fails authentication.
+    ``ciphers`` is the node's ``flow_ciphers`` entry, which holds ``flow_id``.
+    The payload comes back as ``None`` when an envelope fails authentication.
     """
-    entry = ciphers.get(flow_id)
-    if entry is None:
-        return payload, encrypted
-    mode, cipher = entry
+    mode, cipher = ciphers[flow_id]
     if mode == "encrypt" and not encrypted:
         return cipher.encrypt(payload).to_bytes(), True
     if mode == "decrypt" and encrypted and next_is_host:
@@ -672,6 +722,7 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
             return ForwardingTrace(hops, Dropped(node=node_id, reason=decision.reason))
 
     src_ip, dst_ip, src_mac, dst_mac = packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac
+    flow_id = packet.flow_id
     flow_ciphers = fabric.flow_ciphers
     at = node_id
     for _hop in range(MAX_HOPS):
@@ -682,7 +733,7 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
         action = rule.action
         if not isinstance(action, Forward):
             if isinstance(action, PuntToController):
-                header = Packet(src_ip, dst_ip, src_mac, dst_mac, b"", packet.flow_id,
+                header = Packet(src_ip, dst_ip, src_mac, dst_mac, b"", flow_id,
                                 slice_id, timestamp)
                 fabric.punt_events.append(PuntEvent(node=at, port=port, packet=header))
                 outcome = Punted(node=at)
@@ -699,9 +750,9 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
         peer = fabric.nodes[peer_id]
         to_host = peer.kind is NodeKind.HOST
         ciphers = flow_ciphers.get(at)
-        if ciphers is not None:
+        if ciphers is not None and flow_id in ciphers:
             payload, encrypted = _apply_ciphers(
-                ciphers, packet.flow_id, payload, encrypted, next_is_host=to_host
+                ciphers, flow_id, payload, encrypted, next_is_host=to_host
             )
             if payload is None:
                 outcome = Dropped(node=at, reason="auth-failed")

@@ -24,6 +24,7 @@ from .fabric import (
     FlowTable,
     SwitchStateReport,
     canonical_json,
+    json_scalar,
 )
 
 VALID_SECURITY_REQS = frozenset(
@@ -196,6 +197,16 @@ def load_policies(document: list) -> PolicyRepository:
     repo = PolicyRepository()
     for raw in document:
         repo.register(parse_policy_rule(raw))
+    # A pair no destination serves could never be requested at flow setup.
+    served = set(repo._service_at.values())
+    for rule in repo.rules.values():
+        for action in rule.actions:
+            pair = (action.slice_id, action.service)
+            if pair not in served:
+                raise PolicyError(
+                    f"policy {rule.policy_id!r}: no rule's destip serves {pair}; "
+                    "a destination hosts the first action's pair only"
+                )
     return repo
 
 
@@ -312,11 +323,22 @@ class ActivityLog:
         return len(self.entries)
 
     def append(self, event: dict) -> LogEntry:
+        """Hash one event onto the chain.  A ``rule-installed`` event may carry
+        its ``FlowRule`` itself; the stored bytes are those of its dict."""
         if "type" not in event:
             raise ValueError("activity log events need a 'type' field")
         seq = len(self.entries)
         prev = self.entries[-1].entry_hash if self.entries else GENESIS_HASH
-        data = canonical_json(event).encode()
+        rule = event.get("rule")
+        if (type(rule) is FlowRule and len(event) == 4 and event["type"] == EV_RULE_INSTALLED
+                and "node" in event and "time_ms" in event):
+            # canonical_json of exactly {type, node, time_ms, rule}, keys sorted.
+            data = (
+                f'{{"node":{json_scalar(event["node"])},"rule":{rule.to_json()},'
+                f'"time_ms":{json_scalar(event["time_ms"])},"type":"rule-installed"}}'
+            ).encode()
+        else:
+            data = canonical_json(event).encode()
         entry = LogEntry(seq=seq, data=data, prev_hash=prev, entry_hash=_entry_hash(seq, data, prev))
         self.entries.append(entry)
         return entry

@@ -1,12 +1,23 @@
 """Shared fixtures: worlds built from the bundled configuration files."""
 
 import json
+from enum import IntEnum
 from importlib import resources
 
 import pytest
+from hypothesis import strategies as st
 
 from slice_sentinel.controller import ManagerConfig, SecurityManager
-from slice_sentinel.fabric import build_topology, inject_packet, Punted
+from slice_sentinel.fabric import (
+    Drop,
+    FlowKey,
+    FlowRule,
+    Forward,
+    PuntToController,
+    Punted,
+    build_topology,
+    inject_packet,
+)
 from slice_sentinel.policy import load_policies
 from slice_sentinel.security_functions import parse_signatures
 
@@ -34,6 +45,35 @@ def policy_doc():
 @pytest.fixture
 def signature_doc():
     return _load_config("signatures.json")
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2**40
+
+
+# Rule fields as generated: non-ASCII and control characters in strings,
+# big ints, and the int-like values (bool, IntEnum, float) a caller may pass.
+_numbers = st.one_of(
+    st.integers(), st.booleans(), st.sampled_from(list(Level)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_optional_text = st.one_of(st.none(), st.text())
+
+flow_rules = st.builds(
+    FlowRule,
+    rule_id=st.text(),
+    match=st.builds(
+        FlowKey, src_ip=_optional_text, dst_ip=_optional_text, src_mac=_optional_text,
+        dst_mac=_optional_text, slice_id=st.one_of(st.none(), _numbers),
+    ),
+    action=st.one_of(
+        st.builds(Forward, port=_numbers, slice_id=_numbers),
+        st.just(Drop()),
+        st.just(PuntToController()),
+    ),
+    priority=_numbers,
+)
 
 
 def build_world(topology_doc, policy_doc, signature_doc):

@@ -39,6 +39,10 @@ MALFORMED_CONFIGS = {
     "action-security-not-list": (
         "--policies", _edited("policies.json", lambda d: d[0]["actions"][0].update(security=5))
     ),
+    "policy-action-no-destination-serves": (
+        "--policies", _edited("policies.json", lambda d: d[0]["actions"].append(
+            {"Service": "Unserved", "Slice-id": "VLAN300"}))
+    ),
     "signature-without-id": ("--signatures", [{"pattern_hex": "00"}]),
     "scenario-config-not-object": ("--scenario-config", [1]),
 }

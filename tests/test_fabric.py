@@ -1,5 +1,6 @@
 """Fabric tests: topology building, forwarding, flow mods, reports, attestation."""
 
+import json
 import random
 
 import pytest
@@ -31,6 +32,8 @@ from slice_sentinel.fabric import (
     report_flow_rules,
 )
 from slice_sentinel.security_functions import FlowCipher, KeyGenerator
+
+from conftest import flow_rules
 
 
 def small_topology() -> dict:
@@ -385,6 +388,38 @@ class TestReports:
         first = [r.to_dict() for r in report_flow_rules(fabric, "OVS1").rules]
         second = [r.to_dict() for r in report_flow_rules(fabric, "OVS1").rules]
         assert canonical_json(first) == canonical_json(second)
+
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
+        st.floats(allow_nan=True, allow_infinity=True), st.text(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple), st.dictionaries(st.text(), children),
+    ),
+    max_leaves=20,
+)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(), json_values), st.text())
+    def test_equals_json_dumps_with_sorted_keys(self, event, event_type):
+        event["type"] = event_type
+        for value in (event, list(event.values())):
+            assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(flow_rules)
+    def test_rule_to_json_equals_its_dicts_canonical_json(self, rule):
+        assert rule.to_json() == canonical_json(rule.to_dict()) == canonical_json(rule)
+
+    def test_a_value_json_cannot_spell_is_rejected(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            canonical_json({"type": "x", "at": object()})
+        with pytest.raises(TypeError, match="not a flow action"):
+            FlowRule("r", FlowKey(), "forward", 1).to_json()
 
 
 table_steps = st.lists(

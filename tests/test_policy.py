@@ -33,6 +33,8 @@ from slice_sentinel.policy import (
 )
 from slice_sentinel.security_functions import AccessVerdict, check_slice_access
 
+from conftest import flow_rules
+
 
 def sample_policy_doc() -> list:
     return [
@@ -114,6 +116,27 @@ class TestLoadPolicies:
         assert repo.service_at("10.0.0.8") == (200, "Service1")
         assert not repo.device_known("00:09:00:AD")
 
+    def test_action_no_destination_serves_is_rejected(self):
+        # 10.0.0.6 stands for the first pair only, and no rule serves the second.
+        doc = sample_policy_doc()
+        doc.append({
+            "id": "04", "hostip": "10.0.0.1", "hostmac": "00:09:00:AA", "destip": "10.0.0.6",
+            "user": {"id": "alice"},
+            "actions": [
+                {"Service": "Service3", "Slice-id": "VLAN100"},
+                {"Service": "Service4", "Slice-id": "VLAN400"},
+            ],
+        })
+        with pytest.raises(PolicyError) as exc:
+            load_policies(doc)
+        message = str(exc.value)
+        assert "'04'" in message and "(400, 'Service4')" in message
+        doc[0]["actions"].append({"Service": "Service4", "Slice-id": "VLAN400"})
+        doc.append({"id": "05", "hostip": "10.0.0.2", "hostmac": "00:09:00:AC",
+                    "destip": "10.0.0.5",
+                    "actions": [{"Service": "Service4", "Slice-id": "VLAN400"}]})
+        assert load_policies(doc).service_at("10.0.0.5") == (400, "Service4")
+
     @pytest.mark.parametrize("key", ["whitelist", "blacklist"])
     def test_per_destination_lists_are_rejected(self, key):
         doc = sample_policy_doc()
@@ -187,16 +210,20 @@ PAIRS = [(vlan, service) for vlan in (100, 200, 300) for service in ("S1", "S2")
 @st.composite
 def policy_documents(draw) -> list:
     """Several users; a device may recur across rules and contracts; every
-    rule has its own destination and one or more actions."""
-    rules = draw(st.lists(
-        st.tuples(
-            st.sampled_from(USERS),
-            st.sampled_from(DEVICES),
-            st.sampled_from(["C-1", "C-2", "C-PERSONAL"]),
-            st.lists(st.sampled_from(PAIRS), min_size=1, max_size=4),
-        ),
-        min_size=1, max_size=12,
-    ))
+    rule has its own destination and one or more actions.  A destination
+    serves its rule's first pair, so a single-action rule is added for each
+    pair that only later actions name."""
+    rule = st.tuples(
+        st.sampled_from(USERS),
+        st.sampled_from(DEVICES),
+        st.sampled_from(["C-1", "C-2", "C-PERSONAL"]),
+        st.lists(st.sampled_from(PAIRS), min_size=1, max_size=4),
+    )
+    rules = draw(st.lists(rule, min_size=1, max_size=12))
+    served = {pairs[0] for *_, pairs in rules}
+    for pair in sorted({p for *_, pairs in rules for p in pairs} - served):
+        user, device, contract, _ = draw(rule)
+        rules.append((user, device, contract, [pair]))
     return [
         {
             "id": f"p{i}",
@@ -246,6 +273,26 @@ def rule_event(node: str, rule_id: str, priority: int = 10) -> dict:
 
 def delete_event(node: str, rule_id: str) -> dict:
     return {"type": EV_RULE_DELETED, "node": node, "rule_id": rule_id, "time_ms": 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rule=flow_rules,
+    event_type=st.sampled_from([EV_RULE_INSTALLED, EV_RULE_DELETED]),
+    node=st.one_of(st.none(), st.text()),
+    time_ms=st.one_of(st.integers(), st.booleans()),
+    extra=st.dictionaries(st.sampled_from(["reason", "clean"]), st.text(), max_size=1),
+)
+def test_an_event_carrying_its_rule_hashes_as_one_carrying_the_rules_dict(
+        rule, event_type, node, time_ms, extra):
+    event = {"type": event_type, "node": node, "time_ms": time_ms, "rule": rule, **extra}
+    logs = ActivityLog(), ActivityLog()
+    for log in logs:
+        log.append(delete_event("OVS1", "r0"))
+    carried = logs[0].append(event)
+    as_dict = logs[1].append(dict(event, rule=rule.to_dict()))
+    assert carried.data == as_dict.data
+    assert carried.entry_hash == as_dict.entry_hash
 
 
 class TestActivityLog:
