@@ -62,7 +62,7 @@ class ManagerConfig:
 
     security_enabled: bool = True
     generic_slice: ClassVar[int] = 4094
-    anomaly_window_ms: ClassVar[int] = sf.DEFAULT_ANOMALY_WINDOW_MS
+    anomaly_window_ms: ClassVar[int] = sf.ANOMALY_WINDOW_MS
     anomaly_threshold: ClassVar[int] = sf.DEFAULT_ANOMALY_THRESHOLD
     audit_interval_ms: ClassVar[int] = 1000
     # virtual-time cost model, microseconds
@@ -107,17 +107,6 @@ class FlowDecision:
 
 
 @dataclass
-class ReconfigAction:
-    kind: str  # "blacklisted" | "noop" | "admin-alert"
-
-
-@dataclass
-class DeployResult:
-    deployed: bool
-    verdict: sf.TrustVerdict
-
-
-@dataclass
 class HandoverResult:
     blacklisted: bool
     rules_reanchored: int
@@ -138,36 +127,33 @@ class IngressProcessor:
 
     def screen(
         self, packet: Packet, headers_only: bool = False
-    ) -> tuple[sf.AccessVerdict, Optional[sf.FlowValidationResult], int]:
+    ) -> tuple[sf.AccessVerdict, IngressDecision]:
         """Run the slice access check and, unless it denies, flow validation.
 
-        Logs an access denial and records any alert.  Returns the verdict,
-        the validation result (``None`` after an access denial) and the
-        virtual cost.  ``headers_only`` is the scope of a punted first
-        packet: no payload signatures, no rate window.
+        Logs an access denial and records any alert.  Returns the access
+        verdict and the decision the datapath acts on; a denial's reason is
+        the access verdict's value or the validation drop reason.
+        ``headers_only`` is the scope of a punted first packet: no payload
+        signatures, no rate window.
         """
+        if not packet.flow_id:
+            # Denials and alerts name the flow by its default id, as new_flow does.
+            packet = replace(packet, flow_id=_flow_id(packet))
         mgr = self.manager
         cfg = mgr.config
         verdict = sf.check_slice_access(self.access, packet, mgr.requested_pair(packet.dst_ip))
         if verdict in _DENIALS:
             mgr.log_access_denied(self.node, packet.src_mac, packet.flow_id, verdict.value)
-            return verdict, None, cfg.access_check_us
+            return verdict, IngressDecision(False, verdict.value, cfg.access_check_us)
         result = sf.validate_flow(self.validator, packet, headers_only)
         if result.alert is not None:
             mgr.record_alert(result.alert)
         cost = (cfg.access_check_us + cfg.flow_validation_base_us
                 + result.signatures_scanned * cfg.signature_scan_us)
-        return verdict, result, cost
+        return verdict, IngressDecision(result.drop_reason is None, result.drop_reason, cost)
 
     def process(self, packet: Packet) -> IngressDecision:
-        if not packet.flow_id:
-            # Denials and alerts name the flow by its default id, as in new_flow.
-            packet = replace(packet, flow_id=_flow_id(packet))
-        verdict, result, cost = self.screen(packet)
-        if result is None:
-            return IngressDecision(allow=False, reason=verdict.value, cost_us=cost)
-        return IngressDecision(allow=result.drop_reason is None, reason=result.drop_reason,
-                               cost_us=cost)
+        return self.screen(packet)[1]
 
 
 class SecurityManager:
@@ -302,7 +288,6 @@ class SecurityManager:
                 access=sf.SliceAccessState(blacklist=self.global_blacklist),
                 validator=sf.FlowValidatorState(
                     signatures=list(self.signatures),
-                    window_ms=self.config.anomaly_window_ms,
                     threshold=self.config.anomaly_threshold,
                 ),
             )
@@ -320,7 +305,8 @@ class SecurityManager:
     # -- command API ---------------------------------------------------------
 
     def new_flow(self, punt: PuntEvent) -> FlowDecision:
-        """Handle a punted first packet end to end.
+        """Handle a punted first packet end to end: decide the flow, then
+        route an admitted one (path, record and bidirectional rules).
 
         Profile extraction runs at most once per user per edge; a second
         device of an already-covered user is decided locally from the edge
@@ -331,107 +317,73 @@ class SecurityManager:
         device = packet.src_mac
         cost = cfg.dispatch_us()
         flow_id = _flow_id(packet)
+        extraction = False
+        error = None
+        route_ip = packet.dst_ip
+        reqs: frozenset[str] = frozenset()
 
         if not cfg.security_enabled:
             # Baseline reactive forwarding: no security functions at all.
-            return self._route_flow(
-                punt, flow_id, "permitted", self.requested_pair(packet.dst_ip), packet.dst_ip, cost
-            )
+            verdict, pair = "permitted", self.requested_pair(route_ip)
+        else:
+            dep = self.fabric.ingress_processors.get(punt.node)
+            user_id = self.repository.user_of_device(device)
+            if user_id is not None and (dep is None or user_id not in dep.covered_users):
+                profile = pol.extract_profile(self.repository, user_id)
+                self._log(pol.EV_PROFILE_EXTRACTED, punt.node, user_id=user_id)
+                extraction = True
+                cost += cfg.profile_extract_us
+                dep = self.deploy_functions(punt.node, profile)
+                cost += cfg.compose_us + cfg.deploy_us
+            elif dep is None:
+                # No registered user behind this punt: deploy a generic-only
+                # bundle so the edge can police and rate-cap guest traffic.
+                dep = self.deploy_functions(punt.node, None)
+                cost += cfg.compose_us + cfg.deploy_us
 
-        dep = self.fabric.ingress_processors.get(punt.node)
-        user_id = self.repository.user_of_device(device)
-        extraction = False
-        if user_id is not None and (dep is None or user_id not in dep.covered_users):
-            profile = pol.extract_profile(self.repository, user_id)
-            self._log(pol.EV_PROFILE_EXTRACTED, punt.node, user_id=user_id)
-            extraction = True
-            cost += cfg.profile_extract_us
-            dep = self.deploy_functions(punt.node, profile)
-            cost += cfg.compose_us + cfg.deploy_us
-        elif dep is None:
-            # No registered user behind this punt: deploy a generic-only bundle
-            # so the edge can police and rate-cap guest traffic.
-            dep = self.deploy_functions(punt.node, None)
-            cost += cfg.compose_us + cfg.deploy_us
+            # The edge's own functions judge the first packet, at header scope,
+            # before any rules go in.
+            access, screened = dep.screen(packet, headers_only=True)
+            cost += screened.cost_us
+            if access in _DENIALS:
+                verdict = access.value
+            elif not screened.allow:
+                verdict, error = "deny-validation", screened.reason
+            elif access == sf.AccessVerdict.PERMIT:
+                verdict, pair = "permitted", self.requested_pair(route_ip)
+                reqs = self.repository.security_reqs(device, pair)
+            else:  # ROUTE_GENERIC
+                route_ip = self._generic_host_ip()
+                if route_ip is None:
+                    verdict, error = "error", f"no host in generic slice {cfg.generic_slice}"
+                else:
+                    verdict, pair = "generic", (cfg.generic_slice, "generic")
 
-        if not packet.flow_id:
-            # Denials and alerts name the flow by its default id.
-            packet = replace(packet, flow_id=flow_id)
-        # The edge's own functions judge the first packet, at header scope,
-        # before any rules go in.
-        verdict, result, screen_cost = dep.screen(packet, headers_only=True)
-        cost += screen_cost
-        if result is None:
-            return FlowDecision(
-                flow_id=flow_id, verdict=verdict.value,
-                extraction_performed=extraction, cost_us=cost,
-            )
-        if result.drop_reason is not None:
-            return FlowDecision(
-                flow_id=flow_id, verdict="deny-validation",
-                extraction_performed=extraction, cost_us=cost, error=result.drop_reason,
-            )
-
-        if verdict == sf.AccessVerdict.PERMIT:
-            requested = self.requested_pair(packet.dst_ip)
-            return self._route_flow(
-                punt, flow_id, "permitted", requested, packet.dst_ip, cost,
-                reqs=self.repository.security_reqs(device, requested), extraction=extraction,
-            )
-        # ROUTE_GENERIC
-        return self._route_flow(
-            punt, flow_id, "generic", (cfg.generic_slice, "generic"),
-            self._generic_host_ip() or packet.dst_ip, cost, extraction=extraction,
-        )
-
-    def _route_flow(
-        self,
-        punt: PuntEvent,
-        flow_id: str,
-        verdict: str,
-        pair: tuple[int, str],
-        route_ip: str,
-        cost: int,
-        reqs: frozenset[str] = frozenset(),
-        extraction: bool = False,
-    ) -> FlowDecision:
-        """Route an admitted flow toward ``route_ip`` on ``pair``: path,
-        record and bidirectional rules.  Adds path and install costs."""
-        cfg = self.config
-        packet = punt.packet
-        dst_node = self.fabric.host_by_ip(route_ip)
-        if dst_node is None:
-            return FlowDecision(
-                flow_id=flow_id, verdict="error",
-                extraction_performed=extraction, cost_us=cost,
-                error=f"no host for destination {route_ip}",
-            )
-        path = self.fabric.shortest_path(punt.node, dst_node)
-        cost += cfg.path_compute_us
-        if path is None:
-            return FlowDecision(
-                flow_id=flow_id, verdict="error",
-                extraction_performed=extraction, cost_us=cost,
-                error=f"no route from {punt.node} to {dst_node}",
-            )
-        slice_id, service = pair
-        record = FlowRecord(
-            device_id=packet.src_mac,
-            src_ip=packet.src_ip,
-            dst_ip=packet.dst_ip,
-            slice_id=slice_id,
-            service=service,
-            security_reqs=reqs,
-            edge=punt.node,
-            ingress_port=punt.port,
-            path=tuple(path),
-        )
-        installed = self._install_path_rules(record)
-        cost += installed * cfg.rule_install_us
-        self.flows[flow_id] = record
-        return FlowDecision(
-            flow_id=flow_id, verdict=verdict, extraction_performed=extraction, cost_us=cost
-        )
+        if verdict in ("permitted", "generic"):
+            dst_node = self.fabric.host_by_ip(route_ip)
+            if dst_node is None:
+                verdict, error = "error", f"no host for destination {route_ip}"
+            else:
+                path = self.fabric.shortest_path(punt.node, dst_node)
+                cost += cfg.path_compute_us
+                if path is None:
+                    verdict, error = "error", f"no route from {punt.node} to {dst_node}"
+                else:
+                    slice_id, service = pair
+                    record = FlowRecord(
+                        device_id=device,
+                        src_ip=packet.src_ip,
+                        dst_ip=packet.dst_ip,
+                        slice_id=slice_id,
+                        service=service,
+                        security_reqs=reqs,
+                        edge=punt.node,
+                        ingress_port=punt.port,
+                        path=tuple(path),
+                    )
+                    cost += self._install_path_rules(record) * cfg.rule_install_us
+                    self.flows[flow_id] = record
+        return FlowDecision(flow_id, verdict, extraction, cost, error)
 
     def _generic_host_ip(self) -> Optional[str]:
         for host in sorted(self.fabric.slices.get(self.config.generic_slice, ())):
@@ -440,9 +392,10 @@ class SecurityManager:
                 return node.ip
         return None
 
-    def alert(self, alert: sf.Alert) -> ReconfigAction:
+    def alert(self, alert: sf.Alert) -> str:
         """React to a raised alert: blacklist the device at slice entry and
-        replace its flow rules with drops.  Idempotent per device."""
+        replace its flow rules with drops.  Idempotent per device.  Returns
+        ``"blacklisted"``, ``"noop"`` or ``"admin-alert"`` (unknown device)."""
         device = alert.device_id
         # Edge deployments only hold devices of repository profiles, so the
         # repository and the flow records are every device the manager knows.
@@ -451,9 +404,9 @@ class SecurityManager:
         )
         if not known:
             self._admin_alert("unknown-device-alert", {"device_id": device, "reason": alert.reason})
-            return ReconfigAction(kind="admin-alert")
+            return "admin-alert"
         if device in self.global_blacklist:
-            return ReconfigAction(kind="noop")
+            return "noop"
 
         self.global_blacklist.add(device)
         self._log(pol.EV_DEVICE_BLACKLISTED, None, device_id=device, reason=alert.reason)
@@ -462,7 +415,7 @@ class SecurityManager:
                 continue
             self._clear_rules(record)
             self._contain(record, record.edge)
-        return ReconfigAction(kind="blacklisted")
+        return "blacklisted"
 
     def _contain(self, record: FlowRecord, edge: str) -> None:
         """Anchor a flow of a blacklisted device at ``edge`` behind one
@@ -530,19 +483,20 @@ class SecurityManager:
             reinstalled=sorted(r.rule_id for r in reinstalled),
         )
 
-    def deploy_service_gated(self, host: str, service: str) -> DeployResult:
+    def deploy_service_gated(self, host: str, service: str) -> sf.TrustVerdict:
         """Attest a host with a fresh nonce; deploy the service only if the
-        measured state matches the expected one."""
+        measured state matches the expected one.  Returns the verdict: the
+        service was deployed exactly when it is ``TRUSTED``."""
         verdict = self.attest_node(host)
         if verdict == sf.TrustVerdict.TRUSTED:
             self._log(pol.EV_SERVICE_DEPLOYED, host, service=service)
-            return DeployResult(deployed=True, verdict=verdict)
+            return verdict
         self._log(pol.EV_SERVICE_REFUSED, host, service=service, verdict=verdict.value)
         self._admin_alert(
             "service-deployment-refused",
             {"node": host, "service": service, "verdict": verdict.value},
         )
-        return DeployResult(deployed=False, verdict=verdict)
+        return verdict
 
     def attest_node(self, node_id: str) -> sf.TrustVerdict:
         node = self.fabric.node(node_id)

@@ -170,8 +170,7 @@ class TrafficDriver:
         for alert in manager.pending_alerts:
             self.alerts.append(alert)
             if self.feedback:
-                action = manager.alert(alert)
-                if action.kind == "blacklisted":
+                if manager.alert(alert) == "blacklisted":
                     self.blacklisted.add(alert.device_id)
         manager.pending_alerts.clear()
 
@@ -368,8 +367,8 @@ def _scenario_attack3(config: dict, seed: int) -> ScenarioReport:
     hosts = sorted(n.node_id for n in fabric.nodes.values() if n.kind == NodeKind.HOST)
     results = {}
     for host in hosts:
-        outcome = manager.deploy_service_gated(host, f"service@{host}")
-        results[host] = {"deployed": outcome.deployed, "verdict": outcome.verdict.value}
+        verdict = manager.deploy_service_gated(host, f"service@{host}")
+        results[host] = {"deployed": verdict == sf.TrustVerdict.TRUSTED, "verdict": verdict.value}
 
     refused = {h for h, r in results.items() if not r["deployed"]}
     granted = {h for h, r in results.items() if r["deployed"]}

@@ -24,7 +24,7 @@ KEY_BYTES = 16
 NONCE_BYTES = 12
 ENVELOPE_MAGIC = b"FSE1"
 
-DEFAULT_ANOMALY_WINDOW_MS = 1000
+ANOMALY_WINDOW_MS = 1000
 DEFAULT_ANOMALY_THRESHOLD = 100
 
 
@@ -139,13 +139,12 @@ class FlowValidatorState:
     """Signature set plus per-device packet-rate windows.
 
     Signatures are scanned in id order and the first match wins.  The rate
-    window is a sliding count of packets per device over ``window_ms``
-    simulated milliseconds; the packet that pushes the count past
-    ``threshold`` is dropped.
+    window is a sliding count of packets per device over
+    ``ANOMALY_WINDOW_MS`` simulated milliseconds; the packet that pushes the
+    count past ``threshold`` is dropped.
     """
 
     signatures: list[Signature] = field(default_factory=list)
-    window_ms: int = DEFAULT_ANOMALY_WINDOW_MS
     threshold: int = DEFAULT_ANOMALY_THRESHOLD
     windows: dict[str, deque] = field(default_factory=dict)
 
@@ -196,7 +195,7 @@ def validate_flow(
     if window is None:
         window = state.windows[device] = deque()
     now = packet.virtual_timestamp
-    cutoff = now - state.window_ms
+    cutoff = now - ANOMALY_WINDOW_MS
     while window and window[0] <= cutoff:
         window.popleft()
     window.append(now)

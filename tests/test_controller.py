@@ -111,6 +111,27 @@ class TestNewFlow:
         assert manager.flows[decision.flow_id].slice_id == 4094
         assert trace.outcome == Delivered(host="SVC4")
 
+    def test_a_guest_flow_without_a_generic_host_is_an_error(
+        self, topology_doc, policy_doc, signature_doc
+    ):
+        topology_doc["slices"] = [
+            s for s in topology_doc["slices"] if s["vlan"] != ManagerConfig.generic_slice
+        ]
+        fabric, _repo, manager = build_world(topology_doc, policy_doc, signature_doc)
+        tables = {n: node.table.rules() for n, node in fabric.nodes.items()}
+        stranger = Packet(
+            src_ip="10.0.0.77", dst_ip="10.0.0.8", src_mac="de:ad:be:ef",
+            dst_mac="00:09:00:BB", payload=b"hi", flow_id="f-stranger",
+        )
+        trace, decision = drive(fabric, manager, stranger, ("OVS1", 1))
+        assert decision.verdict == "error"
+        assert decision.error == "no host in generic slice 4094"
+        assert "f-stranger" not in manager.flows
+        # No rule went in, so the next packet is punted again rather than
+        # carried into the core to drop there.
+        assert {n: node.table.rules() for n, node in fabric.nodes.items()} == tables
+        assert trace.outcome == Punted(node="OVS1")
+
     def test_unauthorized_request_denied_and_dropped_at_entry(self, world):
         fabric, repo, manager = world
         # carol's printer is registered for the home slice only
@@ -215,7 +236,7 @@ class TestAlertHandling:
             reason="anomaly:rate", severity="high", time_ms=5,
         )
         action = manager.alert(alert)
-        assert action.kind == "blacklisted"
+        assert action == "blacklisted"
         assert "00:09:00:AE" in fabric.ingress_processors["OVS1"].access.blacklist
         # subsequent packets die at the entry node
         trace = inject_packet(fabric, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS1", 4))
@@ -225,14 +246,14 @@ class TestAlertHandling:
         fabric, repo, manager = world
         drive(fabric, manager, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS1", 4))
         alert = Alert("flow-validator", "00:09:00:AE", "f-sensor", "anomaly:rate", "high", 5)
-        assert manager.alert(alert).kind == "blacklisted"
-        assert manager.alert(alert).kind == "noop"
+        assert manager.alert(alert) == "blacklisted"
+        assert manager.alert(alert) == "noop"
 
     def test_unknown_device_alert_goes_to_administrator_only(self, world):
         fabric, repo, manager = world
         alert = Alert("flow-validator", "no:such:mac", "f-x", "anomaly:rate", "high", 0)
         action = manager.alert(alert)
-        assert action.kind == "admin-alert"
+        assert action == "admin-alert"
         assert manager.admin_alerts
 
     def test_periodic_tick_audits_on_the_configured_interval(self, world):
@@ -367,7 +388,7 @@ class TestTickAudit:
         # Blacklisting clears both flows: the first flow's ids are gone from
         # the tables already, and its drop rule is replaced by the second's.
         alert = Alert("flow-validator", "00:09:00:AA", "f-b", "anomaly:rate", "high", 5)
-        assert manager.alert(alert).kind == "blacklisted"
+        assert manager.alert(alert) == "blacklisted"
         results = manager.tick(now_ms=2 * interval)
         assert len(results) == len(switches_of(fabric))
         assert all(r.clean for r in results), [r.to_dict() for r in results if not r.clean]
@@ -394,18 +415,14 @@ class TestTickAudit:
 class TestAttestationGate:
     def test_clean_host_deploys(self, world):
         fabric, repo, manager = world
-        result = manager.deploy_service_gated("SVC1", "Service1")
-        assert result.deployed is True
-        assert result.verdict == TrustVerdict.TRUSTED
+        assert manager.deploy_service_gated("SVC1", "Service1") == TrustVerdict.TRUSTED
         deployed = manager.log.events(EV_SERVICE_DEPLOYED)
         assert [(e["node"], e["service"]) for e in deployed] == [("SVC1", "Service1")]
 
     def test_tampered_host_refused_with_admin_alert(self, world):
         fabric, repo, manager = world
         fabric.set_tampered("SVC3", True)
-        result = manager.deploy_service_gated("SVC3", "Service3")
-        assert result.deployed is False
-        assert result.verdict == TrustVerdict.COMPROMISED
+        assert manager.deploy_service_gated("SVC3", "Service3") == TrustVerdict.COMPROMISED
         assert any(a["kind"] == "service-deployment-refused" for a in manager.admin_alerts)
         assert manager.log.events(EV_SERVICE_DEPLOYED) == []
 
@@ -478,7 +495,7 @@ class TestOneDeploymentPerEdge:
         action = manager.alert(
             Alert("flow-validator", "00:09:00:AE", "f-sensor", "anomaly:rate", "high", 0)
         )
-        assert action.kind == "blacklisted"
+        assert action == "blacklisted"
         assert "OVS2" not in fabric.ingress_processors
         port = fabric.port_toward("OVS2", "UE4")
         trace, decision = drive(fabric, manager, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS2", port))
@@ -513,7 +530,7 @@ def test_flow_setup_and_datapath_screen_a_header_alike(
     scope: ``new_flow`` denies it exactly when ``process`` denies the same
     header at the same edge, and for the same reason."""
     device, src_ip, dst_ip, flow, port, expected = SCREEN_CASES[case]
-    fabric, _repo, manager = build_world(
+    fabric, repo, manager = build_world(
         topology_doc, policy_doc, signature_doc + [HEADER_SIGNATURE]
     )
     if case == "blacklisted":
@@ -521,6 +538,7 @@ def test_flow_setup_and_datapath_screen_a_header_alike(
     packet = Packet(src_ip=src_ip, dst_ip=dst_ip, src_mac=device, dst_mac="00:09:00:BB",
                     payload=b"data", flow_id=flow)
     assert isinstance(inject_packet(fabric, packet, ("OVS1", port)).outcome, Punted)
+    assert "OVS1" not in fabric.ingress_processors
     logged = len(manager.log)
     decision = manager.new_flow(fabric.punt_events.popleft())
     setup_logged = [e["type"] for e in manager.log.events()[logged:]
@@ -542,6 +560,25 @@ def test_flow_setup_and_datapath_screen_a_header_alike(
     access_denied = decision.verdict in ("deny-unauthorized", "deny-blacklisted")
     assert denied == ([decision.flow_id] if access_denied else [])
     assert {e["flow_id"] for e in manager.log.events(EV_ALERT_RAISED)} <= {decision.flow_id}
+
+    # Both paths charge the screen alike: the access check, then, unless it
+    # denies, validation's base cost and one scan per signature reached.
+    cfg = manager.config
+    sig_ids = sorted(sig.sig_id for sig in manager.signatures)
+    matched = expected.removeprefix("signature:") if expected else None
+    scanned = sig_ids.index(matched) + 1 if matched in sig_ids else len(sig_ids)
+    screen_cost = cfg.access_check_us
+    if expected not in ("deny-unauthorized", "deny-blacklisted"):
+        screen_cost += cfg.flow_validation_base_us + scanned * cfg.signature_scan_us
+    assert ingress.cost_us == screen_cost
+    if setup_denied:
+        # Set-up found no functions at OVS1, so it composed and deployed them,
+        # after extracting the profile of a registered device.
+        extract_us = cfg.profile_extract_us if repo.user_of_device(device) else 0
+        assert decision.extraction_performed == bool(extract_us)
+        assert decision.cost_us == (
+            cfg.dispatch_us() + extract_us + cfg.compose_us + cfg.deploy_us + screen_cost
+        )
 
 
 class TestProvisionSecurity:
