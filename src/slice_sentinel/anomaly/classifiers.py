@@ -132,7 +132,6 @@ class NaiveBayesClassifier:
 @dataclass
 class _Leaf:
     label: int
-    counts: tuple[int, int]
 
 
 @dataclass
@@ -184,7 +183,7 @@ class DecisionTree:
         pure = counts[0] == 0 or counts[1] == 0
         depth_reached = self.max_depth is not None and depth >= self.max_depth
         if pure or depth_reached:
-            return _Leaf(label=majority, counts=counts)
+            return _Leaf(label=majority)
 
         base = _entropy(counts)
         # best and fallback are (feature, its values, each row's value index)
@@ -212,7 +211,7 @@ class DecisionTree:
 
         if best is None:
             if fallback is None:
-                return _Leaf(label=majority, counts=counts)
+                return _Leaf(label=majority)
             best = fallback  # zero-gain split: keep going on structure
 
         feature, values, inverse = best

@@ -90,7 +90,6 @@ class FlowRecord:
     service: str
     security_reqs: frozenset[str]
     edge: str
-    ingress_port: int
     path: tuple[str, ...]
     rules: list[tuple[str, str]] = field(default_factory=list)  # (node, rule_id)
 
@@ -108,7 +107,6 @@ class FlowDecision:
 
 @dataclass
 class HandoverResult:
-    blacklisted: bool
     rules_reanchored: int
 
 
@@ -243,20 +241,29 @@ class SecurityManager:
             self._log(pol.EV_RULE_DELETED, node, rule_id=rule_id)
         record.rules.clear()
 
-    def _install_path_rules(self, record: FlowRecord) -> int:
-        """Install bidirectional forwarding rules along the record's path:
-        per hop the forward rule, then the reverse one back toward the device."""
+    def _route(
+        self, record: FlowRecord, edge: str, port: Optional[int], dst_node: str
+    ) -> Optional[int]:
+        """Route a flow from ``edge``, where the device sits behind ``port``,
+        to ``dst_node``: set the record's edge and path, then install per hop
+        the forward rule and the reverse one back toward the device.  Returns
+        the number of rules installed, or None, with the record untouched,
+        when there is no port or no path."""
         fabric = self.fabric
-        path = record.path
+        path = fabric.shortest_path(edge, dst_node) if port is not None else None
+        if path is None:
+            return None
+        record.edge = edge
+        record.path = path = tuple(path)
         installed = 0
         forward_key = FlowKey(src_ip=record.src_ip, dst_ip=record.dst_ip)
         reverse_key = FlowKey(src_ip=record.dst_ip, dst_ip=record.src_ip)
         for i, node in enumerate(path[:-1]):
-            port = fabric.port_toward(node, path[i + 1])
-            if port is None:
+            next_port = fabric.port_toward(node, path[i + 1])
+            if next_port is None:
                 continue
-            back_port = record.ingress_port if i == 0 else fabric.port_toward(node, path[i - 1])
-            for key, out_port in ((forward_key, port), (reverse_key, back_port)):
+            back_port = port if i == 0 else fabric.port_toward(node, path[i - 1])
+            for key, out_port in ((forward_key, next_port), (reverse_key, back_port)):
                 if out_port is None:
                     continue
                 rule = FlowRule(
@@ -310,23 +317,31 @@ class SecurityManager:
 
         Profile extraction runs at most once per user per edge; a second
         device of an already-covered user is decided locally from the edge
-        deployment without touching the repository.
+        deployment without touching the repository.  A punt whose in-port
+        links to another switch is refused with verdict ``"error"``.
         """
         cfg = self.config
+        fabric = self.fabric
         packet = punt.packet
         device = packet.src_mac
         cost = cfg.dispatch_us()
         flow_id = _flow_id(packet)
         extraction = False
         error = None
-        route_ip = packet.dst_ip
+        dst_node = None
         reqs: frozenset[str] = frozenset()
 
-        if not cfg.security_enabled:
+        link = fabric.nodes[punt.node].ports.get(punt.port)
+        if link is not None and fabric.nodes[link[0]].kind is not NodeKind.HOST:
+            # The packet crossed links before it punted: this switch is not
+            # where the device is attached, so nothing is decided here.
+            verdict = "error"
+            error = f"punt at {punt.node} arrived from switch {link[0]}"
+        elif not cfg.security_enabled:
             # Baseline reactive forwarding: no security functions at all.
-            verdict, pair = "permitted", self.requested_pair(route_ip)
+            verdict, pair = "permitted", self.requested_pair(packet.dst_ip)
         else:
-            dep = self.fabric.ingress_processors.get(punt.node)
+            dep = fabric.ingress_processors.get(punt.node)
             user_id = self.repository.user_of_device(device)
             if user_id is not None and (dep is None or user_id not in dep.covered_users):
                 profile = pol.extract_profile(self.repository, user_id)
@@ -350,46 +365,37 @@ class SecurityManager:
             elif not screened.allow:
                 verdict, error = "deny-validation", screened.reason
             elif access == sf.AccessVerdict.PERMIT:
-                verdict, pair = "permitted", self.requested_pair(route_ip)
+                verdict, pair = "permitted", self.requested_pair(packet.dst_ip)
                 reqs = self.repository.security_reqs(device, pair)
             else:  # ROUTE_GENERIC
-                route_ip = self._generic_host_ip()
-                if route_ip is None:
+                dst_node = self._generic_host()
+                if dst_node is None:
                     verdict, error = "error", f"no host in generic slice {cfg.generic_slice}"
                 else:
                     verdict, pair = "generic", (cfg.generic_slice, "generic")
 
-        if verdict in ("permitted", "generic"):
-            dst_node = self.fabric.host_by_ip(route_ip)
+        if verdict == "permitted":
+            dst_node = fabric.host_by_ip(packet.dst_ip)
             if dst_node is None:
-                verdict, error = "error", f"no host for destination {route_ip}"
+                verdict, error = "error", f"no host for destination {packet.dst_ip}"
+        if dst_node is not None:
+            slice_id, service = pair
+            record = FlowRecord(device, packet.src_ip, packet.dst_ip, slice_id, service, reqs,
+                                edge=punt.node, path=())
+            installed = self._route(record, punt.node, punt.port, dst_node)
+            cost += cfg.path_compute_us
+            if installed is None:
+                verdict, error = "error", f"no route from {punt.node} to {dst_node}"
             else:
-                path = self.fabric.shortest_path(punt.node, dst_node)
-                cost += cfg.path_compute_us
-                if path is None:
-                    verdict, error = "error", f"no route from {punt.node} to {dst_node}"
-                else:
-                    slice_id, service = pair
-                    record = FlowRecord(
-                        device_id=device,
-                        src_ip=packet.src_ip,
-                        dst_ip=packet.dst_ip,
-                        slice_id=slice_id,
-                        service=service,
-                        security_reqs=reqs,
-                        edge=punt.node,
-                        ingress_port=punt.port,
-                        path=tuple(path),
-                    )
-                    cost += self._install_path_rules(record) * cfg.rule_install_us
-                    self.flows[flow_id] = record
+                cost += installed * cfg.rule_install_us
+                self.flows[flow_id] = record
         return FlowDecision(flow_id, verdict, extraction, cost, error)
 
-    def _generic_host_ip(self) -> Optional[str]:
+    def _generic_host(self) -> Optional[str]:
         for host in sorted(self.fabric.slices.get(self.config.generic_slice, ())):
             node = self.fabric.nodes.get(host)
-            if node is not None and node.kind == NodeKind.HOST and node.ip:
-                return node.ip
+            if node is not None and node.kind == NodeKind.HOST:
+                return host
         return None
 
     def alert(self, alert: sf.Alert) -> str:
@@ -397,12 +403,10 @@ class SecurityManager:
         replace its flow rules with drops.  Idempotent per device.  Returns
         ``"blacklisted"``, ``"noop"`` or ``"admin-alert"`` (unknown device)."""
         device = alert.device_id
+        records = [r for r in self.flows.values() if r.device_id == device]
         # Edge deployments only hold devices of repository profiles, so the
         # repository and the flow records are every device the manager knows.
-        known = self.repository.device_known(device) or any(
-            r.device_id == device for r in self.flows.values()
-        )
-        if not known:
+        if not (records or self.repository.device_known(device)):
             self._admin_alert("unknown-device-alert", {"device_id": device, "reason": alert.reason})
             return "admin-alert"
         if device in self.global_blacklist:
@@ -410,9 +414,7 @@ class SecurityManager:
 
         self.global_blacklist.add(device)
         self._log(pol.EV_DEVICE_BLACKLISTED, None, device_id=device, reason=alert.reason)
-        for record in self.flows.values():
-            if record.device_id != device:
-                continue
+        for record in records:
             self._clear_rules(record)
             self._contain(record, record.edge)
         return "blacklisted"
@@ -534,20 +536,11 @@ class SecurityManager:
                 # Carry the containment, not the connectivity.
                 self._contain(record, to_edge)
                 continue
-            dst_node = self.fabric.host_by_ip(record.dst_ip)
             src_node = self.fabric.host_by_ip(record.src_ip)
-            new_port = (
-                self.fabric.port_toward(to_edge, src_node) if src_node is not None else None
-            )
-            path = self.fabric.shortest_path(to_edge, dst_node) if dst_node else None
-            if path is None or new_port is None:
-                continue
-            record.edge = to_edge
-            record.ingress_port = new_port
-            record.path = tuple(path)
-            reanchored += self._install_path_rules(record)
+            port = self.fabric.port_toward(to_edge, src_node) if src_node is not None else None
+            reanchored += self._route(record, to_edge, port, record.path[-1]) or 0
         self._log(pol.EV_HANDOVER, to_edge, device_id=device_id, **{"from": from_edge, "to": to_edge})
-        return HandoverResult(blacklisted=blacklisted, rules_reanchored=reanchored)
+        return HandoverResult(rules_reanchored=reanchored)
 
     def provision_security(self, flow_id: str) -> str:
         """Generate and distribute a per-flow key; encrypt at the ingress

@@ -149,7 +149,6 @@ class TrafficDriver:
         self.counts: dict[str, dict] = {}
         self.alerts: list[sf.Alert] = []
         self.setup_times_ms: dict[str, float] = {}
-        self.blacklisted: set[str] = set()  # devices an alert of this driver blacklisted
 
     def _bucket(self, stream: str) -> dict:
         return self.counts.setdefault(
@@ -170,8 +169,7 @@ class TrafficDriver:
         for alert in manager.pending_alerts:
             self.alerts.append(alert)
             if self.feedback:
-                if manager.alert(alert) == "blacklisted":
-                    self.blacklisted.add(alert.device_id)
+                manager.alert(alert)
         manager.pending_alerts.clear()
 
     def send(self, packet: Packet, ingress: tuple[str, int], stream: str):
@@ -273,8 +271,7 @@ def _flood_run(config: dict, seed: int, ue: int, default_packets: int, tag: str,
     """
     n_attack = int(config.get("attack_packets", default_packets))
     n_benign = int(config.get("benign_packets", 50))
-    benign_times = _schedule(int(config.get("benign_interval_ms", 20)), n_benign)
-    attack_interval = int(config.get("attack_interval_ms", 1))  # 10x the rate cap
+    benign_times = _schedule(20, n_benign)
 
     benign = _benign_factory(seed)
     control = TrafficDriver(build_world(config, seed))
@@ -288,7 +285,7 @@ def _flood_run(config: dict, seed: int, ue: int, default_packets: int, tag: str,
         return _ue_packet(ue, f"{tag}-{seed}-{i}".encode(), flow_id, t)
 
     events = _merged(
-        ("attacker", _schedule(attack_interval, n_attack), attacker, ("OVS1", ue)),
+        ("attacker", _schedule(1, n_attack), attacker, ("OVS1", ue)),  # 10x the rate cap
         ("benign", benign_times, benign, ("OVS1", 1)),
     )
     return n_attack, control.counts["benign"]["delivered"], driver, events
@@ -330,7 +327,7 @@ def _scenario_attack2(config: dict, seed: int) -> ScenarioReport:
     at_blacklist = None
     for _t, _i, stream, packet, ingress in events:
         driver.send(packet, ingress, stream)
-        if at_blacklist is None and sensor in driver.blacklisted:
+        if at_blacklist is None and sensor in driver.manager.global_blacklist:
             at_blacklist = attacker_counts()
     post, post_dropped_entry, post_delivered = (
         [end - start for end, start in zip(attacker_counts(), at_blacklist)]
@@ -406,7 +403,7 @@ def _scenario_attack3(config: dict, seed: int) -> ScenarioReport:
 def _scenario_attack4(config: dict, seed: int) -> ScenarioReport:
     topo = config.get("topology") or load_default_config("topology_handover.json")
     config = {**config, "topology": topo}
-    n_post = int(config.get("post_handover_packets", 20))
+    n_post = 20
     manager = build_world(config, seed)
     fabric = manager.fabric
     driver = TrafficDriver(manager)
@@ -432,7 +429,8 @@ def _scenario_attack4(config: dict, seed: int) -> ScenarioReport:
     manager.alert(
         sf.Alert("flow-validator", UE_MACS[4], "flow-ue4", "anomaly:rate", "high", 401)
     )
-    sensor_move = manager.handover(UE_MACS[4], "OVS1", "OVS2")
+    manager.handover(UE_MACS[4], "OVS1", "OVS2")
+    sensor_blacklisted = UE_MACS[4] in manager.global_blacklist
     sensor_port = fabric.port_toward("OVS2", "UE4")
     for i, t in enumerate(_schedule(5, 10, start_ms=450)):
         driver.send(
@@ -445,7 +443,7 @@ def _scenario_attack4(config: dict, seed: int) -> ScenarioReport:
         pairs_after == pairs_before
         and extractions_during == 0
         and post_bucket["delivered"] == n_post
-        and sensor_move.blacklisted is True
+        and sensor_blacklisted
         and sensor_post["delivered"] == 0
     )
     return _driver_report("attack4", seed, driver, verdict, {
@@ -453,7 +451,7 @@ def _scenario_attack4(config: dict, seed: int) -> ScenarioReport:
         "authorizations_after": sorted(map(list, pairs_after)),
         "extractions_during_handover": extractions_during,
         "rules_reanchored": handover.rules_reanchored,
-        "sensor_blacklist_carried": sensor_move.blacklisted,
+        "sensor_blacklist_carried": sensor_blacklisted,
     })
 
 
@@ -471,7 +469,7 @@ def _scenario_shellshock(config: dict, seed: int) -> ScenarioReport:
     # Arm A: the configured signature set is live.
     manager = build_world(config, seed)
     driver = TrafficDriver(manager)
-    n_exploit = int(config.get("exploit_packets", 5))
+    n_exploit = 5
     for i, t in enumerate(_schedule(10, n_exploit)):
         driver.send(exploit(i, t), ("OVS1", 1), "exploit")
     armed = driver.counts["exploit"]
@@ -505,7 +503,7 @@ def _scenario_flowmod_audit(config: dict, seed: int) -> ScenarioReport:
     for i, t in enumerate(_schedule(10, 5)):
         driver.send(_benign_factory(seed)(i, t), ("OVS1", 1), "benign")
 
-    injected_id = config.get("injected_rule_id", "atk-3346")
+    injected_id = "atk-3346"
     injected = FlowRule(
         rule_id=injected_id,
         match=FlowKey(src_ip="10.0.0.66", dst_ip="10.0.0.8"),

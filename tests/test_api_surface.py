@@ -21,7 +21,9 @@ and ``World.repository`` (hidden by ``manager.repository``) were write-only
 fields of the same kind.  So were ``LinkHop.slice_id`` (hidden by
 ``Packet.slice_id``) and the ``PolicyRepository.rules`` list (hidden by
 ``SwitchStateReport.rules``), read only by tests; the first is deleted, the
-second is now the id-keyed dict the duplicate check reads.  One such field
+second is now the id-keyed dict the duplicate check reads.  So was
+``_Leaf.counts`` (hidden by ``TrafficDriver.counts``), written at both leaf
+sites of the decision tree and never read; it is deleted.  One such field
 is left: ``FlowDecision.error`` is read only by tests and passes because
 perfbench calls ``parser.error``.  Per-reason drop counters in the reports
 (ROADMAP item 3) are its natural reader.  A field read only by the code that

@@ -167,6 +167,31 @@ class TestNewFlow:
         assert decision.verdict == "error"
         assert "no host" in decision.error
 
+    def test_a_destination_host_without_links_is_no_route(
+        self, topology_doc, policy_doc, signature_doc
+    ):
+        topology = {**topology_doc, "nodes": [
+            *topology_doc["nodes"], {"id": "ISLAND", "kind": "host", "ip": "10.99.0.1"},
+        ]}
+        fabric, repo, manager = build_world(topology, policy_doc, signature_doc)
+        from slice_sentinel.policy import parse_policy_rule
+        repo.register(parse_policy_rule({
+            "id": "99", "hostip": "10.0.0.1", "hostmac": "00:09:00:AA",
+            "destip": "10.99.0.1",
+            "user": {"id": "alice"}, "contract_id": "C-ALICE-1",
+            "actions": [{"Service": "Island", "Slice-id": "VLAN200"}],
+        }))
+        trace = inject_packet(fabric, ue_packet(1, "10.99.0.1", "f-island"), ("OVS1", 1))
+        assert trace.outcome == Punted(node="OVS1")
+        installs = len(manager.log.events(pol.EV_RULE_INSTALLED))
+        before = {n: report_flow_rules(fabric, n) for n in fabric.nodes}
+        decision = manager.new_flow(fabric.punt_events.popleft())
+        assert decision.verdict == "error"
+        assert decision.error == "no route from OVS1 to ISLAND"
+        assert "f-island" not in manager.flows
+        assert {n: report_flow_rules(fabric, n) for n in fabric.nodes} == before
+        assert len(manager.log.events(pol.EV_RULE_INSTALLED)) == installs
+
 
 class TestNewFlowSecurityOff:
     @pytest.fixture
@@ -455,12 +480,28 @@ class TestHandover:
         fabric, repo, manager = handover_world
         drive(fabric, manager, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS1", 4))
         manager.alert(Alert("flow-validator", "00:09:00:AE", "f-sensor", "anomaly:rate", "high", 1))
-        result = manager.handover("00:09:00:AE", "OVS1", "OVS2")
-        assert result.blacklisted is True
+        manager.handover("00:09:00:AE", "OVS1", "OVS2")
+        assert "00:09:00:AE" in manager.global_blacklist
         port = fabric.port_toward("OVS2", "UE4")
         trace = inject_packet(fabric, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS2", port))
         assert isinstance(trace.outcome, Dropped)
         assert trace.outcome.reason == "deny-blacklisted"
+
+    def test_handover_to_an_edge_without_the_device_clears_its_rules(self, handover_world):
+        fabric, repo, manager = handover_world
+        # UE2 is linked to OVS1 only, so OVS2 has no port toward it.
+        drive(fabric, manager, ue_packet(2, "10.0.0.7", "f-ue2"), ("OVS1", 2))
+        record = manager.flows["f-ue2"]
+        rules, path = list(record.rules), record.path
+        assert rules and fabric.port_toward("OVS2", "UE2") is None
+        result = manager.handover("00:09:00:AC", "OVS1", "OVS2")
+        assert result.rules_reanchored == 0
+        deleted = [(e["node"], e["rule_id"]) for e in manager.log.events(pol.EV_RULE_DELETED)]
+        assert deleted == rules
+        for node, rule_id in rules:
+            assert rule_id not in {r.rule_id for r in fabric.nodes[node].table.rules()}
+        assert (record.edge, record.path, record.rules) == ("OVS1", path, [])
+        assert all(audit.clean for audit in manager.tick(1000))
 
     def test_unknown_device_handover_rejected(self, handover_world):
         fabric, repo, manager = handover_world

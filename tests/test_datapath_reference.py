@@ -399,7 +399,8 @@ def test_the_fixed_plan_reaches_every_outcome():
 def test_a_punt_past_the_ingress_names_the_port_it_arrived_on(inject):
     """The fixed plan's ``detour``: U2 enters E1 on port 1, C0 sends it down
     to E0, and E0 punts it.  The punt names E0's port toward C0 (3), not
-    E1's ingress port, which on E0 is U0's link."""
+    E1's ingress port, which on E0 is U0's link.  A punt that arrived from
+    another switch is refused: E0 is not where U2 is attached."""
     topology, policies, ues = fleet(FIXED_FLEET)
     w = World(topology, policies, True, inject)
     _ue, edge, port, ip, mac = ues[2]
@@ -423,8 +424,8 @@ def test_a_punt_past_the_ingress_names_the_port_it_arrived_on(inject):
 
     before = {r.rule_id for r in w.fabric.nodes["E0"].table.rules()}
     decision = w.manager.new_flow(punt)
-    assert decision.verdict == "generic"
+    assert decision.verdict == "error"
+    assert decision.error == "punt at E0 arrived from switch C0"
     installed = [r for r in w.fabric.nodes["E0"].table.rules() if r.rule_id not in before]
-    reverse = [r for r in installed if r.match == FlowKey(src_ip=UNKNOWN_IP, dst_ip=ip)]
-    assert len(reverse) == 1
-    assert reverse[0].action.port == toward_c0
+    between = (FlowKey(src_ip=UNKNOWN_IP, dst_ip=ip), FlowKey(src_ip=ip, dst_ip=UNKNOWN_IP))
+    assert [r for r in installed if r.match in between] == []
