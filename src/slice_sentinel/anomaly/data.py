@@ -49,7 +49,9 @@ def load_csv(path) -> Dataset:
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: dataset CSV is empty")
         if "label" not in header:
             raise ValueError("dataset CSV needs a 'label' column")
         label_idx = header.index("label")

@@ -30,7 +30,7 @@ from .anomaly import (
     train_test_split,
 )
 from .anomaly.data import Dataset
-from .fabric import report_flow_rules
+from .fabric import UnknownNodeError, report_flow_rules
 from .scenarios import (
     SCENARIO_IDS,
     bench_flow_setup,
@@ -328,6 +328,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except UnknownNodeError as exc:
+        print(f"error: the topology has no node {exc.args[0]!r}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,8 +31,8 @@ from .fabric import (
     NodeKind,
     Packet,
     PuntEvent,
-    SwitchStateReport,
     apply_flow_mod,
+    flow_id_of,
     measure_attestation,
     report_flow_rules,
 )
@@ -41,11 +41,6 @@ from .fabric import (
 # The access verdicts that stop a packet at slice entry.  A tuple: its
 # identity-first membership test is cheaper than hashing an enum member.
 _DENIALS = (sf.AccessVerdict.DENY_UNAUTHORIZED, sf.AccessVerdict.DENY_BLACKLISTED)
-
-
-def _flow_id(packet: Packet) -> str:
-    """A packet's flow id; a packet without one is named by its addresses."""
-    return packet.flow_id or f"{packet.src_ip}->{packet.dst_ip}"
 
 
 class UnknownDeviceError(KeyError):
@@ -136,7 +131,7 @@ class IngressProcessor:
         """
         if not packet.flow_id:
             # Denials and alerts name the flow by its default id, as new_flow does.
-            packet = replace(packet, flow_id=_flow_id(packet))
+            packet = replace(packet, flow_id=flow_id_of(packet))
         mgr = self.manager
         cfg = mgr.config
         verdict = sf.check_slice_access(self.access, packet, mgr.requested_pair(packet.dst_ip))
@@ -325,7 +320,7 @@ class SecurityManager:
         packet = punt.packet
         device = packet.src_mac
         cost = cfg.dispatch_us()
-        flow_id = _flow_id(packet)
+        flow_id = flow_id_of(packet)
         extraction = False
         error = None
         dst_node = None
@@ -451,9 +446,9 @@ class SecurityManager:
         state; on any variation alert the administrator and restore."""
         return self._audit(node_id, self.log.expected_switch_state(node_id))
 
-    def _audit(self, node_id: str, trusted: SwitchStateReport) -> sf.AuditResult:
+    def _audit(self, node_id: str, trusted: tuple[FlowRule, ...]) -> sf.AuditResult:
         observed = report_flow_rules(self.fabric, node_id)
-        result = sf.audit_flow_rules(trusted, observed)
+        result = sf.audit_flow_rules(node_id, trusted, observed)
         # Tuples: the admin alert keeps these values, and no reader of it may
         # change them.  The log is unaffected either way: append stores the
         # event's canonical bytes, not the dict.

@@ -99,6 +99,11 @@ class Packet:
     virtual_timestamp: int = 0
 
 
+def flow_id_of(packet: Packet) -> str:
+    """A packet's flow id; a packet without one is named by its addresses."""
+    return packet.flow_id or f"{packet.src_ip}->{packet.dst_ip}"
+
+
 @dataclass(frozen=True)
 class FlowKey:
     """Match fields of a flow rule. ``None`` means wildcard."""
@@ -351,22 +356,13 @@ class FlowTable:
 
 
 # ---------------------------------------------------------------------------
-# Attestation and reports
+# Attestation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AttestationReport:
     measured_hash: bytes
     nonce: bytes
-
-
-@dataclass(frozen=True)
-class SwitchStateReport:
-    """A switch's rules in canonical order: observed from its table, or
-    expected, folded from the activity log."""
-
-    node_id: str
-    rules: tuple[FlowRule, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +531,10 @@ def _node_descriptor(node_id: str, kind: str, ip: Optional[str]) -> bytes:
 
 def _entries(config: dict, section: str, required: tuple[str, ...]):
     """The entries of one topology section, each an object with ``required``."""
-    for raw in config.get(section, []):
+    entries = config.get(section, [])
+    if not isinstance(entries, list):
+        raise TopologyError(f"{section} must be a list, got {entries!r}")
+    for raw in entries:
         if not isinstance(raw, dict):
             raise TopologyError(f"{section} entry must be an object, got {raw!r}")
         for key in required:
@@ -558,6 +557,8 @@ def build_topology(config: dict) -> Fabric:
     fabric = Fabric()
     for raw in _entries(config, "nodes", ("id",)):
         node_id = raw["id"]
+        if not isinstance(node_id, str):
+            raise TopologyError(f"node id must be a string, got {node_id!r}")
         if node_id in fabric.nodes:
             raise TopologyError(f"duplicate node id {node_id!r}")
         try:
@@ -650,9 +651,9 @@ def apply_flow_mod(
         raise ValueError(f"unknown flow mod kind {mod.kind!r}")
 
 
-def report_flow_rules(fabric: Fabric, node_id: str) -> SwitchStateReport:
-    """Canonical snapshot of a node's table; pure function of its contents."""
-    return SwitchStateReport(node_id, fabric.node(node_id).table.reported())
+def report_flow_rules(fabric: Fabric, node_id: str) -> tuple[FlowRule, ...]:
+    """A node's rules in canonical order; a pure function of its table."""
+    return fabric.node(node_id).table.reported()
 
 
 def measure_attestation(fabric: Fabric, node_id: str, nonce: bytes) -> AttestationReport:
@@ -682,13 +683,13 @@ def _apply_ciphers(
     """
     mode, cipher = ciphers[flow_id]
     if mode == "encrypt" and not encrypted:
-        return cipher.encrypt(payload).to_bytes(), True
+        return cipher.encrypt(payload), True
     if mode == "decrypt" and encrypted and next_is_host:
         # local import: avoid cycle
-        from .security_functions import AuthenticationError, CipherEnvelope
+        from .security_functions import AuthenticationError
 
         try:
-            return cipher.decrypt(CipherEnvelope.from_bytes(payload)), False
+            return cipher.decrypt(payload), False
         except AuthenticationError:
             return None, encrypted
     return payload, encrypted
@@ -702,8 +703,9 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
     timestamp in locals; ``packet`` is never changed.  A punt emits a
     controller event naming the port the packet arrived on at the punting
     node, and carrying a new packet cut to its header: empty payload, the
-    slice tag and timestamp it had at that node.  The trace holds the link
-    hops the packet crossed, in order.
+    slice tag and timestamp it had at that node.  The flow's ciphers and the
+    punted header both name the flow by ``flow_id_of(packet)``.  The trace
+    holds the link hops the packet crossed, in order.
     """
     node_id, port = ingress
     node = fabric.node(node_id)
@@ -722,7 +724,7 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
             return ForwardingTrace(hops, Dropped(node=node_id, reason=decision.reason))
 
     src_ip, dst_ip, src_mac, dst_mac = packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac
-    flow_id = packet.flow_id
+    flow_id = flow_id_of(packet)
     flow_ciphers = fabric.flow_ciphers
     at = node_id
     for _hop in range(MAX_HOPS):

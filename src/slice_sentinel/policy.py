@@ -22,7 +22,6 @@ from .fabric import (
     VLAN_MIN,
     FlowRule,
     FlowTable,
-    SwitchStateReport,
     canonical_json,
     json_scalar,
 )
@@ -361,11 +360,11 @@ class ActivityLog:
             return events
         return [event for event in events if event.get("type") == event_type]
 
-    def expected_switch_state(self, node_id: str) -> SwitchStateReport:
-        """Fold rule install/delete events for a node into a canonical report."""
+    def expected_switch_state(self, node_id: str) -> tuple[FlowRule, ...]:
+        """Fold rule install/delete events for a node into its canonical rules."""
         return self.expected_switch_states([node_id])[node_id]
 
-    def expected_switch_states(self, node_ids: Iterable[str]) -> dict[str, SwitchStateReport]:
+    def expected_switch_states(self, node_ids: Iterable[str]) -> dict[str, tuple[FlowRule, ...]]:
         """Verify the whole chain, then fold the entries past the watermark.
 
         The trusted state is a flow table per node: an install adds to it
@@ -402,12 +401,11 @@ class ActivityLog:
         self._tables = tables
         if entries:
             self._watermark = (len(entries), entries[-1].entry_hash)
-        reports = {}
+        states = {}
         for node_id in node_ids:
             table = tables.get(node_id)
-            rules = table.reported() if table is not None else ()
-            reports[node_id] = SwitchStateReport(node_id, rules)
-        return reports
+            states[node_id] = table.reported() if table is not None else ()
+        return states
 
     # -- persistence (JSON lines, one entry per line) ------------------------
 

@@ -126,7 +126,9 @@ class BenchReport:
 def build_world(config: dict, seed: int) -> SecurityManager:
     """The security manager over the configured (or bundled) topology,
     policies and signatures; its ``fabric`` is the world's network."""
-    topology = config.get("topology") or load_default_config("topology.json")
+    topology = config.get("topology")
+    if topology is None:
+        topology = load_default_config("topology.json")
     policies = config.get("policies")
     if policies is None:
         policies = load_default_config("policies.json")
@@ -401,8 +403,8 @@ def _scenario_attack3(config: dict, seed: int) -> ScenarioReport:
 
 
 def _scenario_attack4(config: dict, seed: int) -> ScenarioReport:
-    topo = config.get("topology") or load_default_config("topology_handover.json")
-    config = {**config, "topology": topo}
+    if config.get("topology") is None:
+        config = {**config, "topology": load_default_config("topology_handover.json")}
     n_post = 20
     manager = build_world(config, seed)
     fabric = manager.fabric

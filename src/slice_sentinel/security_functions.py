@@ -3,7 +3,7 @@
 Each function here is a small, explicitly stated piece of state plus a pure
 check: slice access control with blacklist precedence, signature and
 rate-window flow validation, attestation verification, flow-rule audit
-against a trusted report, symmetric key generation and authenticated flow
+against the trusted rules, symmetric key generation and authenticated flow
 encryption.
 """
 
@@ -18,7 +18,7 @@ from typing import Optional
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .fabric import FlowRule, Packet, SwitchStateReport, action_to_dict
+from .fabric import FlowRule, Packet, action_to_dict
 
 KEY_BYTES = 16
 NONCE_BYTES = 12
@@ -264,42 +264,38 @@ class AuditResult:
         }
 
 
-def audit_flow_rules(trusted: SwitchStateReport, observed: SwitchStateReport) -> AuditResult:
-    """Diff the observed switch state against the trusted expected state.
+def audit_flow_rules(
+    node: str, trusted: tuple[FlowRule, ...], observed: tuple[FlowRule, ...]
+) -> AuditResult:
+    """Diff a node's observed rules against its trusted expected rules.
 
     Rules are keyed by id: observed-only ids are extra, trusted-only ids are
     missing, shared ids with different content are modified.
     """
-    if trusted.node_id != observed.node_id:
-        raise ValueError(
-            f"audit node mismatch: trusted={trusted.node_id!r} observed={observed.node_id!r}"
-        )
-    if trusted.rules == observed.rules:
-        return AuditResult(node=trusted.node_id, extra_rules=(), missing_rules=(), modified_rules=())
-    expected = {r.rule_id: r for r in trusted.rules}
-    seen = {r.rule_id: r for r in observed.rules}
-    extra = tuple(r for r in observed.rules if r.rule_id not in expected)
-    missing = tuple(r for r in trusted.rules if r.rule_id not in seen)
+    if trusted == observed:
+        return AuditResult(node=node, extra_rules=(), missing_rules=(), modified_rules=())
+    expected = {r.rule_id: r for r in trusted}
+    seen = {r.rule_id: r for r in observed}
+    extra = tuple(r for r in observed if r.rule_id not in expected)
+    missing = tuple(r for r in trusted if r.rule_id not in seen)
     modified = tuple(
         (expected[rid], seen[rid])
         for rid in sorted(expected.keys() & seen.keys())
         if expected[rid] != seen[rid]
     )
-    return AuditResult(
-        node=trusted.node_id, extra_rules=extra, missing_rules=missing, modified_rules=modified
-    )
+    return AuditResult(node=node, extra_rules=extra, missing_rules=missing, modified_rules=modified)
 
 
-def render_audit_diff(trusted: SwitchStateReport, observed: SwitchStateReport) -> str:
-    """Two-column side-by-side rendering: observed switch state | trusted state."""
+def render_audit_diff(trusted: tuple[FlowRule, ...], observed: tuple[FlowRule, ...]) -> str:
+    """Two-column side-by-side rendering: observed switch rules | trusted rules."""
     width = 58
 
     def lines(rules):
         out = [f"{r.priority:>5}  {r.rule_id}  {action_to_dict(r.action)}" for r in rules]
         return out or ["(empty table)"]
 
-    left = lines(observed.rules)
-    right = lines(trusted.rules)
+    left = lines(observed)
+    right = lines(trusted)
     rows = max(len(left), len(right))
     left += [""] * (rows - len(left))
     right += [""] * (rows - len(right))
@@ -354,64 +350,33 @@ class AuthenticationError(Exception):
     """Raised when an envelope fails authentication; never returns garbage."""
 
 
-@dataclass(frozen=True)
-class CipherEnvelope:
-    key_id: str
-    nonce: bytes
-    ciphertext: bytes  # includes the authentication tag
-
-    def to_bytes(self) -> bytes:
-        kid = self.key_id.encode()
-        return ENVELOPE_MAGIC + len(kid).to_bytes(2, "big") + kid + self.nonce + self.ciphertext
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CipherEnvelope":
-        if data[:4] != ENVELOPE_MAGIC:
-            raise AuthenticationError("not a cipher envelope")
-        kid_len = int.from_bytes(data[4:6], "big")
-        kid_end = 6 + kid_len
-        try:
-            key_id = data[6:kid_end].decode()
-        except UnicodeDecodeError as exc:
-            raise AuthenticationError("malformed envelope key id") from exc
-        nonce = data[kid_end:kid_end + NONCE_BYTES]
-        ciphertext = data[kid_end + NONCE_BYTES:]
-        if len(nonce) != NONCE_BYTES:
-            raise AuthenticationError("truncated envelope")
-        return cls(key_id=key_id, nonce=nonce, ciphertext=ciphertext)
-
-
-def encrypt_flow_payload(key: SymmetricKey, payload: bytes, nonce: bytes) -> CipherEnvelope:
-    """AES-128-GCM with an explicit per-packet 96-bit nonce."""
-    if len(nonce) != NONCE_BYTES:
-        raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
-    ciphertext = AESGCM(key.key_bytes).encrypt(nonce, payload, key.key_id.encode())
-    return CipherEnvelope(key_id=key.key_id, nonce=nonce, ciphertext=ciphertext)
-
-
-def decrypt_flow_payload(key: SymmetricKey, envelope: CipherEnvelope) -> bytes:
-    if envelope.key_id != key.key_id:
-        raise AuthenticationError(f"envelope keyed for {envelope.key_id!r}, not {key.key_id!r}")
-    try:
-        return AESGCM(key.key_bytes).decrypt(
-            envelope.nonce, envelope.ciphertext, key.key_id.encode()
-        )
-    except InvalidTag as exc:
-        raise AuthenticationError("envelope failed authentication") from exc
-
-
 class FlowCipher:
-    """Per-flow cipher handle: one key plus a per-packet nonce counter."""
+    """Per-flow cipher handle: one key plus a per-packet nonce counter.
+
+    An envelope is ``ENVELOPE_MAGIC``, the key id's length (2 bytes, big
+    endian), the key id, the 96-bit nonce, then the AES-128-GCM ciphertext
+    and tag, with the key id as associated data (NIST SP 800-38D).
+    """
 
     def __init__(self, key: SymmetricKey) -> None:
-        self.key = key
         self._nonce_counter = 0
+        self._aead = AESGCM(key.key_bytes)
+        self._key_id = key.key_id.encode()
+        self._header = ENVELOPE_MAGIC + len(self._key_id).to_bytes(2, "big") + self._key_id
 
-    def encrypt(self, payload: bytes) -> CipherEnvelope:
+    def encrypt(self, payload: bytes) -> bytes:
         self._nonce_counter += 1
         nonce = self._nonce_counter.to_bytes(NONCE_BYTES, "big")
-        return encrypt_flow_payload(self.key, payload, nonce)
+        return self._header + nonce + self._aead.encrypt(nonce, payload, self._key_id)
 
-    def decrypt(self, envelope: CipherEnvelope) -> bytes:
-        return decrypt_flow_payload(self.key, envelope)
-
+    def decrypt(self, envelope: bytes) -> bytes:
+        header = self._header
+        if not envelope.startswith(header):
+            raise AuthenticationError("not an envelope under this cipher's key")
+        body = len(header) + NONCE_BYTES
+        if len(envelope) < body:
+            raise AuthenticationError("truncated envelope")
+        try:
+            return self._aead.decrypt(envelope[len(header):body], envelope[body:], self._key_id)
+        except InvalidTag as exc:
+            raise AuthenticationError("envelope failed authentication") from exc

@@ -24,7 +24,7 @@ from slice_sentinel.anomaly import (
     synthetic_flow_dataset,
     train_test_split,
 )
-from slice_sentinel.fabric import Drop, FlowKey, FlowRule, SwitchStateReport, canonical_rule_order
+from slice_sentinel.fabric import Drop, FlowKey, FlowRule, canonical_rule_order
 from slice_sentinel.scenarios import (
     SCENARIO_IDS,
     bench_flow_setup,
@@ -33,7 +33,6 @@ from slice_sentinel.scenarios import (
 )
 from slice_sentinel.security_functions import (
     AuthenticationError,
-    CipherEnvelope,
     FlowCipher,
     KeyGenerator,
     audit_flow_rules,
@@ -159,20 +158,14 @@ def test_criterion_5_audit_exactness_property():
             n_injected = rng.randint(0, 10)
             trusted_rules = [_random_rule(rng, f"t{case}-{i}") for i in range(n_trusted)]
             injected = [_random_rule(rng, f"x{case}-{i}") for i in range(n_injected)]
-            trusted = SwitchStateReport(node_id="SW", rules=canonical_rule_order(trusted_rules))
-            observed = SwitchStateReport(
-                node_id="SW",
-                rules=canonical_rule_order(trusted_rules + injected),
-            )
-            result = audit_flow_rules(trusted, observed)
+            trusted = canonical_rule_order(trusted_rules)
+            observed = canonical_rule_order(trusted_rules + injected)
+            result = audit_flow_rules("SW", trusted, observed)
             assert set(result.extra_rules) == set(injected)
             assert result.missing_rules == ()
             assert result.modified_rules == ()
             # zero false positives on a clean table
-            clean = audit_flow_rules(
-                trusted,
-                SwitchStateReport(node_id="SW", rules=trusted.rules),
-            )
+            clean = audit_flow_rules("SW", trusted, tuple(trusted))
             assert clean.clean
 
 
@@ -314,24 +307,22 @@ def test_criterion_9_flow_encryption_end_to_end():
             assert cipher.decrypt(envelope) == payload, f"length {length}"
 
         # every single-byte corruption of one envelope is detected
-        probe = cipher.encrypt(bytes(range(256)))
-        wire = probe.to_bytes()
+        wire = cipher.encrypt(bytes(range(256)))
         for position in range(len(wire)):
             corrupted = bytearray(wire)
             corrupted[position] ^= 0x01
             with pytest.raises(AuthenticationError):
-                cipher.decrypt(CipherEnvelope.from_bytes(bytes(corrupted)))
+                cipher.decrypt(bytes(corrupted))
 
         # sampled corruptions across the length range
         for length in (1, 16, 255, 1024, 4096):
-            envelope = cipher.encrypt(bytes(length))
-            wire = envelope.to_bytes()
+            wire = cipher.encrypt(bytes(length))
             for _ in range(8):
                 position = rng.randrange(len(wire))
                 corrupted = bytearray(wire)
                 corrupted[position] ^= rng.randrange(1, 256)
                 with pytest.raises(AuthenticationError):
-                    cipher.decrypt(CipherEnvelope.from_bytes(bytes(corrupted)))
+                    cipher.decrypt(bytes(corrupted))
 
         report = run_scenario("fsf_path", config={"packets": 20}, seed=9)
         assert report.details["mid_path_ciphertext_only"] is True

@@ -20,7 +20,7 @@ yet ``.node`` is read on many other classes, so only a review catches it.
 and ``World.repository`` (hidden by ``manager.repository``) were write-only
 fields of the same kind.  So were ``LinkHop.slice_id`` (hidden by
 ``Packet.slice_id``) and the ``PolicyRepository.rules`` list (hidden by
-``SwitchStateReport.rules``), read only by tests; the first is deleted, the
+``FlowRecord.rules``), read only by tests; the first is deleted, the
 second is now the id-keyed dict the duplicate check reads.  So was
 ``_Leaf.counts`` (hidden by ``TrafficDriver.counts``), written at both leaf
 sites of the decision tree and never read; it is deleted.  One such field

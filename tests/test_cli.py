@@ -43,6 +43,11 @@ MALFORMED_CONFIGS = {
         "--policies", _edited("policies.json", lambda d: d[0]["actions"].append(
             {"Service": "Unserved", "Slice-id": "VLAN300"}))
     ),
+    "nodes-not-list": ("--topology", {"nodes": 5}),
+    "node-id-not-string": ("--topology", {"nodes": [{"id": ["A"]}]}),
+    "topology-empty-list": ("--topology", []),
+    "topology-empty-object": ("--topology", {}),
+    "topology-without-scenario-node": ("--topology", {"nodes": [{"id": "A"}]}),
     "signature-without-id": ("--signatures", [{"pattern_hex": "00"}]),
     "scenario-config-not-object": ("--scenario-config", [1]),
 }
@@ -84,6 +89,13 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_a_node_the_topology_lacks_is_named(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"nodes": [{"id": "A"}]}))
+        code = main(["run", "attack1", "--topology", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: the topology has no node 'OVS1'\n"
 
     def test_attack2_without_blacklist_feedback_exits_1(self, tmp_path):
         knob = tmp_path / "knob.json"
@@ -185,6 +197,13 @@ class TestMlCommand:
         code = main(["ml", "--dataset", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_empty_dataset_file_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code = main(["ml", "--dataset", str(empty), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "empty" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell, column", [
         ("nan", "byte_rate"), ("inf", "byte_rate"), ("-inf", "packet_rate"), ("inf", "label"),
     ])
@@ -253,7 +272,7 @@ class TestAuditCommand:
         assert log.to_jsonl() == path.read_text(encoding="utf-8")
         audits = log.events(EV_AUDIT_PERFORMED)
         assert [(a["node"], a["extra"]) for a in audits] == [("OVS1", ["atk-cli"])]
-        assert [r.rule_id for r in log.expected_switch_state("OVS1").rules] == ["default-punt"]
+        assert [r.rule_id for r in log.expected_switch_state("OVS1")] == ["default-punt"]
 
 
 def _fast_config(tmp_path):

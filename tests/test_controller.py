@@ -310,7 +310,7 @@ class TestAlertHandling:
         assert mismatch["extra"] == ("atk-3346",)
         # restore converged the switch back to the trusted state
         assert manager.audit_now("OVS1").clean
-        ids = [r.rule_id for r in report_flow_rules(fabric, "OVS1").rules]
+        ids = [r.rule_id for r in report_flow_rules(fabric, "OVS1")]
         assert "atk-3346" not in ids
 
 
@@ -637,6 +637,19 @@ class TestProvisionSecurity:
         assert all(b"ledger" not in hop.payload for hop in mid)
         final = [hop for hop in trace.events if hop.to == "SVC2"]
         assert final[0].payload == b"ledger"
+
+    def test_a_flow_without_flow_id_is_encrypted_under_its_default_id(self, world):
+        fabric, repo, manager = world
+        _trace, decision = drive(fabric, manager, ue_packet(2, "10.0.0.7", ""), ("OVS1", 2))
+        assert decision.flow_id == "10.0.0.2->10.0.0.7"
+        manager.provision_security("10.0.0.2->10.0.0.7")
+        for flow_id in ("", "10.0.0.2->10.0.0.7"):
+            packet = ue_packet(2, "10.0.0.7", flow_id, payload=b"ledger")
+            trace = inject_packet(fabric, packet, ("OVS1", 2))
+            assert trace.outcome == Delivered(host="SVC2")
+            [hop] = [hop for hop in trace.events if (hop.node, hop.to) == ("OVS1", "CORE1")]
+            assert hop.encrypted, flow_id
+            assert b"ledger" not in hop.payload
 
     def test_flow_without_confidentiality_is_a_precondition_violation(self, world):
         fabric, repo, manager = world

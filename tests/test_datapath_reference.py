@@ -43,7 +43,6 @@ from slice_sentinel.fabric import (
 from slice_sentinel.policy import load_policies
 from slice_sentinel.security_functions import (
     AuthenticationError,
-    CipherEnvelope,
     FlowCipher,
     KeyGenerator,
     parse_signatures,
@@ -68,10 +67,10 @@ def _reference_ciphers(fabric, node_id, flow_id, payload, encrypted, next_is_hos
         return payload, encrypted
     mode, cipher = entry
     if mode == "encrypt" and not encrypted:
-        return cipher.encrypt(payload).to_bytes(), True
+        return cipher.encrypt(payload), True
     if mode == "decrypt" and encrypted and next_is_host:
         try:
-            return cipher.decrypt(CipherEnvelope.from_bytes(payload)), False
+            return cipher.decrypt(payload), False
         except AuthenticationError:
             return None, encrypted
     return payload, encrypted
@@ -80,8 +79,11 @@ def _reference_ciphers(fabric, node_id, flow_id, payload, encrypted, next_is_hos
 def reference_inject_packet(fabric, packet, ingress):
     node_id, port = ingress
     fabric.node(node_id)
+    # A packet without a flow id is named by its addresses, for its ciphers
+    # and its punt alike.
+    flow_id = packet.flow_id or f"{packet.src_ip}->{packet.dst_ip}"
     work = Packet(packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac, packet.payload,
-                  packet.flow_id, packet.slice_id, packet.virtual_timestamp)
+                  flow_id, packet.slice_id, packet.virtual_timestamp)
     hops = []
     encrypted = False
 

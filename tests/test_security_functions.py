@@ -11,14 +11,14 @@ from slice_sentinel.fabric import (
     FlowKey,
     FlowRule,
     Packet,
-    SwitchStateReport,
     canonical_rule_order,
 )
 from slice_sentinel.security_functions import (
     AccessVerdict,
     AuditResult,
     AuthenticationError,
-    CipherEnvelope,
+    ENVELOPE_MAGIC,
+    NONCE_BYTES,
     FlowCipher,
     FlowValidatorState,
     KeyGenerator,
@@ -27,7 +27,6 @@ from slice_sentinel.security_functions import (
     TrustVerdict,
     audit_flow_rules,
     check_slice_access,
-    encrypt_flow_payload,
     parse_signatures,
     render_audit_diff,
     validate_attestation,
@@ -35,6 +34,14 @@ from slice_sentinel.security_functions import (
 )
 
 SHELLSHOCK = b"() { :;};"
+TAG_BYTES = 16  # AES-GCM's full-length tag
+
+# FlowCipher(KeyGenerator(seed=1).generate(("A", "B"))).encrypt(b"wire format"):
+# magic "FSE1", key id length 10, "key-000001", nonce 1, ciphertext and tag.
+PINNED_ENVELOPE = bytes.fromhex(
+    "46534531" "000a" "6b65792d303030303031" "000000000000000000000001"
+    "7e9bf289653f099fa5eb53" "367009d11d92acccb8a514bbf791045f"
+)
 
 
 def packet(mac="00:09:00:AA", payload=b"", ts=0, flow="f1", src_ip="10.0.0.1"):
@@ -202,25 +209,22 @@ def reported(rule_id, priority=10, src_ip=None, action=None):
     )
 
 
-def make_reports(trusted_rules, observed_rules, node="OVS1"):
-    return (
-        SwitchStateReport(node_id=node, rules=canonical_rule_order(trusted_rules)),
-        SwitchStateReport(node_id=node, rules=canonical_rule_order(observed_rules)),
-    )
+def make_reports(trusted_rules, observed_rules):
+    return canonical_rule_order(trusted_rules), canonical_rule_order(observed_rules)
 
 
 class TestRuleAudit:
     def test_identical_reports_are_clean(self):
         rules = [reported("r1"), reported("r2", priority=5)]
         trusted, observed = make_reports(rules, rules)
-        result = audit_flow_rules(trusted, observed)
+        result = audit_flow_rules("OVS1", trusted, observed)
         assert result.clean
 
     def test_injected_rule_is_the_exact_extra_set(self):
         base = [reported("r1"), reported("r2", priority=5)]
         injected = reported("atk-3346", priority=50, src_ip="10.0.0.66")
         trusted, observed = make_reports(base, base + [injected])
-        result = audit_flow_rules(trusted, observed)
+        result = audit_flow_rules("OVS1", trusted, observed)
         assert result.extra_rules == (injected,)
         assert result.missing_rules == ()
         assert result.modified_rules == ()
@@ -231,20 +235,14 @@ class TestRuleAudit:
         kept = reported("r1")
         trusted, observed = make_reports([reported("r2", priority=5)],
                                          [kept, reported("r2", priority=5)])
-        result = audit_flow_rules(trusted, observed)
+        result = audit_flow_rules("OVS1", trusted, observed)
         assert result.extra_rules == (kept,)
-
-    def test_node_mismatch_rejected(self):
-        trusted, _ = make_reports([], [], node="OVS1")
-        _, observed = make_reports([], [], node="OVS2")
-        with pytest.raises(ValueError, match="mismatch"):
-            audit_flow_rules(trusted, observed)
 
     def test_modified_rule_detected(self):
         trusted, observed = make_reports(
             [reported("r1", priority=10)], [reported("r1", priority=99)]
         )
-        result = audit_flow_rules(trusted, observed)
+        result = audit_flow_rules("OVS1", trusted, observed)
         assert len(result.modified_rules) == 1
         expected, seen = result.modified_rules[0]
         assert expected.priority == 10 and seen.priority == 99
@@ -269,7 +267,7 @@ def test_audit_exactness_property(ids, split):
     rules = [reported(rid, priority=(hash(rid) % 5)) for rid in ids]
     trusted_rules, injected = rules[split:], rules[:split]
     trusted, observed = make_reports(trusted_rules, trusted_rules + injected)
-    result = audit_flow_rules(trusted, observed)
+    result = audit_flow_rules("OVS1", trusted, observed)
     assert set(result.extra_rules) == set(injected)
     assert result.missing_rules == ()
     assert result.modified_rules == ()
@@ -282,8 +280,8 @@ def test_audit_symmetry_property(ids_a, ids_b):
     b = [reported(rid) for rid in ids_b]
     ra, oa = make_reports(a, b)
     rb, ob = make_reports(b, a)
-    forward = audit_flow_rules(ra, oa)
-    backward = audit_flow_rules(rb, ob)
+    forward = audit_flow_rules("OVS1", ra, oa)
+    backward = audit_flow_rules("OVS1", rb, ob)
     assert set(forward.extra_rules) == set(backward.missing_rules)
     assert set(forward.missing_rules) == set(backward.extra_rules)
 
@@ -330,18 +328,16 @@ class TestFlowEncryption:
     def test_ciphertext_differs_from_plaintext(self):
         key = KeyGenerator(seed=1).generate(("A", "B"))
         envelope = FlowCipher(key).encrypt(b"confidential-reading")
-        assert envelope.ciphertext != b"confidential-reading"
-        assert b"confidential-reading" not in envelope.to_bytes()
+        assert b"confidential-reading" not in envelope
 
     def test_any_flipped_ciphertext_byte_fails_authentication(self):
         key = KeyGenerator(seed=1).generate(("A", "B"))
         envelope = FlowCipher(key).encrypt(b"payload under test")
-        for i in range(len(envelope.ciphertext)):
-            corrupted = bytearray(envelope.ciphertext)
+        for i in range(len(envelope) - len(b"payload under test") - TAG_BYTES, len(envelope)):
+            corrupted = bytearray(envelope)
             corrupted[i] ^= 0x01
-            bad = CipherEnvelope(envelope.key_id, envelope.nonce, bytes(corrupted))
             with pytest.raises(AuthenticationError):
-                FlowCipher(key).decrypt(bad)
+                FlowCipher(key).decrypt(bytes(corrupted))
 
     def test_wrong_key_fails_authentication(self):
         gen = KeyGenerator(seed=1)
@@ -351,16 +347,35 @@ class TestFlowEncryption:
         with pytest.raises(AuthenticationError):
             FlowCipher(key_b).decrypt(envelope)
 
-    def test_envelope_byte_round_trip(self):
-        key = KeyGenerator(seed=2).generate(("A", "B"))
-        envelope = FlowCipher(key).encrypt(b"wire format")
-        parsed = CipherEnvelope.from_bytes(envelope.to_bytes())
-        assert parsed == envelope
+    def test_envelope_bytes_are_pinned(self):
+        cipher = FlowCipher(KeyGenerator(seed=1).generate(("A", "B")))
+        assert cipher.encrypt(b"wire format") == PINNED_ENVELOPE
+        assert cipher.decrypt(PINNED_ENVELOPE) == b"wire format"
+
+    @pytest.mark.parametrize("cut", [
+        3,                          # inside the magic
+        9,                          # inside the key id
+        16 + NONCE_BYTES // 2,      # inside the nonce
+        16 + NONCE_BYTES,           # the whole header and nonce, nothing after
+        len(PINNED_ENVELOPE) - 1,   # inside the tag
+    ])
+    def test_truncated_envelope_fails_authentication(self, cut):
+        cipher = FlowCipher(KeyGenerator(seed=1).generate(("A", "B")))
+        with pytest.raises(AuthenticationError):
+            cipher.decrypt(PINNED_ENVELOPE[:cut])
+
+    def test_bytes_without_the_magic_fail_authentication(self):
+        cipher = FlowCipher(KeyGenerator(seed=1).generate(("A", "B")))
+        with pytest.raises(AuthenticationError):
+            cipher.decrypt(b"FSE2" + PINNED_ENVELOPE[len(ENVELOPE_MAGIC):])
+        with pytest.raises(AuthenticationError):
+            cipher.decrypt(b"wire format")
 
     def test_unique_nonce_per_packet(self):
         key = KeyGenerator(seed=2).generate(("A", "B"))
         cipher = FlowCipher(key)
-        nonces = {cipher.encrypt(b"p").nonce for _ in range(100)}
+        header = len(ENVELOPE_MAGIC) + 2 + len(key.key_id)
+        nonces = {cipher.encrypt(b"p")[header:header + NONCE_BYTES] for _ in range(100)}
         assert len(nonces) == 100
 
 
@@ -368,21 +383,18 @@ class TestFlowEncryption:
 @given(st.binary(min_size=0, max_size=2048))
 def test_encrypt_decrypt_identity_property(payload):
     key = KeyGenerator(seed=9).generate(("A", "B"))
-    envelope = encrypt_flow_payload(key, payload, nonce=bytes(12))
-    from slice_sentinel.security_functions import decrypt_flow_payload
-
-    assert decrypt_flow_payload(key, envelope) == payload
+    assert FlowCipher(key).decrypt(FlowCipher(key).encrypt(payload)) == payload
 
 
 
 def full_diff(trusted, observed):
     """Reference: the audit as a dict diff by rule id, with no shortcut."""
-    expected = {r.rule_id: r for r in trusted.rules}
-    seen = {r.rule_id: r for r in observed.rules}
+    expected = {r.rule_id: r for r in trusted}
+    seen = {r.rule_id: r for r in observed}
     return AuditResult(
-        node=trusted.node_id,
-        extra_rules=tuple(r for r in observed.rules if r.rule_id not in expected),
-        missing_rules=tuple(r for r in trusted.rules if r.rule_id not in seen),
+        node="OVS1",
+        extra_rules=tuple(r for r in observed if r.rule_id not in expected),
+        missing_rules=tuple(r for r in trusted if r.rule_id not in seen),
         modified_rules=tuple((expected[rid], seen[rid]) for rid in sorted(expected.keys() & seen.keys())
                              if expected[rid] != seen[rid]),
     )
@@ -401,9 +413,9 @@ def test_audit_equals_the_full_diff(ids, rng):
     }
     for name, observed_rules in pairs.items():
         trusted, observed = make_reports(rules, observed_rules)
-        assert audit_flow_rules(trusted, observed) == full_diff(trusted, observed), name
+        assert audit_flow_rules("OVS1", trusted, observed) == full_diff(trusted, observed), name
     # The same rules out of canonical order are clean too.
-    shuffled = SwitchStateReport(node_id="OVS1", rules=tuple(rng.sample(rules, len(rules))))
+    shuffled = tuple(rng.sample(rules, len(rules)))
     trusted, _observed = make_reports(rules, rules)
-    assert audit_flow_rules(trusted, shuffled) == full_diff(trusted, shuffled)
-    assert audit_flow_rules(trusted, shuffled).clean
+    assert audit_flow_rules("OVS1", trusted, shuffled) == full_diff(trusted, shuffled)
+    assert audit_flow_rules("OVS1", trusted, shuffled).clean
