@@ -25,9 +25,9 @@ def check_features_labels(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"labels must be one per row: X has {X.shape[0]} rows, y has shape {y.shape}"
         )
-    labels = set(np.unique(y).tolist())
-    if not labels <= {0, 1}:
-        raise ValueError(f"labels must be binary 0/1, got {sorted(labels)}")
+    # Sort the labels only to name them in the error.
+    if ((y != 0) & (y != 1)).any():
+        raise ValueError(f"labels must be binary 0/1, got {sorted(set(np.unique(y).tolist()))}")
     return X, y.astype(int)
 
 

@@ -22,14 +22,6 @@ def _row_values(row, n_features: int) -> list:
     return values
 
 
-def _normalize(log_post: np.ndarray) -> np.ndarray:
-    """Posterior from log posterior(s), normalized along the last axis."""
-    log_post -= log_post.max(axis=-1, keepdims=True)
-    posterior = np.exp(log_post)
-    posterior /= posterior.sum(axis=-1, keepdims=True)
-    return posterior
-
-
 class NaiveBayesClassifier:
     """Categorical naive Bayes with add-one (Laplace) smoothing.
 
@@ -86,11 +78,13 @@ class NaiveBayesClassifier:
             term0, term1 = terms.get(value, unseen)
             log0 += term0
             log1 += term1
-        # _normalize's steps on two floats: one np.exp, as math.exp can round
-        # differently; labels are their own class index, and a tie goes to 0
-        # as np.argmax breaks it.
-        top = log0 if log0 >= log1 else log1
-        exp0, exp1 = np.exp((log0 - top, log1 - top)).tolist()
+        # Shift by the larger log posterior, whose exp(0) is exactly 1.0, so
+        # only the other one needs an exp: np.exp, as math.exp can round
+        # differently.  Labels are their own class index, and a tie goes to 0.
+        if log0 >= log1:
+            exp0, exp1 = 1.0, float(np.exp(log1 - log0))
+        else:
+            exp0, exp1 = float(np.exp(log0 - log1)), 1.0
         total = exp0 + exp1
         post0, post1 = exp0 / total, exp1 / total
         return (1 if post1 > post0 else 0), np.array((post0, post1))
@@ -118,11 +112,17 @@ class NaiveBayesClassifier:
         and the terms of a subset of columns, in that subset's order, give the
         labels of a model fitted on that subset alone."""
         check_fitted(self, "classes_")
-        log_post = np.repeat(self.log_prior_[None, :], terms[0].shape[0], axis=0)
-        for column in terms:
-            log_post += column
-        posterior = _normalize(log_post)
-        return self.classes_[np.argmax(posterior, axis=1)]
+        prior0, prior1 = self._prior_terms
+        log0, log1 = prior0 + terms[0][:, 0], prior1 + terms[0][:, 1]
+        for column in terms[1:]:
+            log0 += column[:, 0]
+            log1 += column[:, 1]
+        top = np.maximum(log0, log1)
+        exp0, exp1 = np.exp(log0 - top), np.exp(log1 - top)
+        total = exp0 + exp1
+        # Compared after the division, as predict_one compares: a tie the
+        # division makes goes to 0.
+        return (exp1 / total > exp0 / total).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +165,11 @@ class DecisionTree:
     """
 
     def __init__(self, max_depth: Optional[int] = None):
+        if max_depth is not None and (
+            isinstance(max_depth, bool) or not isinstance(max_depth, (int, np.integer))
+            or max_depth < 0
+        ):
+            raise ValueError(f"max_depth must be None or an integer >= 0, got {max_depth!r}")
         self.max_depth = max_depth
 
     def fit(self, X, y) -> "DecisionTree":

@@ -171,6 +171,12 @@ def _parse_selector(raw: str) -> tuple[str, int]:
 
 
 def cmd_ml(args) -> int:
+    if args.classifier == "nb":
+        if args.max_depth is not None:
+            raise ConfigError("--max-depth applies only to --classifier dt")
+        model = NaiveBayesClassifier()
+    else:  # dt
+        model = DecisionTree(max_depth=args.max_depth)
     if args.dataset:
         dataset = load_csv(args.dataset) if Path(args.dataset).exists() else None
         if dataset is None:
@@ -196,13 +202,7 @@ def cmd_ml(args) -> int:
         train_binned = train_binned.select_columns(selected)
         test_binned = test_binned.select_columns(selected)
 
-    if args.classifier == "nb":
-        model = NaiveBayesClassifier().fit(train_binned.features, train_binned.labels)
-    else:  # dt
-        model = DecisionTree(max_depth=args.max_depth).fit(
-            train_binned.features, train_binned.labels
-        )
-
+    model.fit(train_binned.features, train_binned.labels)
     metrics = evaluate(model.predict_one, test_binned)
     out = _out_dir(args)
     payload = {
@@ -239,15 +239,18 @@ def cmd_audit(args) -> int:
     if args.node not in manager.fabric.nodes:
         raise ConfigError(f"node {args.node!r} is not in the topology")
     # The diff shows the switch as observed, before the audit restores it.
-    trusted = manager.log.expected_switch_state(args.node)
+    # A clean audit found the trusted rules equal to the observed ones; a
+    # mismatch raised an admin alert that carries the diff.
     observed = report_flow_rules(manager.fabric, args.node)
     result = manager.audit_now(args.node)
+    diff = (render_audit_diff(observed, observed) if result.clean
+            else manager.admin_alerts[-1]["diff"])
     out = _out_dir(args)
     (out / "audit.json").write_text(
         json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     (out / "audit_diff.txt").write_text(
-        render_audit_diff(trusted, observed) + "\n", encoding="utf-8"
+        diff + "\n", encoding="utf-8"
     )
     manager.log.save(out / "activity.jsonl")
     _write_manifest(out, args)

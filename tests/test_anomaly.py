@@ -25,6 +25,7 @@ from slice_sentinel.anomaly import (
     synthetic_flow_dataset,
     train_test_split,
 )
+from slice_sentinel.anomaly.base import check_features_labels
 
 
 def contingency_chi_square(column, labels):
@@ -248,9 +249,26 @@ ONE_ULP_EXAMPLE = (
 )
 
 
+# Two rows per class and a category both classes hold once: the row [0] has
+# equal log posteriors, so its label is 0 and its posterior (0.5, 0.5).
+TIE_EXAMPLE = (np.array([[0], [0], [1], [1]]), np.array([0, 1, 0, 1]), np.array([[0]]))
+
+# One class-0 row of zeros and 20 class-1 rows of ones over 300 features: each
+# feature of the row of zeros favours class 0 by log(2/3) - log(1/22), so its
+# log posteriors lie more than 745 apart, the smaller exp underflows to 0.0
+# and the posterior is (1.0, 0.0); a row of ones gives (0.0, 1.0).
+UNDERFLOW_EXAMPLE = (
+    np.array([[0] * 300] + [[1] * 300] * 20),
+    np.array([0] + [1] * 20),
+    np.array([[0] * 300]),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(nb_problem())
 @example(ONE_ULP_EXAMPLE)
+@example(TIE_EXAMPLE)
+@example(UNDERFLOW_EXAMPLE)
 def test_nb_table_posteriors_equal_the_per_row_loop_exactly(problem):
     X, y, test = problem
     model = NaiveBayesClassifier().fit(X, y)
@@ -261,6 +279,73 @@ def test_nb_table_posteriors_equal_the_per_row_loop_exactly(problem):
             assert label == ref_label
             assert np.array_equal(posterior, ref_posterior)
         assert np.array_equal(nb_labels(model, rows), [model.predict_one(r)[0] for r in rows])
+
+
+@pytest.mark.parametrize("problem, expected", [
+    pytest.param(TIE_EXAMPLE, (0.5, 0.5), id="tie"),
+    pytest.param(UNDERFLOW_EXAMPLE, (1.0, 0.0), id="underflow"),
+])
+def test_nb_tie_goes_to_0_and_an_underflow_gives_a_certain_posterior(problem, expected):
+    X, y, test = problem
+    model = NaiveBayesClassifier().fit(X, y)
+    label, posterior = model.predict_one(test[0])
+    assert label == 0
+    assert posterior.tolist() == list(expected)
+    assert nb_labels(model, test).tolist() == [0]
+
+
+def _reference_labels_from_terms(model: NaiveBayesClassifier, terms) -> np.ndarray:
+    """Labels the 2-D way: an ``(n_rows, 2)`` log posterior started from the
+    repeated prior, one ``+=`` per column, shifted by its row maximum,
+    exponentiated, divided by its row sum, then ``argmax``."""
+    log_post = np.repeat(model.log_prior_[None, :], terms[0].shape[0], axis=0)
+    for column in terms:
+        log_post += column
+    log_post -= log_post.max(axis=-1, keepdims=True)
+    posterior = np.exp(log_post)
+    posterior /= posterior.sum(axis=-1, keepdims=True)
+    return model.classes_[np.argmax(posterior, axis=1)]
+
+
+def _term_pair(relation: str, term0: float, free: float) -> tuple[float, float]:
+    """A (class 0, class 1) term pair: equal, one ulp apart, or unrelated."""
+    term1 = {
+        "tie": term0,
+        "ulp-up": float(np.nextafter(term0, np.inf)),
+        "ulp-down": float(np.nextafter(term0, -np.inf)),
+        "free": free,
+    }[relation]
+    return term0, term1
+
+
+# Log-likelihood terms are negative; past -745 a column alone underflows exp.
+LOG_TERM = st.floats(-800.0, 0.0)
+RELATION = st.sampled_from(["tie", "tie", "ulp-up", "ulp-down", "free"])
+
+
+@st.composite
+def terms_problem(draw):
+    """A model whose prior is drawn from its class counts (equal counts give
+    an exact prior tie) and 1–4 term columns whose two classes are often
+    equal or one ulp apart."""
+    n0, n1 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    model = NaiveBayesClassifier().fit(np.zeros((n0 + n1, 1), dtype=int),
+                                       np.array([0] * n0 + [1] * n1))
+    n_rows = draw(st.integers(1, 12))
+    pair = st.builds(_term_pair, RELATION, LOG_TERM, LOG_TERM)
+    terms = [np.array(draw(st.lists(pair, min_size=n_rows, max_size=n_rows)))
+             for _ in range(draw(st.integers(1, 4)))]
+    return model, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms_problem())
+def test_labels_from_terms_equal_the_2d_posterior_path_exactly(problem):
+    model, terms = problem
+    labels = model.labels_from_terms(terms)
+    expected = _reference_labels_from_terms(model, terms)
+    assert labels.dtype == expected.dtype
+    assert np.array_equal(labels, expected)
 
 
 def _reference_evaluate(X, y, test: Dataset) -> dict:
@@ -327,6 +412,35 @@ def test_chi_square_equals_the_oracle_exactly(pairs):
     column = np.array([value for value, _ in pairs])
     labels = np.array([label for _, label in pairs])
     assert chi_square_score(column, labels) == contingency_chi_square(column, labels)
+
+
+# The messages are the ones the label check gave when it sorted every label set.
+@pytest.mark.parametrize("labels, shown", [
+    pytest.param([0, 1, 0.5], "[0.0, 0.5, 1.0]", id="half"),
+    pytest.param([0, 1, 2], "[0, 1, 2]", id="two"),
+    pytest.param([-1, 0, 1], "[-1, 0, 1]", id="minus-one"),
+    pytest.param([0, 1, math.nan], "[0.0, 1.0, nan]", id="nan"),
+    pytest.param(["0", "1", "1"], "['0', '1']", id="digit-strings"),
+    pytest.param(["a", "b", "a"], "['a', 'b']", id="strings"),
+])
+def test_non_binary_labels_rejected_naming_them(labels, shown):
+    with pytest.raises(ValueError) as exc:
+        check_features_labels(np.zeros((3, 1)), labels)
+    assert str(exc.value) == f"labels must be binary 0/1, got {shown}"
+
+
+def test_bool_labels_come_back_as_int():
+    _, y = check_features_labels(np.zeros((3, 1)), np.array([True, False, True]))
+    assert y.dtype == np.dtype(int)
+    assert y.tolist() == [1, 0, 1]
+
+
+def test_checked_labels_are_a_copy():
+    labels = np.array([0, 1, 1])
+    _, y = check_features_labels(np.zeros((3, 1)), labels)
+    assert not np.shares_memory(y, labels)
+    y[0] = 1
+    assert labels.tolist() == [0, 1, 1]
 
 
 def test_nb_predict_before_fit_raises():
@@ -468,6 +582,15 @@ class TestRowShapes:
 
 
 class TestDecisionTree:
+    @pytest.mark.parametrize("depth", [-1, -3, 2.5, True, "2"])
+    def test_max_depth_that_is_not_a_non_negative_int_rejected(self, depth):
+        with pytest.raises(ValueError, match="max_depth must be None or an integer >= 0"):
+            DecisionTree(max_depth=depth)
+
+    @pytest.mark.parametrize("depth", [None, 0, 3, np.int64(2)])
+    def test_max_depth_none_or_a_non_negative_int_accepted(self, depth):
+        assert DecisionTree(max_depth=depth).max_depth == depth
+
     def test_linearly_separable_single_feature_gives_depth_one(self):
         X = np.array([[0, 5]] * 30 + [[1, 5]] * 30)
         y = np.array([0] * 30 + [1] * 30)

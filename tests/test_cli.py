@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, outputs and reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -220,20 +221,59 @@ class TestMlCommand:
         assert f"row 3, column '{column}'" in capsys.readouterr().err
         assert not (tmp_path / "m" / "metrics.json").exists()
 
+    @pytest.mark.parametrize("options, message", [
+        pytest.param(["--classifier", "dt", "--max-depth", "-1"],
+                     "max_depth must be None or an integer >= 0, got -1", id="dt-negative"),
+        pytest.param(["--classifier", "nb", "--max-depth", "3"],
+                     "--max-depth applies only to --classifier dt", id="nb"),
+        pytest.param(["--max-depth", "0"],
+                     "--max-depth applies only to --classifier dt", id="default-nb"),
+    ])
+    def test_meaningless_max_depth_exits_2(self, options, message, tmp_path, capsys):
+        out = tmp_path / "m"
+        code = main(["ml", "--synthetic", "--rows", "200", *options, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "metrics.json").exists()
+
     def test_bad_selector_exits_2(self, tmp_path):
         code = main(["ml", "--synthetic", "--select", "pca-7", "--out", str(tmp_path)])
         assert code == 2
 
 
+def _count_verifies(monkeypatch) -> list:
+    """Count ``ActivityLog.verify`` calls: one entry per call."""
+    calls = []
+    verify = ActivityLog.verify
+
+    def counting(log):
+        calls.append(log)
+        return verify(log)
+
+    monkeypatch.setattr(ActivityLog, "verify", counting)
+    return calls
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestAuditCommand:
-    def test_clean_fabric_audits_clean(self, tmp_path, capsys):
+    def test_clean_fabric_audits_clean(self, tmp_path, monkeypatch, capsys):
+        verifies = _count_verifies(monkeypatch)
         out = tmp_path / "a"
         code = main(["audit", "--node", "OVS1", "--out", str(out)])
         assert code == 0
         result = read_json(out / "audit.json")
         assert result["clean"] is True
         assert "clean" in capsys.readouterr().out
-        assert (out / "audit_diff.txt").exists()
+        # The log is verified and folded once per audit command; the bytes
+        # are the ones written when the diff read its own fold.
+        assert len(verifies) == 1
+        assert sha256_of(out / "audit.json") == (
+            "0f2d6a24a534463863132beb3cac49ff06d1f902836db65b3d4f3db840ffb29b")
+        assert sha256_of(out / "audit_diff.txt") == (
+            "237432cd1f115e6c6e804f884f0bca006f0e49595840cd0edce50c2cee1a70b9")
 
     def test_unknown_node_exits_2(self, tmp_path, capsys):
         code = main(["audit", "--node", "GHOST", "--out", str(tmp_path)])
@@ -247,8 +287,14 @@ class TestAuditCommand:
             return manager
 
         monkeypatch.setattr(cli, "build_world", tampered_world)
+        verifies = _count_verifies(monkeypatch)
         out = tmp_path / "a"
         assert main(["audit", "--node", "OVS1", "--out", str(out)]) == 1
+        assert len(verifies) == 1
+        assert sha256_of(out / "audit.json") == (
+            "ba8cf82d359b8b54e71a2ca493c989684af71e4227171279d52d8eb7aaba517e")
+        assert sha256_of(out / "audit_diff.txt") == (
+            "b126c66f4c02d638c71023b2f6959688eb3a195cbcc0898b5ac5dd99d25cbdb0")
         assert [r["rule_id"] for r in read_json(out / "audit.json")["extra_rules"]] == ["atk-cli"]
         rows = (out / "audit_diff.txt").read_text(encoding="utf-8").splitlines()[2:]
         observed = [row[:58] for row in rows]
