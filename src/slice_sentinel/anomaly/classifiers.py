@@ -12,16 +12,6 @@ import numpy as np
 from .base import check_features_labels, check_fitted, check_matrix
 
 
-def _row_values(row, n_features: int) -> list:
-    """One feature row as a list of Python scalars.  A list is taken as it
-    stands (it must be flat); anything else is flattened through numpy, so a
-    tuple, a 1-D row and a ``(1, n)`` array all give the same values."""
-    values = row if type(row) is list else np.asarray(row).reshape(-1).tolist()
-    if len(values) != n_features:
-        raise ValueError(f"expected {n_features} features, got {len(values)}")
-    return values
-
-
 class NaiveBayesClassifier:
     """Categorical naive Bayes with add-one (Laplace) smoothing.
 
@@ -33,12 +23,6 @@ class NaiveBayesClassifier:
     count is zero, so it keeps the numerator of one and prediction stays
     total.  Predicting only looks rows up and adds them, in feature order, onto
     the log prior.
-
-    ``predict_one`` reads the same table rows as plain floats: ``_terms_[j]``
-    maps each category of feature ``j`` to its row's ``(class 0, class 1)``
-    terms and sits beside the unseen-category row.  Adding floats onto the two
-    prior floats is the same IEEE adds in the same order as adding table rows
-    onto the prior array, so both paths give the same bits.
     """
 
     def fit(self, X, y) -> "NaiveBayesClassifier":
@@ -53,7 +37,6 @@ class NaiveBayesClassifier:
         class_sizes = class_counts.tolist()
         self.categories_: list[np.ndarray] = []
         self.log_likelihood_: list[np.ndarray] = []
-        self._terms_: list[tuple[dict, tuple[float, float]]] = []
         for j in range(self.n_features_):
             categories, inverse = np.unique(X[:, j], return_inverse=True)
             v = len(categories)
@@ -64,30 +47,18 @@ class NaiveBayesClassifier:
                      for row in counts]
             self.log_likelihood_.append(np.array(table))
             self.categories_.append(categories)
-            self._terms_.append(
-                (dict(zip(categories.tolist(), map(tuple, table[:-1]))), tuple(table[-1]))
-            )
         self._prior_terms = tuple(self.log_prior_.tolist())
         return self
 
+    def predict(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's label and its class-1 posterior."""
+        post0, post1 = self._posteriors(self.column_terms(X))
+        return (post1 > post0).astype(int), post1
+
     def predict_one(self, row) -> tuple[int, np.ndarray]:
         """Label plus the normalized posterior over both classes."""
-        check_fitted(self, "classes_")
-        log0, log1 = self._prior_terms
-        for value, (terms, unseen) in zip(_row_values(row, self.n_features_), self._terms_):
-            term0, term1 = terms.get(value, unseen)
-            log0 += term0
-            log1 += term1
-        # Shift by the larger log posterior, whose exp(0) is exactly 1.0, so
-        # only the other one needs an exp: np.exp, as math.exp can round
-        # differently.  Labels are their own class index, and a tie goes to 0.
-        if log0 >= log1:
-            exp0, exp1 = 1.0, float(np.exp(log1 - log0))
-        else:
-            exp0, exp1 = float(np.exp(log0 - log1)), 1.0
-        total = exp0 + exp1
-        post0, post1 = exp0 / total, exp1 / total
-        return (1 if post1 > post0 else 0), np.array((post0, post1))
+        post0, post1 = self._posteriors(self.column_terms(np.asarray(row).reshape(1, -1)))
+        return (1 if post1[0] > post0[0] else 0), np.concatenate((post0, post1))
 
     def column_terms(self, X) -> list[np.ndarray]:
         """Each feature's ``(n_rows, 2)`` log-likelihood rows for the rows of
@@ -106,11 +77,19 @@ class NaiveBayesClassifier:
 
     def labels_from_terms(self, terms) -> np.ndarray:
         """Labels of the rows whose feature terms are ``terms`` (one or more
-        ``column_terms`` entries).  The terms are added onto the log prior in
-        list order, the order ``predict_one`` adds its features in, so the
-        terms of every column give each row the label ``predict_one`` does,
-        and the terms of a subset of columns, in that subset's order, give the
-        labels of a model fitted on that subset alone."""
+        ``column_terms`` entries).  The terms of every column give each row
+        the label ``predict`` does, and the terms of a subset of columns, in
+        that subset's order, give the labels of a model fitted on that subset
+        alone."""
+        post0, post1 = self._posteriors(terms)
+        return (post1 > post0).astype(int)
+
+    def _posteriors(self, terms) -> tuple[np.ndarray, np.ndarray]:
+        """The two classes' normalized posteriors, one column each.  The terms
+        are added onto the log prior in list order, because float adds do not
+        commute.  Each log posterior is shifted by the larger of the two, whose
+        exp(0) is exactly 1.0.  Labels compare the posteriors after the
+        division, so a tie the division makes goes to 0."""
         check_fitted(self, "classes_")
         prior0, prior1 = self._prior_terms
         log0, log1 = prior0 + terms[0][:, 0], prior1 + terms[0][:, 1]
@@ -120,9 +99,7 @@ class NaiveBayesClassifier:
         top = np.maximum(log0, log1)
         exp0, exp1 = np.exp(log0 - top), np.exp(log1 - top)
         total = exp0 + exp1
-        # Compared after the division, as predict_one compares: a tie the
-        # division makes goes to 0.
-        return (exp1 / total > exp0 / total).astype(int)
+        return exp0 / total, exp1 / total
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +203,30 @@ class DecisionTree:
             node.branches[key] = self._build(X[mask], y[mask], depth + 1)
         return node
 
-    def predict_one(self, row) -> int:
+    def predict(self, X) -> tuple[np.ndarray, None]:
+        """Each row's label, and no scores.  The rows go down the tree as
+        index arrays, one node at a time; a row whose value has no branch at
+        a split gets that split's majority."""
         check_fitted(self, "root_")
-        values = _row_values(row, self.n_features_)
-        node = self.root_
-        while type(node) is _Split:
-            child = node.branches.get(values[node.feature])
-            if child is None:
-                return node.majority  # unseen branch value
-            node = child
-        return node.label
+        X = check_matrix(X)
+        if X.shape[1] != self.n_features_:
+            raise ValueError(f"expected {self.n_features_} features, got {X.shape[1]}")
+        labels = np.empty(X.shape[0], dtype=int)
+        pending = [(self.root_, np.arange(X.shape[0]))]
+        while pending:
+            node, rows = pending.pop()
+            if type(node) is _Leaf:
+                labels[rows] = node.label
+                continue
+            column = X[rows, node.feature]
+            routed = np.zeros(rows.shape[0], dtype=bool)
+            for key, child in node.branches.items():
+                hit = column == key
+                if hit.any():
+                    pending.append((child, rows[hit]))
+                    routed |= hit
+            labels[rows[~routed]] = node.majority
+        return labels, None
+
+    def predict_one(self, row) -> int:
+        return int(self.predict(np.asarray(row).reshape(1, -1))[0][0])

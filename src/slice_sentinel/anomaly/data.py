@@ -82,6 +82,16 @@ def _finite_cell(raw: str, path, row_no: int, column: str) -> float:
     return value
 
 
+# (name, benign (mean, sd), attack (mean, sd)) of each class-shifted column.
+_SHIFTED_COLUMNS = (
+    ("packet_rate", (60, 12), (900, 90)),
+    ("byte_rate", (8_000, 1_500), (90_000, 9_000)),
+    ("flag_entropy", (0.9, 0.25), (2.6, 0.3)),
+    ("duration_ms", (500, 120), (80, 20)),
+)
+_NOISE_COLUMNS = ("noise_0", "noise_1")
+
+
 def synthetic_flow_dataset(n_rows: int = 2000, seed: int = 0) -> Dataset:
     """Seeded generator of flow feature vectors with a shifted attack class.
 
@@ -89,39 +99,24 @@ def synthetic_flow_dataset(n_rows: int = 2000, seed: int = 0) -> Dataset:
     and byte rates; attack rows are drawn from clearly higher-rate,
     shorter-duration distributions, plus two pure-noise columns that carry
     no class signal.
+
+    The draws fill the columns of one preallocated matrix, benign columns
+    first, then attack columns, then noise, and one permutation shuffles the
+    rows; the labels follow from where each shuffled row came from.
     """
     rng = np.random.default_rng(seed)
     n_attack = int(round(n_rows * 0.5))
     n_benign = n_rows - n_attack
-
-    def benign():
-        return np.column_stack(
-            [
-                rng.normal(60, 12, n_benign),     # packet_rate
-                rng.normal(8_000, 1_500, n_benign),  # byte_rate
-                rng.normal(0.9, 0.25, n_benign),  # flag_entropy
-                rng.normal(500, 120, n_benign),   # duration_ms
-            ]
-        )
-
-    def attack():
-        return np.column_stack(
-            [
-                rng.normal(900, 90, n_attack),
-                rng.normal(90_000, 9_000, n_attack),
-                rng.normal(2.6, 0.3, n_attack),
-                rng.normal(80, 20, n_attack),
-            ]
-        )
-
-    features = np.vstack([benign(), attack()])
-    labels = np.concatenate([np.zeros(n_benign, dtype=int), np.ones(n_attack, dtype=int)])
-    names = ["packet_rate", "byte_rate", "flag_entropy", "duration_ms"]
-    for i in range(2):
-        features = np.column_stack([features, rng.uniform(0, 1, n_rows)])
-        names.append(f"noise_{i}")
+    features = np.empty((n_rows, len(_SHIFTED_COLUMNS) + len(_NOISE_COLUMNS)))
+    for j, (_name, benign, _attack) in enumerate(_SHIFTED_COLUMNS):
+        features[:n_benign, j] = rng.normal(*benign, n_benign)
+    for j, (_name, _benign, attack) in enumerate(_SHIFTED_COLUMNS):
+        features[n_benign:, j] = rng.normal(*attack, n_attack)
+    for j in range(len(_SHIFTED_COLUMNS), features.shape[1]):
+        features[:, j] = rng.uniform(0, 1, n_rows)
     order = rng.permutation(n_rows)
-    return Dataset(features[order], labels[order], names)
+    names = [name for name, _benign, _attack in _SHIFTED_COLUMNS] + list(_NOISE_COLUMNS)
+    return Dataset(features[order], (order >= n_benign).astype(int), names)
 
 
 class EqualFrequencyBinner:

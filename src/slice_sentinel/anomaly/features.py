@@ -21,8 +21,13 @@ def chi_square_score(column, labels) -> float:
         raise ValueError("chi-square needs non-empty inputs")
     if column.shape[0] != labels.shape[0]:
         raise ValueError("column and labels must have the same length")
+    return _chi_square(column, *np.unique(labels, return_inverse=True))
+
+
+def _chi_square(column: np.ndarray, classes: np.ndarray, cls_index: np.ndarray) -> float:
+    """``chi_square_score`` of ``column`` against labels already sorted into
+    their ``classes`` and each row's class index."""
     categories, cat_index = np.unique(column, return_inverse=True)
-    classes, cls_index = np.unique(labels, return_inverse=True)
     if len(categories) < 2 or len(classes) < 2:
         return 0.0
     cells = len(categories) * len(classes)
@@ -36,9 +41,11 @@ def chi_square_score(column, labels) -> float:
 
 
 def chi_square_ranking(X, y) -> list[int]:
-    """Feature indices ordered best first; ties break toward the lower index."""
+    """Feature indices ordered best first; ties break toward the lower index.
+    The labels are sorted once and shared by every column."""
     X, y = check_features_labels(X, y)
-    scores = [chi_square_score(X[:, j], y) for j in range(X.shape[1])]
+    classes, cls_index = np.unique(y, return_inverse=True)
+    scores = [_chi_square(X[:, j], classes, cls_index) for j in range(X.shape[1])]
     return sorted(range(X.shape[1]), key=lambda j: (-scores[j], j))
 
 

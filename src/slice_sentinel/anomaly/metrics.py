@@ -4,17 +4,18 @@ Rates follow the usual conventions: tpr + fnr = 100 and tnr + fpr = 100 as
 percentages whenever both classes appear in the test set; rates whose class
 is absent are reported as ``None``, never as zero.
 
-``evaluate`` calls its predictor exactly once per test row, in row order,
-with the row as a flat list of Python scalars.  Each call returns a label in
-{0, 1}, either bare or as a ``(label, posterior)`` pair whose last entry is
-the attack score; any other label is a ``ValueError``.  The ROC sweep (and
-so ``auc``) is computed only when every call returned a posterior.
+``evaluate`` scores a whole test set with one call, ``model.predict(X)``, on
+the test set's feature matrix.  It returns one label per row, each 0 or 1
+(any other label is a ``ValueError`` naming its row), and either one class-1
+score per row or ``None``.  The ROC sweep (and so ``auc``) is computed only
+when there are scores and both classes appear.  A bound method of a model,
+such as ``model.predict_one``, is taken as the model itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -72,25 +73,20 @@ def rate_identities_hold(
 
 
 def roc_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, float]]:
-    """Threshold sweep over descending attack scores, from (0,0) to (1,1)."""
+    """Threshold sweep over descending attack scores, from (0,0) to (1,1):
+    one point after the last row of each distinct score, in a stable sort."""
     positives = int((labels == 1).sum())
     negatives = int((labels == 0).sum())
     if positives == 0 or negatives == 0:
         return []
     order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    previous = None
-    for score, label in zip(scores[order].tolist(), labels[order].tolist()):
-        if previous is not None and score != previous:
-            points.append((fp / negatives, tp / positives))
-        if label == 1:
-            tp += 1
-        else:
-            fp += 1
-        previous = score
-    points.append((1.0, 1.0))
-    return points
+    ranked = scores[order]
+    tp = np.cumsum(labels[order] == 1)
+    fp = np.arange(1, len(order) + 1) - tp
+    # The last group's point is (1.0, 1.0), appended as such.
+    ends = np.flatnonzero(ranked[1:] != ranked[:-1])
+    return [(0.0, 0.0), *zip((fp[ends] / negatives).tolist(), (tp[ends] / positives).tolist()),
+            (1.0, 1.0)]
 
 
 def auc_from_points(points: list[tuple[float, float]]) -> Optional[float]:
@@ -102,32 +98,24 @@ def auc_from_points(points: list[tuple[float, float]]) -> Optional[float]:
     return area
 
 
-def evaluate(predict_fn: Callable, test_set: Dataset) -> EvalMetrics:
+def evaluate(model, test_set: Dataset) -> EvalMetrics:
     """Score a classifier over a test set (see the module docstring for what
-    ``predict_fn`` is given and must return)."""
+    ``model.predict`` is given and must return)."""
+    # A bound method such as ``model.predict_one`` stands for its model.
+    model = getattr(model, "__self__", model)
     if test_set.n_rows == 0:
         raise ValueError("test set is empty")
     labels = test_set.labels
-    predicted: list = []
-    scores: list[float] = []
-    for row in test_set.features.tolist():
-        out = predict_fn(row)
-        if isinstance(out, tuple):
-            label, posterior = out
-            if type(posterior) is not np.ndarray or posterior.ndim != 1:
-                posterior = np.asarray(posterior).reshape(-1)
-            scores.append(float(posterior[-1]))
-        else:
-            label = out
-        predicted.append(label)
-
-    predicted_arr = np.array(predicted)
-    bad = np.flatnonzero((predicted_arr != 0) & (predicted_arr != 1))
+    predicted, scores = model.predict(test_set.features)
+    predicted = np.asarray(predicted)
+    if predicted.shape != labels.shape or (scores is not None and np.shape(scores) != labels.shape):
+        raise ValueError(f"predict must give one label, and one score or none, per row of {labels.size}")
+    bad = np.flatnonzero((predicted != 0) & (predicted != 1))
     if bad.size:
         first = int(bad[0])
-        raise ValueError(f"row {first}: predicted label {predicted[first]!r} is not 0 or 1")
+        raise ValueError(f"row {first}: predicted label {predicted[first].item()!r} is not 0 or 1")
     # Cell truth * 2 + predicted: 0 = tn, 1 = fp, 2 = fn, 3 = tp.
-    tn, fp, fn, tp = np.bincount(labels * 2 + predicted_arr.astype(int), minlength=4).tolist()
+    tn, fp, fn, tp = np.bincount(labels * 2 + predicted.astype(int), minlength=4).tolist()
 
     positives = tp + fn
     negatives = tn + fp
@@ -140,8 +128,8 @@ def evaluate(predict_fn: Callable, test_set: Dataset) -> EvalMetrics:
 
     roc: list[tuple[float, float]] = []
     auc: Optional[float] = None
-    if len(scores) == len(predicted) and positives and negatives:
-        roc = roc_points(np.array(scores, dtype=float), labels)
+    if scores is not None and positives and negatives:
+        roc = roc_points(np.asarray(scores, dtype=float), labels)
         auc = auc_from_points(roc)
 
     return EvalMetrics(

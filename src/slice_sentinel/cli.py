@@ -203,7 +203,7 @@ def cmd_ml(args) -> int:
         test_binned = test_binned.select_columns(selected)
 
     model.fit(train_binned.features, train_binned.labels)
-    metrics = evaluate(model.predict_one, test_binned)
+    metrics = evaluate(model, test_binned)
     out = _out_dir(args)
     payload = {
         "classifier": args.classifier,

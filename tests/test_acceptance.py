@@ -217,6 +217,16 @@ def _binned(data: Dataset) -> Dataset:
     return Dataset(bins, data.labels, data.feature_names)
 
 
+class _FixedLabels:
+    """A stand-in model that predicts the given labels and no scores."""
+
+    def __init__(self, labels):
+        self.labels = labels
+
+    def predict(self, X):
+        return self.labels, None
+
+
 def test_criterion_8a_rate_identities_on_all_evaluations():
     with criterion("8a", "tpr+fnr and tnr+fpr equal 100 within 1e-6 on every evaluation"):
         data = synthetic_flow_dataset(n_rows=1200, seed=21)
@@ -225,15 +235,16 @@ def test_criterion_8a_rate_identities_on_all_evaluations():
         nb = NaiveBayesClassifier().fit(train.features, train.labels)
         dt = DecisionTree().fit(train.features, train.labels)
         rng = np.random.default_rng(0)
-        predictors = [
-            nb.predict_one,
-            dt.predict_one,
-            lambda row: 1,
-            lambda row: 0,
-            lambda row: int(rng.integers(0, 2)),
+        n = test.n_rows
+        models = [
+            nb,
+            dt,
+            _FixedLabels(np.ones(n, dtype=int)),
+            _FixedLabels(np.zeros(n, dtype=int)),
+            _FixedLabels(rng.integers(0, 2, n)),
         ]
-        for predict in predictors:
-            metrics = evaluate(predict, test)
+        for model in models:
+            metrics = evaluate(model, test)
             ok, deviations = rate_identities_hold(
                 metrics.tpr, metrics.fnr, metrics.tnr, metrics.fpr, tolerance=1e-6
             )
@@ -246,12 +257,10 @@ def test_criterion_8b_reference_accuracy_targets():
         binned = _binned(data)
         train, test = train_test_split(binned, 0.3, seed=7)
         nb = NaiveBayesClassifier().fit(train.features, train.labels)
-        nb_metrics = evaluate(nb.predict_one, test)
+        nb_metrics = evaluate(nb, test)
         assert nb_metrics.accuracy >= 95.0, nb_metrics.accuracy
         dt = DecisionTree(max_depth=None).fit(binned.features, binned.labels)
-        training_accuracy = 100.0 * float(
-            np.mean(np.array([dt.predict_one(row) for row in binned.features]) == binned.labels)
-        )
+        training_accuracy = 100.0 * float(np.mean(dt.predict(binned.features)[0] == binned.labels))
         assert training_accuracy == 100.0, training_accuracy
 
 
@@ -287,8 +296,8 @@ def test_criterion_8d_external_dataset_classifier_ordering():
         data = load_csv(os.environ["SLICE_SENTINEL_ITOC"])
         binned = _binned(data)
         train, test = train_test_split(binned, 0.3, seed=0)
-        nb = evaluate(NaiveBayesClassifier().fit(train.features, train.labels).predict_one, test)
-        dt = evaluate(DecisionTree().fit(train.features, train.labels).predict_one, test)
+        nb = evaluate(NaiveBayesClassifier().fit(train.features, train.labels), test)
+        dt = evaluate(DecisionTree().fit(train.features, train.labels), test)
         assert nb.accuracy < dt.accuracy, (nb.accuracy, dt.accuracy)
 
 

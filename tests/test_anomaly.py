@@ -2,6 +2,7 @@
 Bayes, the gain-ratio tree and the evaluation metrics."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from slice_sentinel.anomaly import (
     NaiveBayesClassifier,
     auc_from_points,
     backward_elimination_ranking,
+    chi_square_ranking,
     chi_square_score,
     evaluate,
     load_csv,
@@ -279,6 +281,9 @@ def test_nb_table_posteriors_equal_the_per_row_loop_exactly(problem):
             assert label == ref_label
             assert np.array_equal(posterior, ref_posterior)
         assert np.array_equal(nb_labels(model, rows), [model.predict_one(r)[0] for r in rows])
+        labels, scores = model.predict(rows)
+        assert labels.tolist() == [model.predict_one(r)[0] for r in rows]
+        assert np.array_equal(scores, [model.predict_one(r)[1][1] for r in rows])
 
 
 @pytest.mark.parametrize("problem, expected", [
@@ -348,6 +353,50 @@ def test_labels_from_terms_equal_the_2d_posterior_path_exactly(problem):
     assert np.array_equal(labels, expected)
 
 
+def _reference_roc_points(scores, labels) -> list[tuple[float, float]]:
+    """The ROC sweep row by row: walk the stably sorted rows and emit a point
+    whenever the score changes."""
+    positives = int((labels == 1).sum())
+    negatives = int((labels == 0).sum())
+    if positives == 0 or negatives == 0:
+        return []
+    order = np.argsort(-scores, kind="stable")
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    previous = None
+    for score, label in zip(scores[order].tolist(), labels[order].tolist()):
+        if previous is not None and score != previous:
+            points.append((fp / negatives, tp / positives))
+        if label == 1:
+            tp += 1
+        else:
+            fp += 1
+        previous = score
+    points.append((1.0, 1.0))
+    return points
+
+
+# Few distinct scores, so most rows tie with another; 0.0 and -0.0 compare equal.
+TIED_SCORES = st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1e-300]), min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    TIED_SCORES.flatmap(lambda scores: st.tuples(
+        st.just(scores), st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))),
+    st.lists(st.tuples(st.floats(0, 1), st.integers(0, 1)), min_size=1, max_size=60).map(
+        lambda pairs: ([score for score, _ in pairs], [label for _, label in pairs])),
+))
+@example(([0.5, 0.5, 0.5], [1, 1, 1]))
+@example(([0.2, 0.9], [0, 0]))
+def test_roc_points_equal_the_row_by_row_sweep(problem):
+    scores, labels = np.array(problem[0], dtype=float), np.array(problem[1])
+    points = roc_points(scores, labels)
+    expected = _reference_roc_points(scores, labels)
+    assert points == expected
+    assert all(type(v) is float for point in points for v in point)
+
+
 def _reference_evaluate(X, y, test: Dataset) -> dict:
     """``evaluate`` of the naive Bayes the old way: every row scored through
     ``_reference_nb`` as a numpy row, counted cell by cell with if/else."""
@@ -363,7 +412,7 @@ def _reference_evaluate(X, y, test: Dataset) -> dict:
             tn += label == 0
             fp += label == 1
     positives, negatives = tp + fn, tn + fp
-    roc = roc_points(np.array(scores), test.labels) if positives and negatives else []
+    roc = _reference_roc_points(np.array(scores), test.labels) if positives and negatives else []
     return {
         "confusion": {"tp": tp, "tn": tn, "fp": fp, "fn": fn},
         "accuracy": 100.0 * (tp + tn) / (positives + negatives),
@@ -397,7 +446,7 @@ def binned_problem(draw):
 @given(binned_problem())
 def test_nb_evaluate_equals_the_per_row_reference_exactly(problem):
     X, y, test = problem
-    metrics = evaluate(NaiveBayesClassifier().fit(X, y).predict_one, test)
+    metrics = evaluate(NaiveBayesClassifier().fit(X, y), test)
     expected = _reference_evaluate(X, y, test)
     assert metrics.confusion == expected["confusion"]
     for rate in ("accuracy", "tpr", "fnr", "tnr", "fpr"):
@@ -412,6 +461,21 @@ def test_chi_square_equals_the_oracle_exactly(pairs):
     column = np.array([value for value, _ in pairs])
     labels = np.array([label for _, label in pairs])
     assert chi_square_score(column, labels) == contingency_chi_square(column, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=6),
+    st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+@example(([[0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1]], [0, 1, 0, 1]))
+@example(([[0, 1, 2], [2, 1, 0]], [1, 1, 1]))
+def test_chi_square_ranking_sorts_by_each_columns_score(problem):
+    """Shared sorted labels give each column the bits ``chi_square_score``
+    gives it, so ties (mirrored columns, one-class labels) rank the same."""
+    columns, labels = problem
+    X, y = np.array(columns).T, np.array(labels)
+    scores = [chi_square_score(X[:, j], y) for j in range(X.shape[1])]
+    assert chi_square_ranking(X, y) == sorted(range(X.shape[1]), key=lambda j: (-scores[j], j))
 
 
 # The messages are the ones the label check gave when it sorted every label set.
@@ -637,6 +701,73 @@ class TestDecisionTree:
             assert tree_acc >= nb_acc
 
 
+def _reference_tree_label(tree: DecisionTree, row) -> int:
+    """The per-row walk: at each split follow the branch keyed by the row's
+    value as a Python scalar; a value with no branch takes the majority."""
+    values = np.asarray(row).reshape(-1).tolist()
+    node = tree.root_
+    while hasattr(node, "branches"):
+        child = node.branches.get(values[node.feature])
+        if child is None:
+            return node.majority
+        node = child
+    return node.label
+
+
+# Integer and float categories; a matrix with one float in it is a float matrix.
+TREE_VALUE = st.one_of(st.integers(0, 3), st.sampled_from([-1.0, 0.5, 2.0]))
+
+
+@st.composite
+def tree_problem(draw):
+    """Training rows of a few categories and test rows that may hold values
+    no training row has, under each depth cap."""
+    n_features = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 40))
+    cells = st.lists(TREE_VALUE, min_size=n_features, max_size=n_features)
+    X = np.array(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows)))
+    test_cells = st.lists(st.one_of(TREE_VALUE, st.integers(4, 6), st.just(1.5)),
+                          min_size=n_features, max_size=n_features)
+    test = np.array(draw(st.lists(test_cells, min_size=1, max_size=30)))
+    return X, y, test, draw(st.sampled_from([0, 1, None]))
+
+
+# The root splits feature 1 (majority 1), where 7 has no branch; its 0 branch
+# splits feature 0 (majority 0), where 5 has none.
+UNSEEN_BRANCH_EXAMPLE = (
+    np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 0]]),
+    np.array([0, 1, 1, 1, 0]),
+    np.array([[5, 0], [1, 7], [0.5, 1], [2.0, 1.0]]),
+    None,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_problem())
+@example(UNSEEN_BRANCH_EXAMPLE)
+def test_tree_predict_equals_predict_one_and_the_per_row_walk(problem):
+    X, y, test, depth = problem
+    tree = DecisionTree(max_depth=depth).fit(X, y)
+    for rows in (test, X):
+        labels, scores = tree.predict(rows)
+        assert scores is None
+        assert labels.tolist() == [tree.predict_one(row) for row in rows]
+        assert labels.tolist() == [_reference_tree_label(tree, row) for row in rows]
+
+
+class _Stub:
+    """A stand-in model: ``predict`` returns fixed labels and scores and keeps
+    every matrix it was given."""
+
+    def __init__(self, labels, scores=None):
+        self.labels, self.scores, self.seen = labels, scores, []
+
+    def predict(self, X):
+        self.seen.append(X)
+        return self.labels, self.scores
+
+
 class TestEvaluate:
     def _dataset(self, labels):
         labels = np.asarray(labels)
@@ -644,40 +775,27 @@ class TestEvaluate:
 
     def test_perfect_classifier(self):
         data = self._dataset([0, 0, 1, 1])
-        truth = iter([0, 0, 1, 1])
-
-        def predict(_row):
-            label = next(truth)
-            return label, np.array([1 - label, label], dtype=float)
-
-        metrics = evaluate(predict, data)
+        metrics = evaluate(_Stub([0, 0, 1, 1], [0.0, 0.0, 1.0, 1.0]), data)
         assert metrics.accuracy == 100.0
         assert metrics.tpr == 100.0 and metrics.fpr == 0.0
         assert metrics.auc == pytest.approx(1.0)
 
     def test_label_inverting_classifier_on_balanced_set(self):
         data = self._dataset([0, 0, 1, 1])
-        truth = iter([0, 0, 1, 1])
-
-        def predict(_row):
-            label = next(truth)
-            flipped = 1 - label
-            return flipped, np.array([1 - flipped, flipped], dtype=float)
-
-        metrics = evaluate(predict, data)
+        metrics = evaluate(_Stub([1, 1, 0, 0], [1.0, 1.0, 0.0, 0.0]), data)
         assert metrics.accuracy == 0.0
         assert metrics.auc == pytest.approx(0.0)
 
     def test_one_class_test_set_reports_undefined_rates_as_none(self):
         data = self._dataset([1, 1, 1])
-        metrics = evaluate(lambda row: 1, data)
+        metrics = evaluate(_Stub([1, 1, 1]), data)
         assert metrics.tnr is None and metrics.fpr is None
         assert metrics.tpr == 100.0
 
     def test_identities_hold_whenever_both_classes_present(self):
         rng = np.random.default_rng(6)
         data = self._dataset(rng.integers(0, 2, 200))
-        metrics = evaluate(lambda row: int(rng.integers(0, 2)), data)
+        metrics = evaluate(_Stub(rng.integers(0, 2, 200)), data)
         ok, deviations = rate_identities_hold(
             metrics.tpr, metrics.fnr, metrics.tnr, metrics.fpr, tolerance=1e-6
         )
@@ -686,39 +804,41 @@ class TestEvaluate:
     def test_non_binary_prediction_rejected_naming_the_row(self):
         data = self._dataset([0, 1, 0, 1])
         with pytest.raises(ValueError, match=r"row 0: predicted label 2 is not 0 or 1"):
-            evaluate(lambda row: 2, data)
-        labels = iter([0, 1, -1, 1])
-
-        def predict(_row):
-            label = next(labels)
-            return label, np.array([0.5, 0.5])
-
+            evaluate(_Stub([2, 2, 2, 2]), data)
         with pytest.raises(ValueError, match=r"row 2: predicted label -1 is not 0 or 1"):
-            evaluate(predict, data)
+            evaluate(_Stub(np.array([0, 1, -1, 1]), np.full(4, 0.5)), data)
 
-    def test_predictor_gets_each_row_once_in_order_as_a_list(self):
+    @pytest.mark.parametrize("labels, scores", [
+        pytest.param([0, 1, 0], None, id="short-labels"),
+        pytest.param([0, 1, 0, 1, 1], None, id="long-labels"),
+        pytest.param([0, 1, 0, 1], [0.5, 0.5], id="short-scores"),
+    ])
+    def test_one_label_and_score_per_row_required(self, labels, scores):
+        with pytest.raises(ValueError, match="one label, and one score or none, per row of 4"):
+            evaluate(_Stub(labels, scores), self._dataset([0, 1, 0, 1]))
+
+    def test_predict_gets_the_whole_matrix_once(self):
         data = Dataset(np.array([[3, 1], [4, 1], [5, 9]]), np.array([0, 1, 0]), ["a", "b"])
-        seen = []
+        model = _Stub([0, 0, 0])
+        evaluate(model, data)
+        assert len(model.seen) == 1
+        assert np.array_equal(model.seen[0], [[3, 1], [4, 1], [5, 9]])
 
-        def predict(row):
-            seen.append(row)
-            return 0
+    def test_a_bound_method_stands_for_its_model(self):
+        class Model(_Stub):
+            def predict_one(self, row):
+                raise AssertionError("evaluate scored a single row")
 
-        evaluate(predict, data)
-        assert seen == [[3, 1], [4, 1], [5, 9]]
-        assert all(type(row) is list for row in seen)
+        model = Model([0, 1], [0.25, 0.75])
+        metrics = evaluate(model.predict_one, self._dataset([0, 1]))
+        assert len(model.seen) == 1
+        assert metrics.auc == 1.0
 
     def test_roc_monotone_nondecreasing_along_sorted_fpr(self):
         rng = np.random.default_rng(7)
         data = self._dataset(rng.integers(0, 2, 100))
         scores = rng.uniform(0, 1, 100)
-        rows = iter(range(100))
-
-        def predict(_row):
-            i = next(rows)
-            return int(scores[i] > 0.5), np.array([1 - scores[i], scores[i]])
-
-        metrics = evaluate(predict, data)
+        metrics = evaluate(_Stub((scores > 0.5).astype(int), scores), data)
         fprs = [f for f, _ in metrics.roc]
         tprs = [t for _, t in metrics.roc]
         assert fprs == sorted(fprs)
@@ -726,7 +846,25 @@ class TestEvaluate:
         assert 0.0 <= metrics.auc <= 1.0
 
 
+# sha256 of features.tobytes() + labels.tobytes(), as the column-by-column
+# generator (np.column_stack, np.vstack, concatenated labels) made them.
+SYNTHETIC_SHA256 = {
+    (6000, 0): "934b60f533331b59e9b8a1c52047acd761b9d8c1f23abaa94449eafe3a257f36",
+    (2000, 3): "f4abe88f56628bc1565c57aecc084d8bc7e00d71452dd9e8084ad2ddcdc782bf",
+    (7, 1): "b82330d0a94a11268c130204c77ff86a99898dad5b55fb387f2350303ad3f2ee",
+    (1, 0): "3bd5fd5181d7966ebd696b1abda023159173412489917f234e7b939e0cfc67d7",
+}
+
+
 class TestDataPipeline:
+    @pytest.mark.parametrize("n_rows, seed", list(SYNTHETIC_SHA256))
+    def test_synthetic_dataset_bytes_are_pinned(self, n_rows, seed):
+        data = synthetic_flow_dataset(n_rows=n_rows, seed=seed)
+        assert data.features.shape == (n_rows, 6)
+        assert data.features.dtype == np.float64 and data.labels.dtype == np.int64
+        digest = hashlib.sha256(data.features.tobytes() + data.labels.tobytes()).hexdigest()
+        assert digest == SYNTHETIC_SHA256[n_rows, seed]
+
     def test_synthetic_dataset_is_seed_reproducible(self):
         a = synthetic_flow_dataset(n_rows=200, seed=42)
         b = synthetic_flow_dataset(n_rows=200, seed=42)
@@ -777,5 +915,5 @@ class TestDataPipeline:
         binned = Dataset(binner.transform(data.features), data.labels, data.feature_names)
         train, test = train_test_split(binned, 0.3, seed=7)
         model = NaiveBayesClassifier().fit(train.features, train.labels)
-        metrics = evaluate(model.predict_one, test)
+        metrics = evaluate(model, test)
         assert metrics.accuracy >= 95.0
