@@ -14,14 +14,18 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .fabric import (
     VLAN_MAX,
     VLAN_MIN,
+    Drop,
+    FlowKey,
     FlowRule,
     FlowTable,
+    Forward,
+    PuntToController,
     canonical_json,
     json_scalar,
 )
@@ -254,13 +258,19 @@ class LogIntegrityError(Exception):
     """Raised when the activity log's hash chain does not verify."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     seq: int
     # The event's canonical JSON: the bytes the entry hash covers.
     data: bytes
     prev_hash: bytes
     entry_hash: bytes
+    # Set by ``append`` alone, for an install or a delete: the node, and the
+    # ``FlowRule`` installed or the rule id deleted, as ``data`` spells them.
+    # Neither the constructor nor ``dataclasses.replace`` sets them, so an
+    # entry made any other way is folded from its bytes.
+    op_node: Optional[str] = field(default=None, init=False, compare=False, repr=False)
+    op: FlowRule | str | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def event(self) -> dict:
@@ -308,6 +318,29 @@ def _parse_entry(line: str, lineno: int) -> LogEntry:
     )
 
 
+# LogEntry is frozen: append stores its op fields through their slots.
+_set_op_node = LogEntry.op_node.__set__
+_set_op = LogEntry.op.__set__
+
+
+def _round_trips(rule: FlowRule) -> bool:
+    """Whether parsing ``rule.to_json()`` gives back ``rule`` exactly: each
+    field is exactly of its declared type (a str or an int; None in a match)."""
+    m = rule.match
+    action = rule.action
+    kind = type(action)
+    return (
+        type(rule.rule_id) is str and type(rule.priority) is int and type(m) is FlowKey
+        and (m.src_ip is None or type(m.src_ip) is str)
+        and (m.dst_ip is None or type(m.dst_ip) is str)
+        and (m.src_mac is None or type(m.src_mac) is str)
+        and (m.dst_mac is None or type(m.dst_mac) is str)
+        and (m.slice_id is None or type(m.slice_id) is int)
+        and (kind is Drop or kind is PuntToController or (
+            kind is Forward and type(action.port) is int and type(action.slice_id) is int))
+    )
+
+
 class ActivityLog:
     """Hash-chained append-only log of controller actions."""
 
@@ -323,22 +356,37 @@ class ActivityLog:
 
     def append(self, event: dict) -> LogEntry:
         """Hash one event onto the chain.  A ``rule-installed`` event may carry
-        its ``FlowRule`` itself; the stored bytes are those of its dict."""
+        its ``FlowRule`` itself; the stored bytes are those of its dict, and
+        the entry keeps the rule (or a delete's rule id) and its node."""
         if "type" not in event:
             raise ValueError("activity log events need a 'type' field")
         seq = len(self.entries)
         prev = self.entries[-1].entry_hash if self.entries else GENESIS_HASH
-        rule = event.get("rule")
-        if (type(rule) is FlowRule and len(event) == 4 and event["type"] == EV_RULE_INSTALLED
-                and "node" in event and "time_ms" in event):
+        kind = event["type"]
+        op = None
+        if kind == EV_RULE_INSTALLED:
+            rule = event.get("rule")
+            if type(rule) is FlowRule:
+                op = rule
+        elif kind == EV_RULE_DELETED:
+            rule_id = event.get("rule_id")
+            if type(rule_id) is str:
+                op = rule_id
+        if type(op) is FlowRule and len(event) == 4 and "node" in event and "time_ms" in event:
             # canonical_json of exactly {type, node, time_ms, rule}, keys sorted.
             data = (
-                f'{{"node":{json_scalar(event["node"])},"rule":{rule.to_json()},'
+                f'{{"node":{json_scalar(event["node"])},"rule":{op.to_json()},'
                 f'"time_ms":{json_scalar(event["time_ms"])},"type":"rule-installed"}}'
             ).encode()
         else:
             data = canonical_json(event).encode()
-        entry = LogEntry(seq=seq, data=data, prev_hash=prev, entry_hash=_entry_hash(seq, data, prev))
+        # Positional: keyword arguments cost the frozen __init__ more.
+        entry = LogEntry(seq, data, prev, _entry_hash(seq, data, prev))
+        if op is not None:
+            node = event.get("node")
+            if type(node) is str:
+                _set_op_node(entry, node)
+                _set_op(entry, op)
         self.entries.append(entry)
         return entry
 
@@ -375,6 +423,13 @@ class ActivityLog:
         exactly when entry ``count - 1`` still has the watermark's hash.
         Otherwise the chain was rewritten and the fold starts over.  Each
         table keeps its canonical rules until an entry changes them.
+
+        An entry ``append`` made for a delete, or for an install whose rule
+        survives a JSON round trip exactly (see ``_round_trips``), is folded
+        from the node and rule or rule id it carries, so a clean switch's
+        trusted rules are the very objects the controller installed.  Only
+        other entries are parsed: those loaded by ``from_jsonl``, forged or
+        rechained ones, and installs that carried a dict or an inexact rule.
         """
         if not self.verify():
             raise LogIntegrityError("activity log hash chain is broken")
@@ -385,7 +440,18 @@ class ActivityLog:
         # Until the fold completes, the log holds no folded state to trust.
         self._watermark = (0, GENESIS_HASH)
         for i in range(count, len(entries)):
-            data = entries[i].data
+            entry = entries[i]
+            op = entry.op
+            # What append kept is what the bytes spell: no parse needed.
+            if type(op) is str:
+                table = tables.get(entry.op_node)
+                if table is not None:
+                    table.delete(op)
+                continue
+            if op is not None and _round_trips(op):
+                tables.setdefault(entry.op_node, FlowTable()).add(op)
+                continue
+            data = entry.data
             # Only an install or delete changes the state, and its stored
             # bytes spell the type with "rule-" unless they escape it (a
             # backslash) or are UTF-16/32, which json.loads also reads (NULs).

@@ -367,12 +367,25 @@ class TestTickAudit:
         assert len(results) == len(switches_of(fabric)) > 1
         assert len(calls) == 1
 
+    def test_audit_now_verifies_the_log_once(self, world, monkeypatch):
+        fabric, _repo, manager = world
+        verify = manager.log.verify
+        calls = []
+
+        def counting_verify():
+            calls.append(1)
+            return verify()
+
+        monkeypatch.setattr(manager.log, "verify", counting_verify)
+        for n, node in enumerate(switches_of(fabric), 1):
+            assert manager.audit_now(node).clean
+            assert len(calls) == n
+
     def test_a_tick_parses_only_the_installs_and_deletes_since_the_last(
         self, topology_doc, policy_doc, signature_doc, monkeypatch
     ):
-        fabric, _repo, manager = churned_world(topology_doc, policy_doc, signature_doc)
-        interval = manager.config.audit_interval_ms
-        assert not all(r.clean for r in manager.tick(now_ms=interval))
+        # An entry append made carries its install or delete, so a tick
+        # parses none of them; a loaded log's entries are parsed, each once.
         parsed = []
 
         def counting_loads(data, *args, **kwargs):
@@ -380,21 +393,47 @@ class TestTickAudit:
             return json.loads(data, *args, **kwargs)
 
         monkeypatch.setattr(pol, "json", SimpleNamespace(loads=counting_loads))
-        # Since the last tick the log grew only by audit and corrective entries.
+        fabric, _repo, manager = churned_world(topology_doc, policy_doc, signature_doc)
+        interval = manager.config.audit_interval_ms
+        assert not all(r.clean for r in manager.tick(now_ms=interval))
+        assert parsed == []
+
+        loaded = pol.ActivityLog.from_jsonl(manager.log.to_jsonl())
+        table_entries = [
+            e.data for e in loaded.entries
+            if e.event["type"] in (pol.EV_RULE_INSTALLED, pol.EV_RULE_DELETED)
+        ]
+        assert table_entries and all(e.op is None for e in loaded.entries)
+        manager.log = loaded
+        parsed.clear()
         results = manager.tick(now_ms=2 * interval)
         assert len(results) == len(switches_of(fabric)) and all(r.clean for r in results)
-        assert parsed == []
-        # New flows add installs, and the next tick parses exactly those.
-        before = len(manager.log)
+        assert parsed == table_entries
+        # New flows append installs, and no later tick parses anything.
+        before = len(loaded)
         drive(fabric, manager, ue_packet(3, "10.0.0.6", "f-ue3"), ("OVS1", 3))
         drive(fabric, manager, ue_packet(4, "10.0.0.8", "f-ue4"), ("OVS1", 4))
-        table_entries = [
-            e.data for e in manager.log.entries[before:]
-            if json.loads(e.data)["type"] in (pol.EV_RULE_INSTALLED, pol.EV_RULE_DELETED)
-        ]
-        assert table_entries
-        assert all(r.clean for r in manager.tick(now_ms=3 * interval))
+        assert any(isinstance(e.op, FlowRule) for e in loaded.entries[before:])
+        for k in (3, 4):
+            assert all(r.clean for r in manager.tick(now_ms=k * interval))
         assert parsed == table_entries
+
+    def test_a_clean_switchs_trusted_rules_are_the_installed_objects(
+        self, topology_doc, policy_doc, signature_doc
+    ):
+        fabric, _repo, manager = churned_world(topology_doc, policy_doc, signature_doc)
+        interval = manager.config.audit_interval_ms
+        manager.tick(now_ms=interval)  # restores the three tampered rules
+        results = manager.tick(now_ms=2 * interval)
+        assert all(r.clean for r in results)
+        compared = 0
+        for node in switches_of(fabric):
+            trusted = manager.log.expected_switch_state(node)
+            observed = report_flow_rules(fabric, node)
+            assert len(trusted) == len(observed)
+            assert all(t is o for t, o in zip(trusted, observed))
+            compared += len(trusted)
+        assert compared > 0
 
     def test_a_second_flow_on_the_same_addresses_replaces_the_first_flows_rules(self, world):
         fabric, _repo, manager = world

@@ -3,11 +3,15 @@
 import hashlib
 import json
 import random
+from dataclasses import fields, replace
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slice_sentinel import policy
 from slice_sentinel.controller import SecurityManager
 from slice_sentinel.fabric import (
     Drop,
@@ -265,10 +269,12 @@ def test_profile_is_the_per_device_union_of_the_users_rules(document):
                 assert permitted == (pair in expected[user].get(device, ()))
 
 
-def rule_event(node: str, rule_id: str, priority: int = 10) -> dict:
+def rule_event(node: str, rule_id: str, priority: int = 10, carry: bool = False) -> dict:
+    """An install; with ``carry`` the event holds the ``FlowRule``, not its dict."""
     rule = FlowRule(rule_id=rule_id, match=FlowKey(src_ip="10.0.0.1"),
                     action=Drop(), priority=priority)
-    return {"type": EV_RULE_INSTALLED, "node": node, "rule": rule.to_dict(), "time_ms": 0}
+    return {"type": EV_RULE_INSTALLED, "node": node, "rule": rule if carry else rule.to_dict(),
+            "time_ms": 0}
 
 
 def delete_event(node: str, rule_id: str) -> dict:
@@ -494,7 +500,10 @@ FOLD_NODES = ("OVS1", "OVS2", "CORE1")
 
 fold_steps = st.lists(
     st.one_of(
-        st.tuples(st.just("install"), st.sampled_from(FOLD_NODES), st.integers(0, 3)),
+        st.tuples(
+            st.sampled_from(["install", "install-rule"]), st.sampled_from(FOLD_NODES),
+            st.integers(0, 3),
+        ),
         st.tuples(st.just("delete"), st.sampled_from(FOLD_NODES), st.integers(0, 40)),
         st.tuples(
             st.just("audit"), st.lists(st.sampled_from(FOLD_NODES + ("OVS9",)), unique=True), st.just(0)
@@ -547,14 +556,15 @@ def assert_fold_from_scratch(log: ActivityLog, nodes) -> None:
 def test_forward_fold_equals_a_fold_from_scratch(queried, steps):
     # ``eager`` is audited after every step; ``lazy`` only at audit steps, so
     # its forward folds span runs of appends and rewrites.  Audit, corrective
-    # and note entries fold to nothing; a note's text contains "rule-".
+    # and note entries fold to nothing; a note's text contains "rule-".  An
+    # "install-rule" event carries its FlowRule, which the fold reuses.
     eager, lazy = ActivityLog(), ActivityLog()
     issued: list[str] = []
     for i, (kind, arg, n) in enumerate(steps):
         named = issued[n % len(issued)] if issued else "r-none"
-        if kind == "install":
+        if kind in ("install", "install-rule"):
             issued.append(f"r{i}")
-            event = rule_event(arg, issued[-1], priority=n)
+            event = rule_event(arg, issued[-1], priority=n, carry=kind == "install-rule")
         elif kind == "delete":
             event = delete_event(arg, named)
         elif kind == "audit-entry":
@@ -584,3 +594,149 @@ def test_forward_fold_equals_a_fold_from_scratch(queried, steps):
         eager.entries[entry.seq] = LogEntry(entry.seq, forged, entry.prev_hash, entry.entry_hash)
         with pytest.raises(LogIntegrityError):
             eager.expected_switch_states(queried)
+
+
+def _value_types(rule: FlowRule) -> list:
+    """The type of every scalar field: rule id, priority, match and action."""
+    return [(name, type(getattr(rule, name))) for name in ("rule_id", "priority")] + [
+        (f.name, type(getattr(part, f.name))) for part in (rule.match, rule.action)
+        for f in fields(part)
+    ]
+
+
+def assert_same_reports(got: dict, want: dict) -> None:
+    """Equal rule by rule, as bytes and as field types; NaN-safe."""
+    assert list(got) == list(want)
+    for node in want:
+        assert [r.to_json() for r in got[node]] == [r.to_json() for r in want[node]]
+        assert ([(type(r.match), type(r.action), _value_types(r)) for r in got[node]]
+                == [(type(r.match), type(r.action), _value_types(r)) for r in want[node]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("install"), st.sampled_from(FOLD_NODES), flow_rules, st.booleans()),
+            st.tuples(st.just("delete"), st.sampled_from(FOLD_NODES), st.integers(0, 40),
+                      st.booleans()),
+        ),
+        max_size=30,
+    )
+)
+def test_a_fold_reusing_carried_rules_equals_a_fold_of_the_bytes(steps):
+    # Installs carry drawn FlowRules (bools, IntEnums, NaN and infinite
+    # floats, non-ASCII text), some with an extra field so that append writes
+    # them through canonical_json.  A rule is folded as the object itself only
+    # when every field is exactly a str, an int or None; any other is parsed.
+    log = ActivityLog()
+    carried = []
+    for i, (kind, node, arg, extra) in enumerate(steps):
+        if kind == "install":
+            event = {"type": EV_RULE_INSTALLED, "node": node, "rule": arg, "time_ms": i}
+            carried.append(arg)
+        else:
+            named = carried[arg % len(carried)].rule_id if carried else "r-none"
+            event = delete_event(node, named)
+        if extra:
+            event["reason"] = "rule-replay"
+        entry = log.append(event)
+        assert entry.op_node == node
+        assert entry.op is (arg if kind == "install" else event["rule_id"])
+    parsed = []
+
+    def counting_loads(data):
+        parsed.append(data)
+        return json.loads(data)
+
+    with patch.object(policy, "json", SimpleNamespace(loads=counting_loads)):
+        reports = log.expected_switch_states(FOLD_NODES)
+    inexact = [
+        r for r in carried
+        if not all(t in (str, int, type(None)) for _name, t in _value_types(r))
+    ]
+    assert len(parsed) == len(inexact)
+    reused = {id(r) for rs in reports.values() for r in rs} & {id(r) for r in carried}
+    assert not reused & {id(r) for r in inexact}
+    scratch = ActivityLog()
+    scratch.entries = list(log.entries)
+    assert_same_reports(reports, scratch.expected_switch_states(FOLD_NODES))
+    loaded = ActivityLog.from_jsonl(log.to_jsonl())
+    assert all(e.op is None for e in loaded.entries)
+    assert_same_reports(reports, loaded.expected_switch_states(FOLD_NODES))
+
+
+class TestCarriedOps:
+    """The node and rule (or rule id) that append keeps on an install or
+    delete entry are used by the fold, and cannot make a forge pass."""
+
+    def test_an_entry_built_by_hand_carries_no_op(self):
+        log = ActivityLog()
+        entry = log.append(rule_event("OVS1", "r1", carry=True))
+        assert entry.op_node == "OVS1" and entry.op.rule_id == "r1"
+        rebuilt = LogEntry(entry.seq, entry.data, entry.prev_hash, entry.entry_hash)
+        assert (rebuilt.op_node, rebuilt.op) == (None, None)
+        assert rebuilt == entry and hash(rebuilt) == hash(entry)
+        assert repr(rebuilt) == repr(entry)
+        assert (replace(entry).op_node, replace(entry).op) == (None, None)
+        with pytest.raises(TypeError):
+            LogEntry(entry.seq, entry.data, entry.prev_hash, entry.entry_hash, "OVS1", entry.op)
+        with pytest.raises(ValueError):
+            replace(entry, op=None)
+        with pytest.raises(AttributeError):
+            entry.__dict__
+
+    def test_only_installs_and_deletes_on_a_str_node_carry_an_op(self):
+        log = ActivityLog()
+        rule = FlowRule("r1", FlowKey(src_ip="10.0.0.1"), Drop(), 10)
+        carrying = [
+            log.append({"type": EV_RULE_INSTALLED, "node": "OVS1", "rule": rule, "time_ms": 0}),
+            log.append(delete_event("OVS1", "r1")),
+        ]
+        plain = [
+            log.append(rule_event("OVS1", "r2")),
+            log.append({"type": EV_RULE_INSTALLED, "node": None, "rule": rule, "time_ms": 0}),
+            log.append({"type": EV_RULE_DELETED, "node": "OVS1", "rule_id": 5, "time_ms": 0}),
+            log.append({"type": EV_AUDIT_PERFORMED, "node": "OVS1", "rule": rule, "time_ms": 0}),
+        ]
+        assert [(e.op_node, e.op) for e in carrying] == [("OVS1", rule), ("OVS1", "r1")]
+        assert carrying[0].op is rule
+        assert all((e.op_node, e.op) == (None, None) for e in plain)
+
+    def test_a_replaced_and_rechained_entry_folds_from_its_forged_bytes(self):
+        log = ActivityLog()
+        log.append(rule_event("OVS1", "r1", carry=True))
+        log.append(rule_event("OVS1", "r2", priority=5, carry=True))
+        log.append(delete_event("OVS1", "r1"))
+        first = log.entries[0]
+        forged = canonical_json(dict(first.event, node="OVS2")).encode()
+        prev = first.prev_hash
+        for seq, entry in enumerate(list(log.entries)):
+            data = forged if seq == 0 else entry.data
+            entry_hash = hashlib.sha256(seq.to_bytes(8, "big") + data + prev).digest()
+            log.entries[seq] = replace(entry, data=data, prev_hash=prev, entry_hash=entry_hash)
+            prev = entry_hash
+        assert all(e.op is None for e in log.entries)
+        states = log.expected_switch_states(["OVS1", "OVS2"])
+        assert [r.rule_id for r in states["OVS1"]] == ["r2"]
+        assert [r.rule_id for r in states["OVS2"]] == ["r1"]
+
+    @pytest.mark.parametrize("how", ["replace", "constructor", "swap", "drop"])
+    def test_a_forge_of_an_entry_carrying_an_op_is_still_caught(self, how):
+        log = ActivityLog()
+        for i in range(6):
+            log.append(rule_event("OVS1", f"r{i}", priority=i, carry=True))
+        log.append(delete_event("OVS1", "r0"))
+        log.expected_switch_states(["OVS1"])
+        entry = log.entries[3]
+        forged = canonical_json(dict(entry.event, node="OVS2")).encode()
+        if how == "replace":
+            log.entries[3] = replace(entry, data=forged)
+        elif how == "constructor":
+            log.entries[3] = LogEntry(entry.seq, forged, entry.prev_hash, entry.entry_hash)
+        elif how == "swap":
+            log.entries[2], log.entries[3] = log.entries[3], log.entries[2]
+        else:
+            del log.entries[3]
+        with pytest.raises(LogIntegrityError):
+            log.expected_switch_states(["OVS1", "OVS2"])
