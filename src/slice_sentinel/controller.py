@@ -57,7 +57,6 @@ class ManagerConfig:
 
     security_enabled: bool = True
     generic_slice: ClassVar[int] = 4094
-    anomaly_window_ms: ClassVar[int] = sf.ANOMALY_WINDOW_MS
     anomaly_threshold: ClassVar[int] = sf.DEFAULT_ANOMALY_THRESHOLD
     audit_interval_ms: ClassVar[int] = 1000
     # virtual-time cost model, microseconds
@@ -253,14 +252,11 @@ class SecurityManager:
         installed = 0
         forward_key = FlowKey(src_ip=record.src_ip, dst_ip=record.dst_ip)
         reverse_key = FlowKey(src_ip=record.dst_ip, dst_ip=record.src_ip)
+        # The path follows links, and every link has a port at both ends.
         for i, node in enumerate(path[:-1]):
             next_port = fabric.port_toward(node, path[i + 1])
-            if next_port is None:
-                continue
             back_port = port if i == 0 else fabric.port_toward(node, path[i - 1])
             for key, out_port in ((forward_key, next_port), (reverse_key, back_port)):
-                if out_port is None:
-                    continue
                 rule = FlowRule(
                     rule_id=self._next_rule_id(),
                     match=key,
@@ -288,10 +284,7 @@ class SecurityManager:
                 manager=self,
                 node=node,
                 access=sf.SliceAccessState(blacklist=self.global_blacklist),
-                validator=sf.FlowValidatorState(
-                    signatures=list(self.signatures),
-                    threshold=self.config.anomaly_threshold,
-                ),
+                validator=sf.FlowValidatorState(signatures=self.signatures),
             )
         if profile is not None:
             for device, pairs in sorted(profile.allowed.items()):
@@ -355,19 +348,18 @@ class SecurityManager:
             # before any rules go in.
             access, screened = dep.screen(packet, headers_only=True)
             cost += screened.cost_us
-            if access in _DENIALS:
-                verdict = access.value
-            elif not screened.allow:
+            # An access denial is its own verdict; an admitted packet may
+            # still fail validation.
+            verdict = access.value
+            if not (screened.allow or access in _DENIALS):
                 verdict, error = "deny-validation", screened.reason
-            elif access == sf.AccessVerdict.PERMIT:
-                verdict, pair = "permitted", self.requested_pair(packet.dst_ip)
+            elif access is sf.AccessVerdict.PERMIT:
+                pair = self.requested_pair(packet.dst_ip)
                 reqs = self.repository.security_reqs(device, pair)
-            else:  # ROUTE_GENERIC
-                dst_node = self._generic_host()
+            elif access is sf.AccessVerdict.ROUTE_GENERIC:
+                dst_node, pair = self._generic_host(), (cfg.generic_slice, "generic")
                 if dst_node is None:
                     verdict, error = "error", f"no host in generic slice {cfg.generic_slice}"
-                else:
-                    verdict, pair = "generic", (cfg.generic_slice, "generic")
 
         if verdict == "permitted":
             dst_node = fabric.host_by_ip(packet.dst_ip)

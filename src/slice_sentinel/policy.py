@@ -34,7 +34,7 @@ VALID_SECURITY_REQS = frozenset(
     {"confidentiality", "integrity", "authentication", "accountability"}
 )
 
-_SLICE_ID_RE = re.compile(r"^VLAN(\d+)$")
+_SLICE_ID_RE = re.compile(r"VLAN([0-9]+)")
 
 
 class PolicyError(ValueError):
@@ -63,13 +63,10 @@ class PolicyRule:
 
 
 def _parse_slice_id(raw) -> int:
-    if isinstance(raw, int):
-        vlan = raw
-    else:
-        m = _SLICE_ID_RE.match(str(raw))
-        if not m:
-            raise PolicyError(f"unknown slice reference {raw!r} (expected VLAN<n>)")
-        vlan = int(m.group(1))
+    m = _SLICE_ID_RE.fullmatch(raw) if isinstance(raw, str) else None
+    if m is None:
+        raise PolicyError(f"unknown slice reference {raw!r} (expected VLAN<n>)")
+    vlan = int(m.group(1))
     if not VLAN_MIN <= vlan <= VLAN_MAX:
         raise PolicyError(f"unknown slice reference {raw!r} (VLAN outside {VLAN_MIN}..{VLAN_MAX})")
     return vlan

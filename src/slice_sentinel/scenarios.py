@@ -12,7 +12,7 @@ import hashlib
 import json
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Optional
 
@@ -33,16 +33,6 @@ from .fabric import (
     build_topology,
     inject_packet,
     measure_attestation,
-)
-
-SCENARIO_IDS = (
-    "attack1",
-    "attack2",
-    "attack3",
-    "attack4",
-    "shellshock",
-    "flowmod_audit",
-    "fsf_path",
 )
 
 UE_MACS = {1: "00:09:00:AA", 2: "00:09:00:AC", 3: "00:09:00:AD", 4: "00:09:00:AE"}
@@ -74,16 +64,7 @@ class ScenarioReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "seed": self.seed,
-            "packets": self.packets,
-            "alerts": self.alerts,
-            "audits": self.audits,
-            "timings": self.timings,
-            "verdict": self.verdict,
-            "details": self.details,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -97,8 +78,7 @@ class BenchReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "seed": self.seed, "entries": self.entries,
-                "details": self.details}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -337,7 +317,7 @@ def _scenario_attack2(config: dict, seed: int) -> ScenarioReport:
     )
     sensor_alerts = [a for a in driver.alerts if a.device_id == sensor]
     single_alert_in_window = (
-        len(sensor_alerts) == 1 and sensor_alerts[0].time_ms <= ManagerConfig.anomaly_window_ms
+        len(sensor_alerts) == 1 and sensor_alerts[0].time_ms <= sf.ANOMALY_WINDOW_MS
     )
     verdict = (
         single_alert_in_window
@@ -583,6 +563,7 @@ _SCENARIOS = {
     "flowmod_audit": _scenario_flowmod_audit,
     "fsf_path": _scenario_fsf_path,
 }
+SCENARIO_IDS = tuple(_SCENARIOS)
 
 
 def run_scenario(scenario_id: str, config: Optional[dict] = None, seed: int = 0) -> ScenarioReport:
@@ -725,7 +706,7 @@ def bench_signature_latency(
                 sf.Signature(f"s{j:05d}", bytes([0xF0 + rng.randint(0, 14) for _ in range(8)]))
                 for j in range(n)
             ]
-            state = sf.FlowValidatorState(signatures=signatures, threshold=10**9)
+            state = sf.FlowValidatorState(signatures=signatures)
             costs_us = []
             for p in range(packets):
                 packet = Packet(

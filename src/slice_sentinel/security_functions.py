@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -33,10 +33,11 @@ DEFAULT_ANOMALY_THRESHOLD = 100
 # ---------------------------------------------------------------------------
 
 class AccessVerdict(Enum):
-    PERMIT = "permit"
+    # The admitting values are the flow verdicts new_flow returns.
+    PERMIT = "permitted"
     DENY_UNAUTHORIZED = "deny-unauthorized"
     DENY_BLACKLISTED = "deny-blacklisted"
-    ROUTE_GENERIC = "route-generic"
+    ROUTE_GENERIC = "generic"
 
 
 @dataclass
@@ -116,14 +117,7 @@ class Alert:
     time_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "device_id": self.device_id,
-            "flow_id": self.flow_id,
-            "reason": self.reason,
-            "severity": self.severity,
-            "time_ms": self.time_ms,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -141,16 +135,13 @@ class FlowValidatorState:
     Signatures are scanned in id order and the first match wins.  The rate
     window is a sliding count of packets per device over
     ``ANOMALY_WINDOW_MS`` simulated milliseconds; the packet that pushes the
-    count past ``threshold`` is dropped.
+    count past ``DEFAULT_ANOMALY_THRESHOLD`` is dropped.
     """
 
     signatures: list[Signature] = field(default_factory=list)
-    threshold: int = DEFAULT_ANOMALY_THRESHOLD
     windows: dict[str, deque] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError("anomaly threshold must be positive")
         self.signatures = sorted(self.signatures, key=lambda s: s.sig_id)
 
 
@@ -177,40 +168,32 @@ def validate_flow(
         else:
             haystack = packet.payload
         if sig.pattern and sig.pattern in haystack:
-            reason = f"signature:{sig.sig_id}"
-            alert = Alert(
-                source="flow-validator",
-                device_id=device,
-                flow_id=packet.flow_id,
-                reason=reason,
-                severity="high",
-                time_ms=packet.virtual_timestamp,
-            )
-            return FlowValidationResult(reason, alert, scanned)
+            drop = alert_reason = f"signature:{sig.sig_id}"
+            break
+    else:
+        if headers_only:
+            return FlowValidationResult(None, None, scanned)
+        window = state.windows.get(device)
+        if window is None:
+            window = state.windows[device] = deque()
+        now = packet.virtual_timestamp
+        cutoff = now - ANOMALY_WINDOW_MS
+        while window and window[0] <= cutoff:
+            window.popleft()
+        window.append(now)
+        if len(window) <= DEFAULT_ANOMALY_THRESHOLD:
+            return FlowValidationResult(None, None, scanned)
+        drop, alert_reason = "anomaly", "anomaly:rate"
 
-    if headers_only:
-        return FlowValidationResult(None, None, scanned)
-
-    window = state.windows.get(device)
-    if window is None:
-        window = state.windows[device] = deque()
-    now = packet.virtual_timestamp
-    cutoff = now - ANOMALY_WINDOW_MS
-    while window and window[0] <= cutoff:
-        window.popleft()
-    window.append(now)
-    if len(window) > state.threshold:
-        alert = Alert(
-            source="flow-validator",
-            device_id=device,
-            flow_id=packet.flow_id,
-            reason="anomaly:rate",
-            severity="high",
-            time_ms=now,
-        )
-        return FlowValidationResult("anomaly", alert, scanned)
-
-    return FlowValidationResult(None, None, scanned)
+    alert = Alert(
+        source="flow-validator",
+        device_id=device,
+        flow_id=packet.flow_id,
+        reason=alert_reason,
+        severity="high",
+        time_ms=packet.virtual_timestamp,
+    )
+    return FlowValidationResult(drop, alert, scanned)
 
 
 # ---------------------------------------------------------------------------

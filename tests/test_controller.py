@@ -34,6 +34,7 @@ from slice_sentinel.policy import (
     LogEntry,
     LogIntegrityError,
     extract_profile,
+    parse_policy_rule,
 )
 from slice_sentinel.security_functions import (
     AccessVerdict,
@@ -74,6 +75,7 @@ class TestNewFlow:
         # forward and reverse rules at both OVS1 and CORE1
         nodes = [node for node, _rid in manager.flows["flow-ue1"].rules]
         assert nodes.count("OVS1") == 2 and nodes.count("CORE1") == 2
+        assert len(record.rules) == 2 * (len(record.path) - 1)
         # the reverse path works too
         reply = Packet(
             src_ip="10.0.0.8", dst_ip="10.0.0.1", src_mac="00:09:00:BB",
@@ -704,6 +706,32 @@ class TestProvisionSecurity:
         with pytest.raises(ProvisioningError, match="attestation"):
             manager.provision_security("f-ue2")
         assert any(a["kind"] == "provisioning-refused" for a in manager.admin_alerts)
+
+    def test_an_unknown_flow_is_a_precondition_violation(self, world):
+        fabric, repo, manager = world
+        drive(fabric, manager, ue_packet(2, "10.0.0.7", "f-ue2"), ("OVS1", 2))
+        with pytest.raises(ValueError, match="unknown flow"):
+            manager.provision_security("f-nowhere")
+        assert not manager.log.events(pol.EV_KEY_GENERATED)
+        assert not fabric.flow_ciphers
+
+    def test_a_flow_that_exits_at_its_ingress_edge_is_refused(self, world):
+        fabric, repo, manager = world
+        # A confidential service hosted on UE1, which hangs off the ingress
+        # edge OVS1 itself: the flow never crosses a link worth encrypting.
+        repo.register(parse_policy_rule({
+            "id": "99", "hostip": "10.0.0.2", "hostmac": "00:09:00:AC",
+            "destip": "10.0.0.1", "user": {"id": "alice"},
+            "actions": [{"Service": "Local", "Slice-id": "VLAN300",
+                         "security": ["confidentiality"]}],
+        }))
+        _trace, decision = drive(fabric, manager, ue_packet(2, "10.0.0.1", "f-local"), ("OVS1", 2))
+        assert decision.verdict == "permitted"
+        assert manager.flows["f-local"].path == ("OVS1", "UE1")
+        with pytest.raises(ProvisioningError, match="enters and exits at 'OVS1'"):
+            manager.provision_security("f-local")
+        assert not manager.log.events(pol.EV_KEY_GENERATED)
+        assert not fabric.flow_ciphers
 
 
 class TestSliceAccessCompleteness:

@@ -71,6 +71,20 @@ def ue_packet(**overrides) -> Packet:
     return Packet(**base)
 
 
+@st.composite
+def linked_topologies(draw) -> dict:
+    """Edge, core and host nodes joined by random links, parallel links and
+    self-loops among them."""
+    kinds = draw(st.lists(st.sampled_from(["edge", "core", "host"]), min_size=1, max_size=8))
+    ids = [f"N{i}" for i in range(len(kinds))]
+    ends = st.sampled_from(ids)
+    links = draw(st.lists(st.tuples(ends, ends), max_size=16))
+    return {
+        "nodes": [{"id": node_id, "kind": kind} for node_id, kind in zip(ids, kinds)],
+        "links": [{"a": a, "b": b} for a, b in links],
+    }
+
+
 class TestBuildTopology:
     def test_small_config_builds_with_punt_defaults(self):
         fabric = build_topology(small_topology())
@@ -117,6 +131,23 @@ class TestBuildTopology:
         assert fabric.port_toward("A", "C") is None
         with pytest.raises(UnknownNodeError):
             fabric.port_toward("GHOST", "A")
+
+    @settings(max_examples=200, deadline=None)
+    @given(linked_topologies())
+    def test_every_hop_of_a_shortest_path_has_a_port_both_ways(self, config):
+        # The controller routes a flow hop by hop along shortest_path and
+        # installs a forward and a reverse rule per hop, so both ports of
+        # every hop must exist.
+        fabric = build_topology(config)
+        for src in fabric.nodes:
+            for dst in fabric.nodes:
+                path = fabric.shortest_path(src, dst)
+                if path is None:
+                    continue
+                assert path[0] == src and path[-1] == dst
+                for a, b in zip(path, path[1:]):
+                    assert fabric.port_toward(a, b) is not None
+                    assert fabric.port_toward(b, a) is not None
 
     def test_host_by_ip_takes_the_first_host_in_document_order(self):
         config = {"nodes": [

@@ -98,6 +98,15 @@ class TestLoadPolicies:
         with pytest.raises(PolicyError, match="slice"):
             load_policies(doc)
 
+    @pytest.mark.parametrize(
+        "slice_ref", [True, 100, "VLAN0", "VLAN4095", "VLAN100\n", "VLAN\u0661\u0660\u0660"]
+    )
+    def test_a_slice_reference_other_than_vlan_and_ascii_digits_is_rejected(self, slice_ref):
+        doc = sample_policy_doc()
+        doc[0]["actions"][0]["Slice-id"] = slice_ref
+        with pytest.raises(PolicyError, match="slice reference"):
+            load_policies(doc)
+
     def test_missing_required_field_rejected(self):
         doc = sample_policy_doc()
         del doc[0]["hostip"]

@@ -147,7 +147,7 @@ class TestBenchSignatures:
         def run(position: int) -> int:
             sigs = [Signature(f"s{j:04d}", bytes([0xF0, j % 10])) for j in range(1000)]
             sigs[position] = Signature(f"s{position:04d}", b"MATCH")
-            state = FlowValidatorState(signatures=sigs, threshold=10**9)
+            state = FlowValidatorState(signatures=sigs)
             packet = Packet(src_ip="a", dst_ip="b", src_mac="m", dst_mac="n",
                             payload=b"xx MATCH xx", flow_id="f")
             return validate_flow(state, packet).signatures_scanned

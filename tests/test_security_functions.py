@@ -138,13 +138,13 @@ class TestFlowValidation:
             counts.append(len(in_window))
         expected_first_drop = next(i for i, c in enumerate(counts) if c > threshold)
 
-        state = FlowValidatorState(threshold=threshold)
+        state = FlowValidatorState()
         reasons = [validate_flow(state, packet(ts=t)).drop_reason for t in schedule]
         first_drop = next(i for i, r in enumerate(reasons) if r == "anomaly")
         assert first_drop == expected_first_drop == threshold
 
     def test_below_threshold_never_drops(self):
-        state = FlowValidatorState(threshold=100)
+        state = FlowValidatorState()
         for t in range(0, 2000, 20):  # 50 packets per second
             result = validate_flow(state, packet(ts=t))
             assert result.drop_reason is None
