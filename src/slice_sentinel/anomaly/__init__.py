@@ -13,7 +13,6 @@ from .data import (
 from .features import (
     backward_elimination_ranking,
     chi_square_ranking,
-    chi_square_score,
     select_features,
 )
 from .metrics import (
@@ -35,7 +34,6 @@ __all__ = [
     "check_features_labels",
     "check_matrix",
     "chi_square_ranking",
-    "chi_square_score",
     "evaluate",
     "load_csv",
     "rate_identities_hold",

@@ -155,13 +155,9 @@ class DecisionTree:
         self.root_ = self._build(X, y, depth=0)
         return self
 
-    def _majority(self, y: np.ndarray) -> int:
-        counts = np.bincount(y, minlength=2)
-        return int(np.argmax(counts))  # ties resolve to the lower label
-
     def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _TreeNode:
         counts = tuple(int(c) for c in np.bincount(y, minlength=2))
-        majority = self._majority(y)
+        majority = 1 if counts[1] > counts[0] else 0  # a tie goes to the lower label
         pure = counts[0] == 0 or counts[1] == 0
         depth_reached = self.max_depth is not None and depth >= self.max_depth
         if pure or depth_reached:
@@ -185,8 +181,7 @@ class DecisionTree:
                 fraction = (value_counts[0] + value_counts[1]) / y.shape[0]
                 gain -= fraction * _entropy(value_counts)
                 split_info -= fraction * math.log2(fraction)
-            if split_info <= 0:
-                continue
+            # Two or more values: every fraction lies in (0, 1), so split_info > 0.
             ratio = gain / split_info
             if gain > 1e-12 and ratio > best_ratio + 1e-12:
                 best, best_ratio = (j, values, inverse), ratio

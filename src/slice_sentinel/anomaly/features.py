@@ -9,24 +9,13 @@ from .base import check_features_labels
 from .classifiers import NaiveBayesClassifier
 
 
-def chi_square_score(column, labels) -> float:
-    """Chi-square statistic of one binned feature against the binary label.
+def _chi_square(column: np.ndarray, classes: np.ndarray, cls_index: np.ndarray) -> float:
+    """Chi-square statistic of one binned feature against the binary label,
+    given as the sorted ``classes`` and each row's class index.
 
     Computed straight off the category-by-label contingency table.  A constant
     column, or a single-label dataset, scores 0 by convention.
     """
-    column = np.asarray(column)
-    labels = np.asarray(labels)
-    if column.size == 0 or labels.size == 0:
-        raise ValueError("chi-square needs non-empty inputs")
-    if column.shape[0] != labels.shape[0]:
-        raise ValueError("column and labels must have the same length")
-    return _chi_square(column, *np.unique(labels, return_inverse=True))
-
-
-def _chi_square(column: np.ndarray, classes: np.ndarray, cls_index: np.ndarray) -> float:
-    """``chi_square_score`` of ``column`` against labels already sorted into
-    their ``classes`` and each row's class index."""
     categories, cat_index = np.unique(column, return_inverse=True)
     if len(categories) < 2 or len(classes) < 2:
         return 0.0

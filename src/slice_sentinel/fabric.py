@@ -104,34 +104,15 @@ def flow_id_of(packet: Packet) -> str:
     return packet.flow_id or f"{packet.src_ip}->{packet.dst_ip}"
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """Match fields of a flow rule. ``None`` means wildcard."""
+class FlowKey(NamedTuple):
+    """Match fields of a flow rule. ``None`` means wildcard.  A named tuple:
+    it is the field tuple a flow table indexes its rules by."""
 
     src_ip: Optional[str] = None
     dst_ip: Optional[str] = None
     src_mac: Optional[str] = None
     dst_mac: Optional[str] = None
     slice_id: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "src_ip": self.src_ip,
-            "dst_ip": self.dst_ip,
-            "src_mac": self.src_mac,
-            "dst_mac": self.dst_mac,
-            "slice_id": self.slice_id,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FlowKey":
-        return cls(
-            src_ip=d.get("src_ip"),
-            dst_ip=d.get("dst_ip"),
-            src_mac=d.get("src_mac"),
-            dst_mac=d.get("dst_mac"),
-            slice_id=d.get("slice_id"),
-        )
 
 
 @dataclass(frozen=True)
@@ -187,7 +168,7 @@ class FlowRule:
     def to_dict(self) -> dict:
         return {
             "rule_id": self.rule_id,
-            "match": self.match.to_dict(),
+            "match": self.match._asdict(),
             "action": action_to_dict(self.action),
             "priority": self.priority,
         }
@@ -204,19 +185,41 @@ class FlowRule:
             action_json = '{"kind":"punt"}'
         else:
             raise TypeError(f"not a flow action: {action!r}")
-        m = self.match
+        src_ip, dst_ip, src_mac, dst_mac, slice_id = self.match
         return (
-            f'{{"action":{action_json},"match":{{"dst_ip":{json_scalar(m.dst_ip)},'
-            f'"dst_mac":{json_scalar(m.dst_mac)},"slice_id":{json_scalar(m.slice_id)},'
-            f'"src_ip":{json_scalar(m.src_ip)},"src_mac":{json_scalar(m.src_mac)}}},'
+            f'{{"action":{action_json},"match":{{"dst_ip":{json_scalar(dst_ip)},'
+            f'"dst_mac":{json_scalar(dst_mac)},"slice_id":{json_scalar(slice_id)},'
+            f'"src_ip":{json_scalar(src_ip)},"src_mac":{json_scalar(src_mac)}}},'
             f'"priority":{json_scalar(self.priority)},"rule_id":{json_scalar(self.rule_id)}}}'
+        )
+
+    def parses_back(self) -> bool:
+        """Whether parsing ``to_json()`` gives back this rule exactly: each
+        field is exactly of its declared type (a str or an int; None in a
+        match)."""
+        match = self.match
+        if type(match) is not FlowKey:
+            return False
+        src_ip, dst_ip, src_mac, dst_mac, slice_id = match
+        action = self.action
+        kind = type(action)
+        return (
+            type(self.rule_id) is str and type(self.priority) is int
+            and (src_ip is None or type(src_ip) is str)
+            and (dst_ip is None or type(dst_ip) is str)
+            and (src_mac is None or type(src_mac) is str)
+            and (dst_mac is None or type(dst_mac) is str)
+            and (slice_id is None or type(slice_id) is int)
+            and (kind is Drop or kind is PuntToController or (
+                kind is Forward and type(action.port) is int and type(action.slice_id) is int))
         )
 
     @classmethod
     def from_dict(cls, d: dict) -> "FlowRule":
+        match = d["match"]
         return cls(
             rule_id=d["rule_id"],
-            match=FlowKey.from_dict(d["match"]),
+            match=FlowKey._make([match.get(name) for name in FlowKey._fields]),
             action=action_from_dict(d["action"]),
             priority=d["priority"],
         )
@@ -231,44 +234,40 @@ def canonical_rule_order(rules: Iterable[FlowRule]) -> tuple[FlowRule, ...]:
 # Flow table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlowMod:
-    kind: str  # "add" | "delete"
+class FlowMod(NamedTuple):
+    """An add carries its rule, a delete the id of the rule it removes."""
+
     rule: Optional[FlowRule] = None
     rule_id: Optional[str] = None
 
     @classmethod
     def add(cls, rule: FlowRule) -> "FlowMod":
-        return cls(kind="add", rule=rule)
+        return cls(rule=rule)
 
     @classmethod
     def delete(cls, rule_id: str) -> "FlowMod":
-        return cls(kind="delete", rule_id=rule_id)
+        return cls(rule_id=rule_id)
 
 
 # Wildcard mask (True where a field is matched exactly) -> the projection that
-# turns a packet's fields, padded with a trailing None, into the field tuple a
-# rule with that mask is stored under.  Shared by every table.
+# turns a packet's fields, padded with a trailing None, into the match a rule
+# with that mask is stored under.  Shared by every table.
 _PROJECTIONS: dict[tuple[bool, ...], itemgetter] = {
     mask: itemgetter(*(i if exact else 5 for i, exact in enumerate(mask)))
     for mask in product((False, True), repeat=5)
 }
 
 
-def _field_tuple(match: FlowKey) -> tuple:
-    return (match.src_ip, match.dst_ip, match.src_mac, match.dst_mac, match.slice_id)
-
-
-def _projection(fields: tuple) -> itemgetter:
-    return _PROJECTIONS[(fields[0] is not None, fields[1] is not None, fields[2] is not None,
-                         fields[3] is not None, fields[4] is not None)]
+def _projection(match: FlowKey) -> itemgetter:
+    return _PROJECTIONS[(match[0] is not None, match[1] is not None, match[2] is not None,
+                         match[3] is not None, match[4] is not None)]
 
 
 class FlowTable:
     """Match-action table with (match, priority) uniqueness.
 
     Rules are indexed by tuple-space search (Srinivasan et al., SIGCOMM 1999):
-    one bucket per match field tuple, holding that match's rules by priority
+    one bucket per match (a tuple of its fields), holding its rules by priority
     descending, and a count of buckets per wildcard mask.  A lookup probes one
     bucket per mask present instead of scanning every rule.
     """
@@ -299,11 +298,11 @@ class FlowTable:
         previous = self._rules.pop(rule.rule_id, None)
         if previous is not None:
             self._unindex(previous)
-        fields = _field_tuple(rule.match)
-        bucket = self._buckets.get(fields)
+        match = rule.match
+        bucket = self._buckets.get(match)
         if bucket is None:
-            self._buckets[fields] = [rule]
-            project = _projection(fields)
+            self._buckets[match] = [rule]
+            project = _projection(match)
             self._masks[project] = self._masks.get(project, 0) + 1
         else:
             i = 0
@@ -324,13 +323,13 @@ class FlowTable:
             self._unindex(rule)
 
     def _unindex(self, rule: FlowRule) -> None:
-        fields = _field_tuple(rule.match)
-        bucket = self._buckets[fields]
+        match = rule.match
+        bucket = self._buckets[match]
         if len(bucket) > 1:
             bucket.remove(rule)  # the stored object: no other entry has its priority
             return
-        del self._buckets[fields]
-        project = _projection(fields)
+        del self._buckets[match]
+        project = _projection(match)
         if self._masks[project] == 1:
             del self._masks[project]
         else:
@@ -633,22 +632,19 @@ def apply_flow_mod(
     mod: FlowMod,
     provenance: Provenance = Provenance.CONTROLLER,
 ) -> None:
-    """Apply an add or delete to a node's table.
+    """Add the rule a mod carries to a node's table, or delete the rule id
+    it carries.  A mod that carries neither is a ``ValueError``.
 
     ``provenance``, who sent the mod, is accepted and not stored: a switch
     cannot tell its controller's mods from injected ones.
     """
-    node = fabric.node(node_id)
-    if mod.kind == "add":
-        if mod.rule is None:
-            raise ValueError("add flow mod without a rule")
-        node.table.add(mod.rule)
-    elif mod.kind == "delete":
-        if mod.rule_id is None:
-            raise ValueError("delete flow mod without a rule id")
-        node.table.delete(mod.rule_id)
+    table = fabric.node(node_id).table
+    if mod.rule is not None:
+        table.add(mod.rule)
+    elif mod.rule_id is not None:
+        table.delete(mod.rule_id)
     else:
-        raise ValueError(f"unknown flow mod kind {mod.kind!r}")
+        raise ValueError("flow mod carries neither a rule nor a rule id")
 
 
 def report_flow_rules(fabric: Fabric, node_id: str) -> tuple[FlowRule, ...]:

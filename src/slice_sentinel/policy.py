@@ -20,12 +20,8 @@ from typing import Iterable, Optional
 from .fabric import (
     VLAN_MAX,
     VLAN_MIN,
-    Drop,
-    FlowKey,
     FlowRule,
     FlowTable,
-    Forward,
-    PuntToController,
     canonical_json,
     json_scalar,
 )
@@ -320,24 +316,6 @@ _set_op_node = LogEntry.op_node.__set__
 _set_op = LogEntry.op.__set__
 
 
-def _round_trips(rule: FlowRule) -> bool:
-    """Whether parsing ``rule.to_json()`` gives back ``rule`` exactly: each
-    field is exactly of its declared type (a str or an int; None in a match)."""
-    m = rule.match
-    action = rule.action
-    kind = type(action)
-    return (
-        type(rule.rule_id) is str and type(rule.priority) is int and type(m) is FlowKey
-        and (m.src_ip is None or type(m.src_ip) is str)
-        and (m.dst_ip is None or type(m.dst_ip) is str)
-        and (m.src_mac is None or type(m.src_mac) is str)
-        and (m.dst_mac is None or type(m.dst_mac) is str)
-        and (m.slice_id is None or type(m.slice_id) is int)
-        and (kind is Drop or kind is PuntToController or (
-            kind is Forward and type(action.port) is int and type(action.slice_id) is int))
-    )
-
-
 class ActivityLog:
     """Hash-chained append-only log of controller actions."""
 
@@ -422,7 +400,7 @@ class ActivityLog:
         table keeps its canonical rules until an entry changes them.
 
         An entry ``append`` made for a delete, or for an install whose rule
-        survives a JSON round trip exactly (see ``_round_trips``), is folded
+        survives a JSON round trip exactly (``FlowRule.parses_back``), is folded
         from the node and rule or rule id it carries, so a clean switch's
         trusted rules are the very objects the controller installed.  Only
         other entries are parsed: those loaded by ``from_jsonl``, forged or
@@ -445,7 +423,7 @@ class ActivityLog:
                 if table is not None:
                     table.delete(op)
                 continue
-            if op is not None and _round_trips(op):
+            if op is not None and op.parses_back():
                 tables.setdefault(entry.op_node, FlowTable()).add(op)
                 continue
             data = entry.data

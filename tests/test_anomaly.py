@@ -18,7 +18,6 @@ from slice_sentinel.anomaly import (
     auc_from_points,
     backward_elimination_ranking,
     chi_square_ranking,
-    chi_square_score,
     evaluate,
     load_csv,
     rate_identities_hold,
@@ -28,6 +27,7 @@ from slice_sentinel.anomaly import (
     train_test_split,
 )
 from slice_sentinel.anomaly.base import check_features_labels
+from slice_sentinel.anomaly.features import _chi_square
 
 
 def contingency_chi_square(column, labels):
@@ -44,32 +44,37 @@ def contingency_chi_square(column, labels):
     return float(np.sum((observed - expected) ** 2 / expected))
 
 
+def score_column(column, labels) -> float:
+    """One column's chi-square, scored the way ``chi_square_ranking`` scores it."""
+    return _chi_square(np.asarray(column), *np.unique(labels, return_inverse=True))
+
+
 class TestChiSquare:
     def test_perfectly_separating_two_by_two_scores_twenty(self):
         # 10 samples of (value 0, benign) and 10 of (value 1, attack).
         column = np.array([0] * 10 + [1] * 10)
         labels = np.array([0] * 10 + [1] * 10)
         assert contingency_chi_square(column, labels) == pytest.approx(20.0)
-        assert chi_square_score(column, labels) == pytest.approx(20.0)
+        assert score_column(column, labels) == pytest.approx(20.0)
 
     def test_label_independent_feature_scores_zero(self):
         column = np.array([0, 1, 0, 1, 0, 1, 0, 1])
         labels = np.array([0, 0, 1, 1, 0, 0, 1, 1])
-        assert chi_square_score(column, labels) == pytest.approx(0.0)
+        assert score_column(column, labels) == pytest.approx(0.0)
 
     def test_constant_feature_scores_zero(self):
-        assert chi_square_score(np.zeros(10), np.array([0, 1] * 5)) == 0.0
+        assert score_column(np.zeros(10), np.array([0, 1] * 5)) == 0.0
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            chi_square_score(np.array([]), np.array([]))
+        with pytest.raises(ValueError, match="empty"):
+            chi_square_ranking(np.empty((0, 3)), np.array([]))
 
     def test_matches_oracle_on_random_binned_columns(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             column = rng.integers(0, 6, 200)
             labels = rng.integers(0, 2, 200)
-            assert chi_square_score(column, labels) == pytest.approx(
+            assert score_column(column, labels) == pytest.approx(
                 contingency_chi_square(column, labels)
             )
 
@@ -98,7 +103,7 @@ class TestSelectFeatures:
         X = rng.integers(0, 4, size=(400, 6))
         X[:, 3] = y  # the one informative column
         # Oracle: brute-force score comparison.
-        scores = [chi_square_score(X[:, j], y) for j in range(6)]
+        scores = [score_column(X[:, j], y) for j in range(6)]
         assert int(np.argmax(scores)) == 3
         assert select_features(X, y, k=1) == [3]
         assert select_features(X, y, k=1, method="ensemble") == [3]
@@ -460,7 +465,7 @@ def test_nb_evaluate_equals_the_per_row_reference_exactly(problem):
 def test_chi_square_equals_the_oracle_exactly(pairs):
     column = np.array([value for value, _ in pairs])
     labels = np.array([label for _, label in pairs])
-    assert chi_square_score(column, labels) == contingency_chi_square(column, labels)
+    assert score_column(column, labels) == contingency_chi_square(column, labels)
 
 
 @settings(max_examples=200, deadline=None)
@@ -470,11 +475,11 @@ def test_chi_square_equals_the_oracle_exactly(pairs):
 @example(([[0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1]], [0, 1, 0, 1]))
 @example(([[0, 1, 2], [2, 1, 0]], [1, 1, 1]))
 def test_chi_square_ranking_sorts_by_each_columns_score(problem):
-    """Shared sorted labels give each column the bits ``chi_square_score``
-    gives it, so ties (mirrored columns, one-class labels) rank the same."""
+    """Shared sorted labels give each column the bits it scores on its own
+    labels, so ties (mirrored columns, one-class labels) rank the same."""
     columns, labels = problem
     X, y = np.array(columns).T, np.array(labels)
-    scores = [chi_square_score(X[:, j], y) for j in range(X.shape[1])]
+    scores = [score_column(X[:, j], y) for j in range(X.shape[1])]
     assert chi_square_ranking(X, y) == sorted(range(X.shape[1]), key=lambda j: (-scores[j], j))
 
 
@@ -668,6 +673,13 @@ class TestDecisionTree:
         tree = DecisionTree().fit(X, y)
         assert tree_depth(tree) == 0
         assert np.all(tree_predict(tree, X) == 1)
+
+    @pytest.mark.parametrize("y, label", [([0, 1], 0), ([1, 0], 0), ([1, 1, 0], 1), ([0, 1, 0], 0)])
+    def test_a_leaf_votes_its_majority_and_a_tie_goes_to_0(self, y, label):
+        X = np.zeros((len(y), 1), dtype=int)  # one value: no split, one leaf
+        tree = DecisionTree().fit(X, np.array(y))
+        assert tree_depth(tree) == 0
+        assert tree.predict_one([0]) == label
 
     def test_xor_learned_at_depth_two(self):
         # Exhaustive truth table oracle for two-feature parity.

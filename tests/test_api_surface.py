@@ -1,12 +1,13 @@
 """Every public function, class and method of the package has a caller.
 
-A module-level name counts as used when it appears in ``src/`` or
-``perfbench/`` outside its own definition.  A public method of a public class
-counts as used when its name is read as an attribute (``obj.name``) outside
-its own body, or when a string names it as ``"Class.method"`` (the way the
-benchmark tracer wraps methods).  Package ``__init__.py`` re-exports and the
-tests do not count, so an API kept alive only by a re-export or by its own
-tests fails here.
+A module-level name counts as used when code in ``src/`` or ``perfbench/``
+outside its own definition names it: as a name, an attribute, or a string
+that is exactly the name.  A comment or docstring that mentions it does not
+count.  A public method of a public class counts as used when its name is
+read as an attribute (``obj.name``) outside its own body, or when a string
+names it as ``"Class.method"`` (the way the benchmark tracer wraps methods).
+Package ``__init__.py`` re-exports and the tests do not count, so an API kept
+alive only by a re-export or by its own tests fails here.
 
 Every field of a dataclass or a ``NamedTuple`` class must also be read as an
 attribute (``obj.field`` in load context) somewhere in ``src/`` or
@@ -37,7 +38,6 @@ aside, must use each name it imports.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,16 +48,11 @@ PACKAGE = ROOT / "src" / "slice_sentinel"
 UNUSED_BY_DESIGN = {"ActivityLog.load"}
 
 
-def _parsed() -> dict[Path, tuple[str, ast.Module]]:
+def _parsed() -> dict[Path, ast.Module]:
     """Every module that may hold a use, read and parsed once."""
     files = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    parsed = {}
-    for path in files:
-        if path.name in ("__init__.py", "test_smoke.py"):
-            continue
-        text = path.read_text(encoding="utf-8")
-        parsed[path] = (text, ast.parse(text))
-    return parsed
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in files
+            if path.name not in ("__init__.py", "test_smoke.py")}
 
 
 PARSED = _parsed()
@@ -72,41 +67,42 @@ def _span(node) -> tuple[int, int]:
     return start, node.end_lineno
 
 
-def _blank_lines(text: str, first: int, last: int) -> str:
-    """``text`` with lines ``first``..``last`` (1-based, inclusive) emptied."""
-    lines = text.splitlines()
-    for i in range(first - 1, last):
-        lines[i] = ""
-    return "\n".join(lines)
-
-
 def _package_modules():
-    return [(path, tree) for path, (_text, tree) in PARSED.items() if PACKAGE in path.parents]
-
-
-def test_every_public_definition_has_a_use_outside_itself():
-    unused = []
-    for path, tree in _package_modules():
-        for node in _public(tree.body, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
-            own = _blank_lines(PARSED[path][0], *_span(node))
-            others = (text for other, (text, _tree) in PARSED.items() if other != path)
-            if not word.search(own) and not any(word.search(text) for text in others):
-                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
-    assert unused == [], "public names with no use outside their definition:\n" + "\n".join(unused)
+    return [(path, tree) for path, tree in PARSED.items() if PACKAGE in path.parents]
 
 
 def _uses() -> list[tuple[Path, int, str]]:
-    """(file, line, word) for every attribute read, as ``.name``, and every
-    string constant, as itself."""
+    """(file, line, word) for every name, as itself, every attribute, as
+    ``.name``, and every string constant, as itself."""
     uses = []
-    for path, (_text, tree) in PARSED.items():
+    for path, tree in PARSED.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Name):
+                uses.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
                 uses.append((path, node.lineno, "." + node.attr))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 uses.append((path, node.lineno, node.value))
     return uses
+
+
+def _used_outside(uses, path: Path, node, words: tuple[str, ...]) -> bool:
+    """Whether one of ``words`` is used anywhere but in ``node``'s own lines."""
+    first, last = _span(node)
+    return any(word in words and not (where == path and first <= line <= last)
+               for where, line, word in uses)
+
+
+def test_every_public_definition_has_a_use_outside_itself():
+    """A use is code: a name, an attribute, or a string that is exactly the
+    name (the tracer's targets).  Comments and docstrings do not count."""
+    uses = _uses()
+    unused = []
+    for path, tree in _package_modules():
+        for node in _public(tree.body, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not _used_outside(uses, path, node, (node.name, "." + node.name)):
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert unused == [], "public names with no use outside their definition:\n" + "\n".join(unused)
 
 
 def test_every_public_method_has_a_use_outside_its_body():
@@ -116,12 +112,7 @@ def test_every_public_method_has_a_use_outside_its_body():
         for cls in _public(tree.body, ast.ClassDef):
             for method in _public(cls.body, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{cls.name}.{method.name}"
-                first, last = _span(method)
-                used = any(
-                    word in ("." + method.name, qualname)
-                    and not (where == path and first <= line <= last)
-                    for where, line, word in uses
-                )
+                used = _used_outside(uses, path, method, ("." + method.name, qualname))
                 if not used and qualname not in UNUSED_BY_DESIGN:
                     unused.append(f"{path.relative_to(ROOT)}:{method.lineno} {qualname}")
     assert unused == [], "public methods with no use outside their body:\n" + "\n".join(unused)
@@ -159,7 +150,7 @@ def test_every_dataclass_field_is_read_somewhere():
     """Dataclasses and ``NamedTuple`` classes alike."""
     reads = {
         node.attr
-        for _text, tree in PARSED.values()
+        for tree in PARSED.values()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }

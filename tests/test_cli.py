@@ -1,11 +1,13 @@
 """Command line behavior: exit codes, outputs and reproducibility."""
 
+import csv
 import hashlib
 import json
 
 import pytest
 
 from slice_sentinel import cli
+from slice_sentinel.anomaly import synthetic_flow_dataset
 from slice_sentinel.cli import main
 from slice_sentinel.fabric import Drop, FlowKey, FlowMod, FlowRule, Provenance, apply_flow_mod
 from slice_sentinel.policy import EV_AUDIT_PERFORMED, ActivityLog
@@ -117,6 +119,15 @@ class TestRunCommand:
         for line in (out / "events.jsonl").read_text().splitlines():
             json.loads(line)
 
+    def test_verbose_prints_the_events_it_writes(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "attack3", "--verbose", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        events = (out / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        assert events
+        assert printed[:-1] == events
+        assert printed[-1].startswith("attack3: PASS ")
+
     def test_rerun_with_same_manifest_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         fast = _fast_config(tmp_path)
@@ -193,6 +204,20 @@ class TestMlCommand:
         with pytest.raises(SystemExit) as exc:
             main(["ml", "--classifier", "unknownX", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_a_dataset_file_is_named_in_the_metrics(self, tmp_path):
+        data = synthetic_flow_dataset(n_rows=200, seed=3)
+        path = tmp_path / "flows.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(data.feature_names + ["label"])
+            for row, label in zip(data.features, data.labels):
+                writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        out = tmp_path / "m"
+        assert main(["ml", "--dataset", str(path), "--out", str(out)]) == 0
+        payload = read_json(out / "metrics.json")
+        assert payload["dataset"] == str(path)
+        assert payload["rows"]["train"] + payload["rows"]["test"] == 200
 
     def test_missing_dataset_file_exits_2(self, tmp_path):
         code = main(["ml", "--dataset", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])

@@ -399,6 +399,14 @@ class TestApplyFlowMod:
         apply_flow_mod(fabric, "OVS1", FlowMod.delete("zzz"))
         assert fabric.nodes["OVS1"].table.rules() == before
 
+    def test_a_mod_that_carries_nothing_is_rejected(self):
+        fabric = build_topology(small_topology())
+        before = report_flow_rules(fabric, "OVS1")
+        with pytest.raises(ValueError, match="neither a rule nor a rule id"):
+            apply_flow_mod(fabric, "OVS1", FlowMod())
+        assert report_flow_rules(fabric, "OVS1") == before
+        assert fabric.nodes["OVS1"].table.rules() == list(before)
+
 
 class TestReports:
     def test_rules_ordered_by_priority_then_id(self):
@@ -450,6 +458,29 @@ class TestCanonicalJson:
             canonical_json({"type": "x", "at": object()})
         with pytest.raises(TypeError, match="not a flow action"):
             FlowRule("r", FlowKey(), "forward", 1).to_json()
+
+    @settings(max_examples=300, deadline=None)
+    @given(flow_rules)
+    def test_a_rule_that_parses_back_is_its_parsed_json(self, rule):
+        """``parses_back`` may refuse a rule the parse would return (a bool
+        field), never accept one it would not."""
+        if rule.parses_back():
+            parsed = FlowRule.from_dict(json.loads(rule.to_json()))
+            assert parsed == rule
+            assert type(parsed.match) is FlowKey and type(parsed.action) is type(rule.action)
+            assert ([type(v) for v in (parsed.rule_id, parsed.priority, *parsed.match)]
+                    == [type(v) for v in (rule.rule_id, rule.priority, *rule.match)])
+
+    @pytest.mark.parametrize("rule, exact", [
+        (FlowRule("r", FlowKey(src_ip="10.0.0.1", slice_id=200), Forward(2, 200), 5), True),
+        (FlowRule("r", FlowKey(), PuntToController(), 0), True),
+        (FlowRule("r", FlowKey(slice_id=200.0), Drop(), 5), False),
+        (FlowRule("r", FlowKey(), Forward(True, 200), 5), False),
+        (FlowRule("r", FlowKey(), Drop(), True), False),
+        (FlowRule("r", (None,) * 5, Drop(), 5), False),
+    ], ids=["forward", "punt", "float-slice", "bool-port", "bool-priority", "plain-tuple"])
+    def test_parses_back_names_exactly_typed_rules(self, rule, exact):
+        assert rule.parses_back() is exact
 
 
 table_steps = st.lists(

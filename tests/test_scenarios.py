@@ -3,13 +3,17 @@
 import pytest
 
 from slice_sentinel.controller import ManagerConfig
+from slice_sentinel.fabric import Packet, Punted
 from slice_sentinel.scenarios import (
     FLOW_SETUP_JITTER_US,
     SCENARIO_IDS,
+    TrafficDriver,
     bench_flow_setup,
     bench_signature_latency,
     run_scenario,
 )
+
+from conftest import build_world
 
 FAST = {
     "attack1": {"attack_packets": 300, "benign_packets": 20},
@@ -30,6 +34,31 @@ def test_packet_accounting_identity(scenario_id):
     assert packets["injected"] == (
         packets["delivered"] + packets["dropped_at_entry"] + packets["dropped_in_slice"]
     )
+
+
+def test_a_flow_the_controller_cannot_resolve_is_an_unresolved_punt(
+    topology_doc, policy_doc, signature_doc
+):
+    """A guest device with no generic host to route to: the controller
+    installs nothing, so the re-injected packet is punted again."""
+    topology_doc["slices"] = [
+        s for s in topology_doc["slices"] if s["vlan"] != ManagerConfig.generic_slice
+    ]
+    _fabric, _repo, manager = build_world(topology_doc, policy_doc, signature_doc)
+    driver = TrafficDriver(manager)
+    stranger = Packet(
+        src_ip="10.0.0.77", dst_ip="10.0.0.8", src_mac="de:ad:be:ef",
+        dst_mac="00:09:00:BB", payload=b"hi", flow_id="f-stranger",
+    )
+    trace = driver.send(stranger, ("OVS1", 1), "guest")
+    assert trace.outcome == Punted(node="OVS1")
+    assert driver.stream_counts() == {"guest": {
+        "delivered": 0, "dropped_at_entry": 1, "dropped_in_slice": 0, "injected": 1,
+        "reasons": {"unresolved-punt": 1},
+    }}
+    assert driver.packet_totals() == {
+        "injected": 1, "delivered": 0, "dropped_at_entry": 1, "dropped_in_slice": 0,
+    }
 
 
 def test_unknown_scenario_id_rejected():
