@@ -20,7 +20,6 @@ from .fabric import (
 from .policy import (
     ActivityLog,
     PolicyRepository,
-    SecurityProfile,
     extract_profile,
     load_policies,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "PolicyRepository",
     "Provenance",
     "SecurityManager",
-    "SecurityProfile",
     "apply_flow_mod",
     "audit_flow_rules",
     "build_topology",

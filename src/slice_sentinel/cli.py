@@ -132,7 +132,6 @@ def _int_list(raw: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    out = _out_dir(args)
     if args.kind == "flow-setup":
         report = bench_flow_setup(
             sizes=tuple(_int_list(args.sizes)),
@@ -147,6 +146,7 @@ def cmd_bench(args) -> int:
             packets=args.packets,
             seed=args.seed,
         )
+    out = _out_dir(args)
     (out / "bench.json").write_text(report.to_json(), encoding="utf-8")
     (out / "bench.csv").write_text(report.to_csv(), encoding="utf-8")
     _write_manifest(out, args)

@@ -15,7 +15,7 @@ fixed number of message hops that cost virtual time, nothing more.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
 from . import policy as pol
@@ -128,14 +128,11 @@ class IngressProcessor:
         ``headers_only`` is the scope of a punted first packet: no payload
         signatures, no rate window.
         """
-        if not packet.flow_id:
-            # Denials and alerts name the flow by its default id, as new_flow does.
-            packet = replace(packet, flow_id=flow_id_of(packet))
         mgr = self.manager
         cfg = mgr.config
         verdict = sf.check_slice_access(self.access, packet, mgr.requested_pair(packet.dst_ip))
         if verdict in _DENIALS:
-            mgr.log_access_denied(self.node, packet.src_mac, packet.flow_id, verdict.value)
+            mgr.log_access_denied(self.node, packet.src_mac, flow_id_of(packet), verdict.value)
             return verdict, IngressDecision(False, verdict.value, cfg.access_check_us)
         result = sf.validate_flow(self.validator, packet, headers_only)
         if result.alert is not None:
@@ -270,13 +267,14 @@ class SecurityManager:
 
     # -- deployment -------------------------------------------------------------
 
-    def deploy_functions(self, node: str, profile: Optional[pol.SecurityProfile]) -> IngressProcessor:
+    def deploy_functions(self, node: str, user_id: Optional[str]) -> IngressProcessor:
         """Build (or extend) the security functions of an edge node, register
         them as its ingress hook and log the deployment.
 
-        The whole profile goes in: every device of the user, every slice and
-        service those devices are subscribed to.  No profile yields a
-        generic-only deployment.  Every edge shares the one global blacklist.
+        With a user, the user's profile is extracted and goes in whole: every
+        device of the user, every slice and service those devices are
+        subscribed to.  ``None`` yields a generic-only deployment.  Every edge
+        shares the one global blacklist.
         """
         dep = self.fabric.ingress_processors.get(node)
         if dep is None:
@@ -286,10 +284,11 @@ class SecurityManager:
                 access=sf.SliceAccessState(blacklist=self.global_blacklist),
                 validator=sf.FlowValidatorState(signatures=self.signatures),
             )
-        if profile is not None:
-            for device, pairs in sorted(profile.allowed.items()):
+        if user_id is not None:
+            self._log(pol.EV_PROFILE_EXTRACTED, node, user_id=user_id)
+            for device, pairs in pol.extract_profile(self.repository, user_id).items():
                 dep.access.allowed.setdefault(device, set()).update(pairs)
-            dep.covered_users.add(profile.user_id)
+            dep.covered_users.add(user_id)
         self.fabric.set_ingress_processor(node, dep)
         self._log(
             pol.EV_FUNCTIONS_DEPLOYED, node,
@@ -331,17 +330,13 @@ class SecurityManager:
         else:
             dep = fabric.ingress_processors.get(punt.node)
             user_id = self.repository.user_of_device(device)
-            if user_id is not None and (dep is None or user_id not in dep.covered_users):
-                profile = pol.extract_profile(self.repository, user_id)
-                self._log(pol.EV_PROFILE_EXTRACTED, punt.node, user_id=user_id)
-                extraction = True
-                cost += cfg.profile_extract_us
-                dep = self.deploy_functions(punt.node, profile)
-                cost += cfg.compose_us + cfg.deploy_us
-            elif dep is None:
-                # No registered user behind this punt: deploy a generic-only
-                # bundle so the edge can police and rate-cap guest traffic.
-                dep = self.deploy_functions(punt.node, None)
+            if dep is None or (user_id is not None and user_id not in dep.covered_users):
+                # A guest (no registered user) gets a generic-only bundle, so
+                # the edge can still police and rate-cap its traffic.
+                extraction = user_id is not None
+                if extraction:
+                    cost += cfg.profile_extract_us
+                dep = self.deploy_functions(punt.node, user_id)
                 cost += cfg.compose_us + cfg.deploy_us
 
             # The edge's own functions judge the first packet, at header scope,
@@ -387,20 +382,21 @@ class SecurityManager:
 
     def alert(self, alert: sf.Alert) -> str:
         """React to a raised alert: blacklist the device at slice entry and
-        replace its flow rules with drops.  Idempotent per device.  Returns
-        ``"blacklisted"``, ``"noop"`` or ``"admin-alert"`` (unknown device)."""
+        replace its flow rules with drops.  Idempotent per device.  A device
+        that neither the repository nor a flow record knows is contained the
+        same way, and its first containment also alerts the administrator.
+        Returns ``"blacklisted"`` or ``"noop"``."""
         device = alert.device_id
-        records = [r for r in self.flows.values() if r.device_id == device]
-        # Edge deployments only hold devices of repository profiles, so the
-        # repository and the flow records are every device the manager knows.
-        if not (records or self.repository.device_known(device)):
-            self._admin_alert("unknown-device-alert", {"device_id": device, "reason": alert.reason})
-            return "admin-alert"
         if device in self.global_blacklist:
             return "noop"
 
         self.global_blacklist.add(device)
         self._log(pol.EV_DEVICE_BLACKLISTED, None, device_id=device, reason=alert.reason)
+        records = [r for r in self.flows.values() if r.device_id == device]
+        # Edge deployments only hold devices of repository profiles, so the
+        # repository and the flow records are every device the manager knows.
+        if not (records or self.repository.device_known(device)):
+            self._admin_alert("unknown-device-alert", {"device_id": device, "reason": alert.reason})
         for record in records:
             self._clear_rules(record)
             self._contain(record, record.edge)

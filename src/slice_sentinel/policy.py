@@ -120,17 +120,6 @@ def parse_policy_rule(raw: dict) -> PolicyRule:
 
 
 # ---------------------------------------------------------------------------
-# Security profiles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SecurityProfile:
-    user_id: str
-    # device_id -> {(slice_id, service)}, unioned over all the user's rules
-    allowed: dict[str, frozenset[tuple[int, str]]]
-
-
-# ---------------------------------------------------------------------------
 # Repository
 # ---------------------------------------------------------------------------
 
@@ -206,23 +195,18 @@ def load_policies(document: list) -> PolicyRepository:
     return repo
 
 
-def extract_profile(repo: PolicyRepository, user_id: str) -> Optional[SecurityProfile]:
-    """Assemble the full profile of a user: all devices, all slices, all services.
+def extract_profile(repo: PolicyRepository, user_id: str) -> dict[str, set[tuple[int, str]]]:
+    """Assemble the full profile of a user: every device of the user, mapped
+    to the (slice, service) pairs unioned over all the user's rules.
 
-    Returns ``None`` when the user has no rules; callers treat that as
-    the guest case, not as an error.
+    A user with no rules has the empty profile.
     """
-    rules = repo._by_user.get(user_id)
-    if not rules:
-        return None
     allowed: dict[str, set[tuple[int, str]]] = {}
-    for rule in rules:
+    for rule in repo._by_user.get(user_id, ()):
         allowed.setdefault(rule.device_id, set()).update(
             (action.slice_id, action.service) for action in rule.actions
         )
-    return SecurityProfile(
-        user_id=user_id, allowed={d: frozenset(p) for d, p in allowed.items()}
-    )
+    return allowed
 
 
 # ---------------------------------------------------------------------------

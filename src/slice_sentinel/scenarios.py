@@ -197,6 +197,14 @@ class TrafficDriver:
         }
 
 
+def _config_count(config: dict, key: str, default: int) -> int:
+    """A packet count from a scenario config: an integer >= 1, never a bool."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"scenario config {key!r} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _schedule(rate_interval_ms: int, count: int, start_ms: int = 0) -> list[int]:
     return [start_ms + i * rate_interval_ms for i in range(count)]
 
@@ -251,8 +259,13 @@ def _flood_run(config: dict, seed: int, ue: int, default_packets: int, tag: str,
     run, the driver of the flood run, and the merged packets for the caller
     to send through it.
     """
-    n_attack = int(config.get("attack_packets", default_packets))
-    n_benign = int(config.get("benign_packets", 50))
+    n_attack = _config_count(config, "attack_packets", default_packets)
+    n_benign = _config_count(config, "benign_packets", 50)
+    feedback = config.get("blacklist_feedback", True)
+    if not isinstance(feedback, bool):
+        raise ValueError(
+            f"scenario config 'blacklist_feedback' must be true or false, got {feedback!r}"
+        )
     benign_times = _schedule(20, n_benign)
 
     benign = _benign_factory(seed)
@@ -260,7 +273,6 @@ def _flood_run(config: dict, seed: int, ue: int, default_packets: int, tag: str,
     for i, t in enumerate(benign_times):
         control.send(benign(i, t), ("OVS1", 1), "benign")
 
-    feedback = bool(config.get("blacklist_feedback", True))
     driver = TrafficDriver(build_world(config, seed), blacklist_feedback=feedback)
 
     def attacker(i: int, t: int) -> Packet:
@@ -337,7 +349,12 @@ def _scenario_attack2(config: dict, seed: int) -> ScenarioReport:
 
 
 def _scenario_attack3(config: dict, seed: int) -> ScenarioReport:
-    tampered = set(config.get("tampered_hosts", ["SVC3"]))
+    tampered = config.get("tampered_hosts", ["SVC3"])
+    if not (isinstance(tampered, list) and all(isinstance(h, str) for h in tampered)):
+        raise ValueError(
+            f"scenario config 'tampered_hosts' must be a list of node ids, got {tampered!r}"
+        )
+    tampered = set(tampered)
     manager = build_world(config, seed)
     fabric = manager.fabric
     for node_id in tampered:
@@ -514,11 +531,12 @@ def _scenario_flowmod_audit(config: dict, seed: int) -> ScenarioReport:
 
 
 def _scenario_fsf_path(config: dict, seed: int) -> ScenarioReport:
+    n_packets = _config_count(config, "packets", 10)
     manager = build_world(config, seed)
     fabric = manager.fabric
     driver = TrafficDriver(manager)
 
-    plaintexts = [f"meter-reading-{seed}-{i}".encode() for i in range(int(config.get("packets", 10)))]
+    plaintexts = [f"meter-reading-{seed}-{i}".encode() for i in range(n_packets)]
 
     def secured(i: int, t: int) -> Packet:
         return _ue_packet(2, plaintexts[i], "flow-scada", t, dst=("10.0.0.7", "00:09:00:BC"))
@@ -662,12 +680,12 @@ def bench_flow_setup(
         raise ValueError("runs must be >= 1")
     if security not in ("on", "off", "both"):
         raise ValueError(f"security must be on, off or both, got {security!r}")
+    if any(n < 1 for n in sizes):
+        raise ValueError("fleet size must be >= 1")
     modes = {"on": [True], "off": [False], "both": [False, True]}[security]
     entries = []
     samples: dict[str, list[float]] = {}
     for n in sizes:
-        if n < 1:
-            raise ValueError("fleet size must be >= 1")
         for mode in modes:
             run_means = []
             for run in range(runs):
@@ -695,6 +713,12 @@ def bench_signature_latency(
 ) -> BenchReport:
     """Mean per-packet validation latency versus signature set size under the
     linear first-match scan."""
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    if packets < 1:
+        raise ValueError("packets must be >= 1")
+    if any(n < 0 for n in counts):
+        raise ValueError("signature count must be >= 0")
     cfg = ManagerConfig()
     entries = []
     for n in counts:

@@ -18,7 +18,7 @@ from typing import Optional
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .fabric import FlowRule, Packet, action_to_dict
+from .fabric import FlowRule, Packet, action_to_dict, flow_id_of
 
 KEY_BYTES = 16
 NONCE_BYTES = 12
@@ -103,7 +103,7 @@ def parse_signatures(document: list) -> list[Signature]:
 def packet_header_bytes(packet: Packet) -> bytes:
     return (
         f"{packet.src_ip}>{packet.dst_ip}|{packet.src_mac}>{packet.dst_mac}"
-        f"|slice={packet.slice_id}|flow={packet.flow_id}"
+        f"|slice={packet.slice_id}|flow={flow_id_of(packet)}"
     ).encode()
 
 
@@ -188,7 +188,7 @@ def validate_flow(
     alert = Alert(
         source="flow-validator",
         device_id=device,
-        flow_id=packet.flow_id,
+        flow_id=flow_id_of(packet),
         reason=alert_reason,
         severity="high",
         time_ms=packet.virtual_timestamp,

@@ -55,6 +55,65 @@ MALFORMED_CONFIGS = {
     "scenario-config-not-object": ("--scenario-config", [1]),
 }
 
+# (option, file text, message): each bad input file exits 2 with its message.
+BAD_INPUT_FILES = {
+    "config-not-json": ("--topology", "{", "topology file {path} is not valid JSON"),
+    "topology-entry-not-object": (
+        "--topology", json.dumps({"nodes": [5]}), "nodes entry must be an object, got 5"
+    ),
+    "unknown-node-kind": (
+        "--topology", json.dumps({"nodes": [{"id": "A", "kind": "router"}]}),
+        "unknown node kind 'router'"
+    ),
+    "duplicate-slice-vlan": (
+        "--topology",
+        json.dumps(_edited("topology.json", lambda d: d["slices"].append(dict(d["slices"][0])))),
+        "duplicate slice vlan 100",
+    ),
+    "policy-action-not-object": (
+        "--policies", json.dumps(_edited("policies.json", lambda d: d[0].update(actions=[5]))),
+        "policy '02': action must be an object, got 5",
+    ),
+    "policy-action-without-service": (
+        "--policies",
+        json.dumps(_edited("policies.json", lambda d: d[0]["actions"][0].pop("Service"))),
+        "policy '02': action needs Service and Slice-id",
+    ),
+    "policy-unknown-security-requirement": (
+        "--policies",
+        json.dumps(_edited("policies.json", lambda d: d[0]["actions"][0].update(security=["x"]))),
+        "policy '02': unknown security requirements ['x']",
+    ),
+    "policy-user-not-object": (
+        "--policies", json.dumps(_edited("policies.json", lambda d: d[0].update(user="alice"))),
+        "policy '02': user must be an object",
+    ),
+    "policy-empty-actions": (
+        "--policies", json.dumps(_edited("policies.json", lambda d: d[0].update(actions=[]))),
+        "policy '02': empty actions",
+    ),
+    "policy-document-not-array": ("--policies", "{}", "policy document must be a JSON array"),
+    "signature-document-not-array": (
+        "--signatures", "{}", "signature document must be a JSON array"
+    ),
+    "signature-entry-not-object": (
+        "--signatures", "[5]", "signature entry must be an object, got 5"
+    ),
+    "dataset-without-label": ("--dataset", "a,b\n1,2\n", "dataset CSV needs a 'label' column"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
+def test_a_bad_input_file_exits_2_with_its_message(case, tmp_path, capsys):
+    option, text, message = BAD_INPUT_FILES[case]
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    command = ["ml"] if option == "--dataset" else ["run", "attack1"]
+    code = main([*command, option, str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {message.format(path=path)}")
+    assert not (tmp_path / "o").exists()
+
 
 class TestRunCommand:
     def test_attack1_with_bundled_configs_passes(self, tmp_path, capsys):
@@ -108,6 +167,32 @@ class TestRunCommand:
         code = main(["run", "attack2", "--scenario-config", str(knob),
                      "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize("scenario, params, message", [
+        ("attack1", {"attack_packets": 0}, "'attack_packets' must be an integer >= 1, got 0"),
+        ("attack1", {"attack_packets": -3}, "'attack_packets' must be an integer >= 1, got -3"),
+        ("attack1", {"attack_packets": True},
+         "'attack_packets' must be an integer >= 1, got True"),
+        ("attack1", {"benign_packets": 0}, "'benign_packets' must be an integer >= 1, got 0"),
+        ("attack2", {"benign_packets": 0}, "'benign_packets' must be an integer >= 1, got 0"),
+        ("fsf_path", {"packets": 0}, "'packets' must be an integer >= 1, got 0"),
+        ("attack2", {"blacklist_feedback": "no"},
+         "'blacklist_feedback' must be true or false, got 'no'"),
+        ("attack3", {"tampered_hosts": "SVC3"},
+         "'tampered_hosts' must be a list of node ids, got 'SVC3'"),
+    ], ids=["attack1-no-attack", "attack1-negative-attack", "attack1-bool-attack",
+            "attack1-no-benign", "attack2-no-benign", "fsf_path-no-packets",
+            "attack2-feedback-string", "attack3-tampered-string"])
+    def test_a_bad_scenario_parameter_exits_2_naming_it(
+        self, scenario, params, message, tmp_path, capsys
+    ):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        code = main(["run", scenario, "--scenario-config", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: scenario config {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_manifest_and_events_written(self, tmp_path):
         out = tmp_path / "o"
@@ -167,6 +252,24 @@ class TestBenchCommand:
     def test_bad_sizes_exit_2(self, tmp_path, capsys):
         code = main(["bench", "flow-setup", "--sizes", "ten,twenty", "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("options, message", [
+        (["flow-setup", "--runs", "0"], "runs must be >= 1"),
+        (["flow-setup", "--sizes", "0"], "fleet size must be >= 1"),
+        (["flow-setup", "--sizes", "10,0"], "fleet size must be >= 1"),
+        (["signatures", "--runs", "0"], "runs must be >= 1"),
+        (["signatures", "--packets", "0"], "packets must be >= 1"),
+        (["signatures", "--counts=-1"], "signature count must be >= 0"),
+    ], ids=["flow-setup-runs-0", "flow-setup-size-0", "flow-setup-size-10-then-0",
+            "signatures-runs-0", "signatures-packets-0", "signatures-count-negative"])
+    def test_a_bad_bench_parameter_exits_2_with_its_message(
+        self, options, message, tmp_path, capsys
+    ):
+        out = tmp_path / "b"
+        code = main(["bench", *options, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestMlCommand:
@@ -261,9 +364,15 @@ class TestMlCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "metrics.json").exists()
 
-    def test_bad_selector_exits_2(self, tmp_path):
-        code = main(["ml", "--synthetic", "--select", "pca-7", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("selector, message", [
+        ("pca-7", "selector must look like chi:K or ensemble:K, got 'pca-7'"),
+        ("chi:x", "selector k must be an integer, got 'x'"),
+    ], ids=["no-colon", "k-not-int"])
+    def test_bad_selector_exits_2(self, selector, message, tmp_path, capsys):
+        code = main(["ml", "--synthetic", "--rows", "200", "--select", selector,
+                     "--out", str(tmp_path / "m")])
         assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _count_verifies(monkeypatch) -> list:

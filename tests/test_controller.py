@@ -27,7 +27,9 @@ from slice_sentinel.fabric import (
     report_flow_rules,
 )
 from slice_sentinel.policy import (
+    EV_ACCESS_DENIED,
     EV_ALERT_RAISED,
+    EV_DEVICE_BLACKLISTED,
     EV_FUNCTIONS_DEPLOYED,
     EV_PROFILE_EXTRACTED,
     EV_SERVICE_DEPLOYED,
@@ -36,6 +38,7 @@ from slice_sentinel.policy import (
     extract_profile,
     parse_policy_rule,
 )
+from slice_sentinel.scenarios import TrafficDriver
 from slice_sentinel.security_functions import (
     AccessVerdict,
     Alert,
@@ -240,9 +243,9 @@ def test_security_enabled_is_the_one_manager_setting():
 class TestComposeDeployment:
     def test_profile_with_two_devices_lands_both(self, world):
         fabric, repo, manager = world
-        profile = extract_profile(repo, "alice")
-        dep = manager.deploy_functions("OVS1", profile)
+        dep = manager.deploy_functions("OVS1", "alice")
         assert set(dep.access.allowed) == {"00:09:00:AA", "00:09:00:AC"}
+        assert dep.access.allowed == extract_profile(repo, "alice")
         assert fabric.ingress_processors["OVS1"] is dep
 
     def test_no_profile_gives_generic_only_deployment(self, world):
@@ -276,12 +279,39 @@ class TestAlertHandling:
         assert manager.alert(alert) == "blacklisted"
         assert manager.alert(alert) == "noop"
 
-    def test_unknown_device_alert_goes_to_administrator_only(self, world):
+    def test_unknown_device_alert_contains_it_and_tells_the_administrator_once(self, world):
         fabric, repo, manager = world
         alert = Alert("flow-validator", "no:such:mac", "f-x", "anomaly:rate", "high", 0)
-        action = manager.alert(alert)
-        assert action == "admin-alert"
-        assert manager.admin_alerts
+        assert manager.alert(alert) == "blacklisted"
+        assert "no:such:mac" in manager.global_blacklist
+        assert [e["device_id"] for e in manager.log.events(EV_DEVICE_BLACKLISTED)] == ["no:such:mac"]
+        assert [a["kind"] for a in manager.admin_alerts] == ["unknown-device-alert"]
+        # A repeated alert is a no-op, like any other device's.
+        assert manager.alert(alert) == "noop"
+        assert len(manager.admin_alerts) == 1
+
+    def test_an_unknown_device_flood_is_contained_at_the_rate_cap(
+        self, topology_doc, policy_doc, signature_doc
+    ):
+        # Without a generic slice a guest's flow is refused, so no flow record
+        # ever names the device: only the blacklist can stop its alerts.
+        topology_doc["slices"] = [
+            s for s in topology_doc["slices"] if s["vlan"] != ManagerConfig.generic_slice
+        ]
+        fabric, _repo, manager = build_world(topology_doc, policy_doc, signature_doc)
+        driver = TrafficDriver(manager)
+        for t in range(300):
+            stranger = Packet(
+                src_ip="10.0.0.77", dst_ip="10.0.0.8", src_mac="de:ad:be:ef",
+                dst_mac="00:09:00:BB", payload=b"hi", flow_id="f-stranger",
+                virtual_timestamp=t,
+            )
+            driver.send(stranger, ("OVS1", 1), "guest")
+        assert len(manager.log.events(EV_ALERT_RAISED)) == 1
+        assert len(manager.log.events(EV_DEVICE_BLACKLISTED)) == 1
+        assert len(manager.log.events(EV_ACCESS_DENIED)) == 1
+        assert [a["kind"] for a in manager.admin_alerts] == ["unknown-device-alert"]
+        assert driver.counts["guest"]["reasons"]["deny-blacklisted"] == 249
 
     def test_periodic_tick_audits_on_the_configured_interval(self, world):
         fabric, repo, manager = world

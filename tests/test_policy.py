@@ -162,15 +162,14 @@ class TestExtractProfile:
     def test_profile_covers_all_devices_of_the_user(self):
         repo = load_policies(sample_policy_doc())
         profile = extract_profile(repo, "alice")
-        assert profile is not None
-        assert profile.allowed == {
+        assert profile == {
             "00:09:00:AA": {(200, "Service1")},
             "00:09:00:AC": {(300, "Service2")},
         }
 
-    def test_unknown_user_yields_no_profile(self):
+    def test_unknown_user_yields_the_empty_profile(self):
         repo = load_policies(sample_policy_doc())
-        assert extract_profile(repo, "nobody") is None
+        assert extract_profile(repo, "nobody") == {}
 
     def test_same_device_in_two_contracts_unions_without_duplicates(self):
         # Oracle: plain set union over the device's rules in the repository.
@@ -198,7 +197,7 @@ class TestExtractProfile:
             if rule.user_id == "alice" and rule.device_id == "00:09:00:AA"
             for action in rule.actions
         }
-        got = profile.allowed["00:09:00:AA"]
+        got = profile["00:09:00:AA"]
         assert got == expected
         assert got == {(200, "Service1"), (100, "Service3")}
 
@@ -210,7 +209,7 @@ class TestExtractProfile:
             for rule in repo.rules.values()
             for action in rule.actions
         }
-        for device, pairs in profile.allowed.items():
+        for device, pairs in profile.items():
             for slice_id, service in pairs:
                 assert (device, slice_id, service) in backing
 
@@ -261,15 +260,11 @@ def test_profile_is_the_per_device_union_of_the_users_rules(document):
         pairs.update((int(a["Slice-id"][4:]), a["Service"]) for a in raw["actions"])
     repo = load_policies(document)
     for user in USERS:
-        profile = extract_profile(repo, user)
-        if not expected[user]:
-            assert profile is None
-            continue
-        assert profile.allowed == expected[user]
+        assert extract_profile(repo, user) == expected[user]
         # A fresh edge per user: deploying registers the functions, so one
         # edge would gather every user's devices.
         manager = SecurityManager(build_topology({"nodes": [{"id": "E", "kind": "edge"}]}), repo)
-        access = manager.deploy_functions("E", profile).access
+        access = manager.deploy_functions("E", user).access
         for device in DEVICES:
             probe = Packet(src_ip="10.0.0.1", dst_ip="10.9.0.1", src_mac=device,
                            dst_mac="bb", payload=b"", flow_id="f")

@@ -172,6 +172,18 @@ class TestFlowValidation:
         assert result.signatures_scanned == scanned
         assert len(builds) == built
 
+    def test_a_packet_without_a_flow_id_is_named_by_its_addresses(self):
+        # The id the fabric and the controller give such a flow: 10.0.0.1->10.0.0.8.
+        by_header = FlowValidatorState(
+            signatures=[Signature("h-flow", b"flow=10.0.0.1->10.0.0.8", "header")]
+        )
+        result = validate_flow(by_header, packet(flow=""), headers_only=True)
+        assert result.drop_reason == "signature:h-flow"
+        assert result.alert.flow_id == "10.0.0.1->10.0.0.8"
+        by_rate = FlowValidatorState()
+        alerts = [validate_flow(by_rate, packet(flow="")).alert for _ in range(101)]
+        assert alerts[-1].flow_id == "10.0.0.1->10.0.0.8"
+
     def test_parse_signatures_rejects_duplicates_and_bad_scope(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_signatures([{"id": "s", "pattern_hex": "00"}, {"id": "s", "pattern_hex": "01"}])
