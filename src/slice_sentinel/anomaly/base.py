@@ -31,6 +31,29 @@ def check_features_labels(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y.astype(int)
 
 
+def class_counts(column: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``column`` and a ``(values, 2)`` table
+    whose row ``i`` counts the rows of label 0 and of label 1 that hold value
+    ``i``; ``y`` holds one 0/1 label per row.
+
+    A non-negative integer column whose largest value is at most four times
+    its length, which every binned column is, is counted by one ``bincount``
+    over ``value * 2 + label``: nothing is sorted, and the values are the
+    rows whose count is not zero.  Any other column is first mapped to the
+    indices of its sorted values by ``np.unique``; the bound only keeps the
+    ``bincount`` array small.
+    """
+    if column.dtype.kind in "iu":
+        high = int(column.max())
+        if column.min() >= 0 and high <= 4 * len(column):
+            codes = column.astype(np.intp, copy=False) * 2 + y
+            table = np.bincount(codes, minlength=2 * high + 2).reshape(-1, 2)
+            held = np.flatnonzero(table[:, 0] + table[:, 1])
+            return held.astype(column.dtype, copy=False), table[held]
+    values, inverse = np.unique(column, return_inverse=True)
+    return values, np.bincount(inverse * 2 + y, minlength=2 * len(values)).reshape(-1, 2)
+
+
 def check_fitted(estimator, attribute: str) -> None:
     if not hasattr(estimator, attribute):
         raise RuntimeError(f"{type(estimator).__name__} is not fitted yet")

@@ -9,7 +9,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .base import check_features_labels, check_fitted, check_matrix
+from .base import check_features_labels, check_fitted, check_matrix, class_counts
 
 
 class NaiveBayesClassifier:
@@ -27,20 +27,20 @@ class NaiveBayesClassifier:
 
     def fit(self, X, y) -> "NaiveBayesClassifier":
         X, y = check_features_labels(X, y)
-        self.classes_ = np.unique(y)
+        label_counts = np.bincount(y, minlength=2)
+        self.classes_ = np.flatnonzero(label_counts)
         if len(self.classes_) < 2:
             raise ValueError("training data must contain both classes")
         # Labels are 0/1 and both occur, so a label is its own class index.
-        class_counts = np.bincount(y)
         self.n_features_ = X.shape[1]
-        self.log_prior_ = np.log(class_counts / class_counts.sum())
-        class_sizes = class_counts.tolist()
+        self.log_prior_ = np.log(label_counts / label_counts.sum())
+        class_sizes = label_counts.tolist()
         self.categories_: list[np.ndarray] = []
         self.log_likelihood_: list[np.ndarray] = []
         for j in range(self.n_features_):
-            categories, inverse = np.unique(X[:, j], return_inverse=True)
+            categories, by_value = class_counts(X[:, j], y)
             v = len(categories)
-            counts = np.bincount(inverse * 2 + y, minlength=2 * v).reshape(v, 2).tolist()
+            counts = by_value.tolist()
             counts.append([0, 0])  # the unseen category
             # math.log, not np.log: each term is the float the per-row loop made.
             table = [[math.log((c + 1.0) / (n + v)) for c, n in zip(row, class_sizes)]
@@ -152,10 +152,15 @@ class DecisionTree:
     def fit(self, X, y) -> "DecisionTree":
         X, y = check_features_labels(X, y)
         self.n_features_ = X.shape[1]
-        self.root_ = self._build(X, y, depth=0)
+        self.root_ = self._build(X, y, np.arange(X.shape[0]), depth=0)
         return self
 
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _TreeNode:
+    def _build(self, X: np.ndarray, y_all: np.ndarray, rows: np.ndarray, depth: int) -> _TreeNode:
+        """The subtree of the fit rows ``rows``, an index array into ``X`` and
+        ``y_all``.  Each column's value-by-class table comes from
+        ``class_counts``, and a child gets the rows holding its value, in
+        ascending value order; no node copies the matrix."""
+        y = y_all[rows]
         counts = tuple(int(c) for c in np.bincount(y, minlength=2))
         majority = 1 if counts[1] > counts[0] else 0  # a tie goes to the lower label
         pure = counts[0] == 0 or counts[1] == 0
@@ -164,19 +169,18 @@ class DecisionTree:
             return _Leaf(label=majority)
 
         base = _entropy(counts)
-        # best and fallback are (feature, its values, each row's value index)
+        # best and fallback are (feature, its values, the node's column)
         best, best_ratio = None, 0.0
         fallback = None
         for j in range(X.shape[1]):
-            values, inverse = np.unique(X[:, j], return_inverse=True)
+            column = X[rows, j]
+            values, by_value = class_counts(column, y)
             if len(values) < 2:
                 continue
             if fallback is None:
-                fallback = (j, values, inverse)
+                fallback = (j, values, column)
             gain = base
             split_info = 0.0
-            # Row (value, class) of the bincount is each value's class counts.
-            by_value = np.bincount(inverse * 2 + y, minlength=2 * len(values)).reshape(-1, 2)
             for value_counts in by_value.tolist():
                 fraction = (value_counts[0] + value_counts[1]) / y.shape[0]
                 gain -= fraction * _entropy(value_counts)
@@ -184,18 +188,17 @@ class DecisionTree:
             # Two or more values: every fraction lies in (0, 1), so split_info > 0.
             ratio = gain / split_info
             if gain > 1e-12 and ratio > best_ratio + 1e-12:
-                best, best_ratio = (j, values, inverse), ratio
+                best, best_ratio = (j, values, column), ratio
 
         if best is None:
             if fallback is None:
                 return _Leaf(label=majority)
             best = fallback  # zero-gain split: keep going on structure
 
-        feature, values, inverse = best
+        feature, values, column = best
         node = _Split(feature=feature, majority=majority)
-        for vi, key in enumerate(values.tolist()):
-            mask = inverse == vi
-            node.branches[key] = self._build(X[mask], y[mask], depth + 1)
+        for key in values.tolist():
+            node.branches[key] = self._build(X, y_all, rows[column == key], depth + 1)
         return node
 
     def predict(self, X) -> tuple[np.ndarray, None]:

@@ -130,7 +130,7 @@ class EqualFrequencyBinner:
         if self.n_bins < 2:
             raise ValueError("n_bins must be at least 2")
         quantiles = np.linspace(0, 1, self.n_bins + 1)[1:-1]
-        self.edges_ = [np.quantile(X[:, j], quantiles) for j in range(X.shape[1])]
+        self.edges_ = list(np.quantile(X, quantiles, axis=0).T)
         return self
 
     def transform(self, X) -> np.ndarray:
@@ -140,9 +140,11 @@ class EqualFrequencyBinner:
             raise ValueError(
                 f"binner fitted on {len(self.edges_)} features, got {X.shape[1]}"
             )
-        out = np.empty_like(X, dtype=int)
-        for j, edges in enumerate(self.edges_):
-            out[:, j] = np.searchsorted(edges, X[:, j], side="right")
+        # A value's bin is the number of its column's edges at or below it:
+        # for sorted edges and finite values, searchsorted(side="right").
+        out = np.zeros(X.shape, dtype=int)
+        for edge_row in np.column_stack(self.edges_):
+            out += X >= edge_row
         return out
 
 

@@ -5,23 +5,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import check_features_labels
+from .base import check_features_labels, class_counts
 from .classifiers import NaiveBayesClassifier
 
 
-def _chi_square(column: np.ndarray, classes: np.ndarray, cls_index: np.ndarray) -> float:
+def _chi_square(table: np.ndarray) -> float:
     """Chi-square statistic of one binned feature against the binary label,
-    given as the sorted ``classes`` and each row's class index.
+    from the feature's ``class_counts`` table: one row per value, one column
+    per label.
 
-    Computed straight off the category-by-label contingency table.  A constant
-    column, or a single-label dataset, scores 0 by convention.
+    A constant column, or a single-label dataset, scores 0 by convention.
     """
-    categories, cat_index = np.unique(column, return_inverse=True)
-    if len(categories) < 2 or len(classes) < 2:
+    if table.shape[0] < 2 or not table.any(axis=0).all():
         return 0.0
-    cells = len(categories) * len(classes)
-    table = np.bincount(cat_index * len(classes) + cls_index, minlength=cells)
-    table = table.reshape(len(categories), len(classes)).astype(float)
+    table = table.astype(float)
     total = table.sum()
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -31,11 +28,16 @@ def _chi_square(column: np.ndarray, classes: np.ndarray, cls_index: np.ndarray) 
 
 def chi_square_ranking(X, y) -> list[int]:
     """Feature indices ordered best first; ties break toward the lower index.
-    The labels are sorted once and shared by every column."""
+    Each column's table comes from ``class_counts``, so a binned column is
+    counted without a sort."""
     X, y = check_features_labels(X, y)
-    classes, cls_index = np.unique(y, return_inverse=True)
-    scores = [_chi_square(X[:, j], classes, cls_index) for j in range(X.shape[1])]
+    scores = [_chi_square(class_counts(X[:, j], y)[1]) for j in range(X.shape[1])]
     return sorted(range(X.shape[1]), key=lambda j: (-scores[j], j))
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_candidates(candidates, n_features: int) -> list[int]:
@@ -43,7 +45,7 @@ def _check_candidates(candidates, n_features: int) -> list[int]:
         raise ValueError("backward elimination needs at least one candidate")
     seen = set()
     for f in candidates:
-        if not isinstance(f, (int, np.integer)) or not 0 <= f < n_features:
+        if not _is_int(f) or not 0 <= f < n_features:
             raise ValueError(f"candidate {f!r} is not a feature index in 0..{n_features - 1}")
         if f in seen:
             raise ValueError(f"candidate {f!r} is repeated")
@@ -108,7 +110,7 @@ def select_features(X, y, k: int, method: str = "chi2", seed: int = 0) -> list[i
     """
     X, y = check_features_labels(X, y)
     arity = X.shape[1]
-    if not 1 <= k <= arity:
+    if not _is_int(k) or not 1 <= k <= arity:
         raise ValueError(f"k must be in 1..{arity}, got {k}")
     chi_order = chi_square_ranking(X, y)
     if method == "chi2":

@@ -572,23 +572,37 @@ def _scenario_fsf_path(config: dict, seed: int) -> ScenarioReport:
     })
 
 
+# Each scenario with the config keys it reads beside build_world's.
+_WORLD_KEYS = ("topology", "policies", "signatures")
+_FLOOD_KEYS = ("attack_packets", "benign_packets", "blacklist_feedback")
 _SCENARIOS = {
-    "attack1": _scenario_attack1,
-    "attack2": _scenario_attack2,
-    "attack3": _scenario_attack3,
-    "attack4": _scenario_attack4,
-    "shellshock": _scenario_shellshock,
-    "flowmod_audit": _scenario_flowmod_audit,
-    "fsf_path": _scenario_fsf_path,
+    "attack1": (_scenario_attack1, _FLOOD_KEYS),
+    "attack2": (_scenario_attack2, _FLOOD_KEYS),
+    "attack3": (_scenario_attack3, ("tampered_hosts",)),
+    "attack4": (_scenario_attack4, ()),
+    "shellshock": (_scenario_shellshock, ()),
+    "flowmod_audit": (_scenario_flowmod_audit, ()),
+    "fsf_path": (_scenario_fsf_path, ("packets",)),
 }
 SCENARIO_IDS = tuple(_SCENARIOS)
 
 
 def run_scenario(scenario_id: str, config: Optional[dict] = None, seed: int = 0) -> ScenarioReport:
-    """Run one scenario to a deterministic, self-judging report."""
+    """Run one scenario to a deterministic, self-judging report.  A config key
+    the scenario does not read is a ``ValueError`` that names it, so a
+    misspelled key never runs the default."""
     if scenario_id not in _SCENARIOS:
         raise ValueError(f"unknown scenario {scenario_id!r}; pick one of {SCENARIO_IDS}")
-    return _SCENARIOS[scenario_id](dict(config or {}), seed)
+    run, keys = _SCENARIOS[scenario_id]
+    config = dict(config or {})
+    known = _WORLD_KEYS + keys
+    unread = [key for key in config if key not in known]
+    if unread:
+        raise ValueError(
+            f"scenario config key(s) {', '.join(map(repr, unread))} are not read by "
+            f"{scenario_id}, which reads {', '.join(map(repr, known))}"
+        )
+    return run(config, seed)
 
 
 # ---------------------------------------------------------------------------

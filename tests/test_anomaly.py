@@ -26,7 +26,8 @@ from slice_sentinel.anomaly import (
     synthetic_flow_dataset,
     train_test_split,
 )
-from slice_sentinel.anomaly.base import check_features_labels
+from slice_sentinel.anomaly.base import check_features_labels, class_counts
+from slice_sentinel.anomaly.classifiers import _entropy
 from slice_sentinel.anomaly.features import _chi_square
 
 
@@ -46,7 +47,7 @@ def contingency_chi_square(column, labels):
 
 def score_column(column, labels) -> float:
     """One column's chi-square, scored the way ``chi_square_ranking`` scores it."""
-    return _chi_square(np.asarray(column), *np.unique(labels, return_inverse=True))
+    return _chi_square(class_counts(np.asarray(column), np.asarray(labels))[1])
 
 
 class TestChiSquare:
@@ -113,6 +114,13 @@ class TestSelectFeatures:
         y = np.array([0, 1] * 5)
         with pytest.raises(ValueError):
             select_features(X, y, k=0)
+
+    @pytest.mark.parametrize("k", [True, np.True_, 2.5], ids=["bool", "numpy-bool", "float"])
+    def test_k_that_is_not_an_int_rejected(self, k):
+        X = np.zeros((10, 3), dtype=int)
+        y = np.array([0, 1] * 5)
+        with pytest.raises(ValueError, match=rf"k must be in 1\.\.3, got {k}"):
+            select_features(X, y, k=k)
 
     def test_selection_is_deterministic(self):
         rng = np.random.default_rng(2)
@@ -483,6 +491,48 @@ def test_chi_square_ranking_sorts_by_each_columns_score(problem):
     assert chi_square_ranking(X, y) == sorted(range(X.shape[1]), key=lambda j: (-scores[j], j))
 
 
+def _reference_class_counts(column, y):
+    """The table every stage built before the counting kernel: sort the
+    column with ``np.unique``, then count each (value index, label) pair."""
+    values, inverse = np.unique(column, return_inverse=True)
+    return values, np.bincount(inverse * 2 + y, minlength=2 * len(values)).reshape(-1, 2)
+
+
+@st.composite
+def counted_column(draw):
+    """A column of one dtype, long enough that a uint8 value above 127 can
+    pass the kernel's 4 x length bound, with values below 0 and above the
+    bound, and float columns holding both zeros."""
+    dtype, values = draw(st.sampled_from([
+        (np.int64, st.integers(-3, 200)),
+        (np.int32, st.integers(-3, 200)),
+        (np.uint8, st.integers(0, 255)),
+        (np.float64, st.sampled_from([-0.0, 0.0, 1.5, -2.0, 3.0])),
+    ]))
+    n = draw(st.integers(1, 80))
+    column = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return column, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(counted_column())
+@example((np.array([7], dtype=np.int64), np.array([1])))
+@example((np.array([200] * 60 + [3], dtype=np.uint8), np.array([0, 1] * 30 + [1])))
+@example((np.array([5, -1, 5], dtype=np.int32), np.array([0, 1, 1])))
+@example((np.array([0, 9, 9], dtype=np.int64), np.array([1, 0, 0])))
+@example((np.array([0.0, -0.0, 1.5, -0.0]), np.array([1, 0, 0, 1])))
+def test_class_counts_equal_the_sorted_unique_table(problem):
+    column, y = problem
+    values, table = class_counts(column, y)
+    expected_values, expected_table = _reference_class_counts(column, y)
+    assert values.dtype == expected_values.dtype
+    assert np.array_equal(values, expected_values)
+    assert np.array_equal(np.signbit(values), np.signbit(expected_values))
+    assert table.shape == expected_table.shape
+    assert np.array_equal(table, expected_table)
+
+
 # The messages are the ones the label check gave when it sorted every label set.
 @pytest.mark.parametrize("labels, shown", [
     pytest.param([0, 1, 0.5], "[0.0, 0.5, 1.0]", id="half"),
@@ -594,6 +644,7 @@ def test_one_fit_elimination_ranking_equals_a_refit_per_trial(problem):
     pytest.param([7, 1], r"candidate 7 is not a feature index in 0\.\.3", id="past-the-end"),
     pytest.param([1, 1], "candidate 1 is repeated", id="repeated"),
     pytest.param([-1, 2], r"candidate -1 is not a feature index in 0\.\.3", id="negative"),
+    pytest.param([True, 2], r"candidate True is not a feature index in 0\.\.3", id="bool"),
 ])
 def test_backward_elimination_rejects_bad_candidates(candidates, message, y):
     X = np.arange(40).reshape(10, 4) % 3
@@ -768,6 +819,85 @@ def test_tree_predict_equals_predict_one_and_the_per_row_walk(problem):
         assert labels.tolist() == [_reference_tree_label(tree, row) for row in rows]
 
 
+def _reference_tree(X, y, max_depth, depth=0):
+    """The tree as ``DecisionTree._build`` grew it before the counting
+    kernel: each node sorts every column with ``np.unique`` and hands its
+    children copies of the matrix.  A node reads ``("leaf", label)`` or
+    ``("split", feature, majority, [(key, child), ...])``."""
+    counts = tuple(int(c) for c in np.bincount(y, minlength=2))
+    majority = 1 if counts[1] > counts[0] else 0
+    if counts[0] == 0 or counts[1] == 0 or (max_depth is not None and depth >= max_depth):
+        return ("leaf", majority)
+    base = _entropy(counts)
+    best, best_ratio, fallback = None, 0.0, None
+    for j in range(X.shape[1]):
+        values, inverse = np.unique(X[:, j], return_inverse=True)
+        if len(values) < 2:
+            continue
+        if fallback is None:
+            fallback = (j, values, inverse)
+        gain, split_info = base, 0.0
+        by_value = np.bincount(inverse * 2 + y, minlength=2 * len(values)).reshape(-1, 2)
+        for value_counts in by_value.tolist():
+            fraction = (value_counts[0] + value_counts[1]) / y.shape[0]
+            gain -= fraction * _entropy(value_counts)
+            split_info -= fraction * math.log2(fraction)
+        ratio = gain / split_info
+        if gain > 1e-12 and ratio > best_ratio + 1e-12:
+            best, best_ratio = (j, values, inverse), ratio
+    if best is None:
+        if fallback is None:
+            return ("leaf", majority)
+        best = fallback
+    feature, values, inverse = best
+    branches = []
+    for vi, key in enumerate(values.tolist()):
+        mask = inverse == vi
+        branches.append((key, _reference_tree(X[mask], y[mask], max_depth, depth + 1)))
+    return ("split", feature, majority, branches)
+
+
+def _tree_shape(node):
+    """A fitted tree in ``_reference_tree``'s form."""
+    if not hasattr(node, "branches"):
+        return ("leaf", node.label)
+    return ("split", node.feature, node.majority,
+            [(key, _tree_shape(child)) for key, child in node.branches.items()])
+
+
+def _typed(shape):
+    """The shape with each branch key's type beside it: 1 == 1.0 must not
+    hide an int key turned float."""
+    if shape[0] == "leaf":
+        return shape
+    _split, feature, majority, branches = shape
+    return ("split", feature, majority,
+            [(type(key), key, _typed(child)) for key, child in branches])
+
+
+@st.composite
+def binned_tree_problem(draw):
+    n_features = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 40))
+    cells = st.lists(st.integers(0, 9), min_size=n_features, max_size=n_features)
+    X = np.array(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows)))
+    return X, y, draw(st.sampled_from([None, 0, 1, 2, 3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(binned_tree_problem())
+@example((np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), np.array([0, 1, 1, 0]), None))
+def test_tree_grows_the_tree_the_sorting_build_grew(problem):
+    """Same split features, branch keys in order, majorities and leaf labels
+    as the reference build, on the binned integers (the kernel's bincount
+    path) and on the same values as floats (its np.unique path)."""
+    X, y, depth = problem
+    for matrix in (X, X.astype(float)):
+        tree = DecisionTree(max_depth=depth).fit(matrix, y)
+        assert _typed(_tree_shape(tree.root_)) == _typed(_reference_tree(matrix, y, depth))
+
+
 class _Stub:
     """A stand-in model: ``predict`` returns fixed labels and scores and keeps
     every matrix it was given."""
@@ -929,3 +1059,36 @@ class TestDataPipeline:
         model = NaiveBayesClassifier().fit(train.features, train.labels)
         metrics = evaluate(model, test)
         assert metrics.accuracy >= 95.0
+
+
+@st.composite
+def binner_problem(draw):
+    """A float matrix whose values repeat often enough to repeat an edge."""
+    n_features = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 30))
+    value = st.one_of(st.sampled_from([0.0, 1.0, 2.5]),
+                      st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+    cells = st.lists(value, min_size=n_features, max_size=n_features)
+    X = np.array(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)), dtype=float)
+    return X, draw(st.integers(2, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(binner_problem())
+@example((np.array([[0.0], [0.0], [0.0], [1.0]]), 4))
+def test_binner_equals_per_column_quantile_and_searchsorted(problem):
+    """``fit`` gives each column's own ``np.quantile`` edges bit for bit, and
+    ``transform`` gives ``searchsorted(side="right")``, also on values that
+    equal an edge."""
+    X, n_bins = problem
+    binner = EqualFrequencyBinner(n_bins=n_bins).fit(X)
+    quantiles = np.linspace(0, 1, n_bins + 1)[1:-1]
+    assert len(binner.edges_) == X.shape[1]
+    for j, edges in enumerate(binner.edges_):
+        assert np.array_equal(edges, np.quantile(X[:, j], quantiles))
+    rows = np.vstack([X, np.column_stack(binner.edges_)])
+    expected = np.column_stack([np.searchsorted(edges, rows[:, j], side="right")
+                                for j, edges in enumerate(binner.edges_)])
+    binned = binner.transform(rows)
+    assert binned.dtype == expected.dtype
+    assert np.array_equal(binned, expected)

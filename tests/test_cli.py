@@ -194,6 +194,23 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: scenario config {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("scenario, params, unread", [
+        ("attack1", {"attack_packet": 0, "benign_packets": 10}, "'attack_packet'"),
+        ("shellshock", {"packets": 3, "tampered_hosts": []}, "'packets', 'tampered_hosts'"),
+        ("fsf_path", {"attack_packets": 5}, "'attack_packets'"),
+    ], ids=["attack1-misspelled", "shellshock-two-unread", "fsf_path-flood-key"])
+    def test_a_config_key_the_scenario_does_not_read_exits_2_naming_it(
+        self, scenario, params, unread, tmp_path, capsys
+    ):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        code = main(["run", scenario, "--scenario-config", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario config key(s) {unread} are not read by {scenario}")
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_and_events_written(self, tmp_path):
         out = tmp_path / "o"
         main(["run", "shellshock", "--out", str(out)])
