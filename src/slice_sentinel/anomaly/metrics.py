@@ -14,7 +14,7 @@ such as ``model.predict_one``, is taken as the model itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -34,16 +34,7 @@ class EvalMetrics:
     confusion: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "tpr": self.tpr,
-            "tnr": self.tnr,
-            "fnr": self.fnr,
-            "fpr": self.fpr,
-            "auc": self.auc,
-            "roc": [[f, t] for f, t in self.roc],
-            "confusion": self.confusion,
-        }
+        return asdict(self)
 
     def roc_csv(self) -> str:
         lines = ["fpr,tpr"]

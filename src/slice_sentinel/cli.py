@@ -45,7 +45,7 @@ EXIT_ORACLE_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -329,9 +329,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except UnknownNodeError as exc:
         print(f"error: the topology has no node {exc.args[0]!r}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

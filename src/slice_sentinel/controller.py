@@ -77,7 +77,6 @@ class ManagerConfig:
 
 @dataclass
 class FlowRecord:
-    device_id: str
     src_ip: str
     dst_ip: str
     slice_id: int
@@ -162,6 +161,8 @@ class SecurityManager:
         self.signatures = list(signatures or [])
         self.config = config or ManagerConfig()
         self.flows: dict[str, FlowRecord] = {}
+        # device -> flow id -> record: the same records as ``flows``.
+        self._device_flows: dict[str, dict[str, FlowRecord]] = {}
         self.global_blacklist: set[str] = set()
         self.admin_alerts: list[dict] = []
         self.pending_alerts: list[sf.Alert] = []
@@ -362,15 +363,22 @@ class SecurityManager:
                 verdict, error = "error", f"no host for destination {packet.dst_ip}"
         if dst_node is not None:
             slice_id, service = pair
-            record = FlowRecord(device, packet.src_ip, packet.dst_ip, slice_id, service, reqs,
+            record = FlowRecord(packet.src_ip, packet.dst_ip, slice_id, service, reqs,
                                 edge=punt.node, path=())
+            # An older flow of the device on the same addresses matches the
+            # same packets, and this flow's rules replace its rules: retire it.
+            device_flows = self._device_flows.get(device)
+            for old_id, old in list(device_flows.items()) if device_flows else ():
+                if old_id != flow_id and (old.src_ip, old.dst_ip) == (packet.src_ip, packet.dst_ip):
+                    self._clear_rules(old)
+                    del self.flows[old_id], device_flows[old_id]
             installed = self._route(record, punt.node, punt.port, dst_node)
             cost += cfg.path_compute_us
             if installed is None:
                 verdict, error = "error", f"no route from {punt.node} to {dst_node}"
             else:
                 cost += installed * cfg.rule_install_us
-                self.flows[flow_id] = record
+                self.flows[flow_id] = self._device_flows.setdefault(device, {})[flow_id] = record
         return FlowDecision(flow_id, verdict, extraction, cost, error)
 
     def _generic_host(self) -> Optional[str]:
@@ -392,10 +400,10 @@ class SecurityManager:
 
         self.global_blacklist.add(device)
         self._log(pol.EV_DEVICE_BLACKLISTED, None, device_id=device, reason=alert.reason)
-        records = [r for r in self.flows.values() if r.device_id == device]
+        records = list(self._device_flows.get(device, {}).values())
         # Edge deployments only hold devices of repository profiles, so the
         # repository and the flow records are every device the manager knows.
-        if not (records or self.repository.device_known(device)):
+        if not records and self.repository.user_of_device(device) is None:
             self._admin_alert("unknown-device-alert", {"device_id": device, "reason": alert.reason})
         for record in records:
             self._clear_rules(record)
@@ -511,8 +519,8 @@ class SecurityManager:
             to_dep.validator.windows[device_id] = window.copy()
 
         reanchored = 0
-        for record in self.flows.values():
-            if record.device_id != device_id or record.edge != from_edge:
+        for record in self._device_flows.get(device_id, {}).values():
+            if record.edge != from_edge:
                 continue
             self._clear_rules(record)
             if blacklisted:
@@ -536,7 +544,7 @@ class SecurityManager:
                 f"flow {flow_id!r} service {record.service!r} does not require confidentiality"
             )
         ingress = record.edge
-        egress = record.path[-2] if len(record.path) >= 2 else record.edge
+        egress = record.path[-2]
         if ingress == egress:
             raise ProvisioningError(
                 f"flow {flow_id!r} enters and exits at {ingress!r}; nothing to secure"

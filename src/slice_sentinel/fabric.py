@@ -595,7 +595,9 @@ def build_topology(config: dict) -> Fabric:
         for end in (a, b):
             if end not in fabric.nodes:
                 raise TopologyError(f"link references undefined node {end!r}")
-        latency = int(link.get("latency_ms", DEFAULT_LINK_LATENCY_MS))
+        latency = link.get("latency_ms", DEFAULT_LINK_LATENCY_MS)
+        if isinstance(latency, bool) or not isinstance(latency, int) or latency < 0:
+            raise TopologyError(f"link {a}-{b} latency_ms must be an integer >= 0, got {latency!r}")
         node_a, node_b = fabric.nodes[a], fabric.nodes[b]
         # Ports are numbered 1, 2, ... in link order and never removed.
         port_a = len(node_a.ports) + 1
@@ -606,7 +608,9 @@ def build_topology(config: dict) -> Fabric:
         node_b.port_to.setdefault(a, port_b)
 
     for raw in _entries(config, "slices", ("vlan",)):
-        vlan = int(raw["vlan"])
+        vlan = raw["vlan"]
+        if isinstance(vlan, bool) or not isinstance(vlan, int):
+            raise TopologyError(f"slice vlan must be an integer, got {vlan!r}")
         if not VLAN_MIN <= vlan <= VLAN_MAX:
             raise TopologyError(f"slice id {vlan} outside VLAN range {VLAN_MIN}..{VLAN_MAX}")
         if vlan in fabric.slices:

@@ -167,9 +167,6 @@ class PolicyRepository:
                     return action.security_reqs
         return frozenset()
 
-    def device_known(self, device_mac: str) -> bool:
-        return device_mac in self._by_mac
-
     def service_at(self, dest_ip: str) -> Optional[tuple[int, str]]:
         """The (slice, service) a destination IP hosts, if any rule names it."""
         return self._service_at.get(dest_ip)

@@ -189,13 +189,6 @@ class TrafficDriver:
         assert not self.manager.fabric.punt_events, "packets still in flight"
         return totals
 
-    def stream_counts(self) -> dict:
-        return {
-            stream: {k: (dict(sorted(v.items())) if isinstance(v, dict) else v)
-                     for k, v in sorted(bucket.items())}
-            for stream, bucket in sorted(self.counts.items())
-        }
-
 
 def _config_count(config: dict, key: str, default: int) -> int:
     """A packet count from a scenario config: an integer >= 1, never a bool."""
@@ -229,9 +222,9 @@ def _driver_report(scenario_id: str, seed: int, driver: TrafficDriver, verdict: 
         packets=driver.packet_totals(),
         alerts=[a.to_dict() for a in driver.alerts],
         audits=list(audits),
-        timings={"flow_setup_ms": dict(sorted(driver.setup_times_ms.items()))},
+        timings={"flow_setup_ms": driver.setup_times_ms},
         verdict=verdict,
-        details={"streams": driver.stream_counts(), **details},
+        details={"streams": driver.counts, **details},
     )
 
 
@@ -694,6 +687,8 @@ def bench_flow_setup(
         raise ValueError("runs must be >= 1")
     if security not in ("on", "off", "both"):
         raise ValueError(f"security must be on, off or both, got {security!r}")
+    if not sizes:
+        raise ValueError("sizes must not be empty")
     if any(n < 1 for n in sizes):
         raise ValueError("fleet size must be >= 1")
     modes = {"on": [True], "off": [False], "both": [False, True]}[security]
@@ -731,6 +726,8 @@ def bench_signature_latency(
         raise ValueError("runs must be >= 1")
     if packets < 1:
         raise ValueError("packets must be >= 1")
+    if not counts:
+        raise ValueError("counts must not be empty")
     if any(n < 0 for n in counts):
         raise ValueError("signature count must be >= 0")
     cfg = ManagerConfig()

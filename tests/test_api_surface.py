@@ -28,7 +28,7 @@ second is now the id-keyed dict the duplicate check reads.  So was
 sites of the decision tree and never read; it is deleted.  One such field
 is left: ``FlowDecision.error`` is read only by tests and passes because
 perfbench calls ``parser.error``.  Per-reason drop counters in the reports
-(ROADMAP item 3) are its natural reader.  A field read only by the code that
+(ROADMAP item 5) are its natural reader.  A field read only by the code that
 writes it is invisible here too: ``FlowRule.provenance`` was read only by
 ``apply_flow_mod``, to decide whether to overwrite it, and by one test.  It
 is deleted; a switch cannot tell who sent a rule.
@@ -43,7 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "slice_sentinel"
 
-# Kept without a caller on purpose: ROADMAP item 3 (`audit --log`) loads a
+# Kept without a caller on purpose: ROADMAP item 5 (`audit --log`) loads a
 # recorded activity log from disk.
 UNUSED_BY_DESIGN = {"ActivityLog.load"}
 

@@ -70,6 +70,11 @@ BAD_INPUT_FILES = {
         json.dumps(_edited("topology.json", lambda d: d["slices"].append(dict(d["slices"][0])))),
         "duplicate slice vlan 100",
     ),
+    "link-latency-not-integer": (
+        "--topology",
+        json.dumps(_edited("topology.json", lambda d: d["links"][0].update(latency_ms=1.7))),
+        "link UE1-OVS1 latency_ms must be an integer >= 0, got 1.7",
+    ),
     "policy-action-not-object": (
         "--policies", json.dumps(_edited("policies.json", lambda d: d[0].update(actions=[5]))),
         "policy '02': action must be an object, got 5",
@@ -277,8 +282,11 @@ class TestBenchCommand:
         (["signatures", "--runs", "0"], "runs must be >= 1"),
         (["signatures", "--packets", "0"], "packets must be >= 1"),
         (["signatures", "--counts=-1"], "signature count must be >= 0"),
+        (["flow-setup", "--sizes", ","], "sizes must not be empty"),
+        (["signatures", "--counts", ","], "counts must not be empty"),
     ], ids=["flow-setup-runs-0", "flow-setup-size-0", "flow-setup-size-10-then-0",
-            "signatures-runs-0", "signatures-packets-0", "signatures-count-negative"])
+            "signatures-runs-0", "signatures-packets-0", "signatures-count-negative",
+            "flow-setup-sizes-empty", "signatures-counts-empty"])
     def test_a_bad_bench_parameter_exits_2_with_its_message(
         self, options, message, tmp_path, capsys
     ):

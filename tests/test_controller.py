@@ -6,6 +6,8 @@ from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slice_sentinel import policy as pol
 from slice_sentinel.controller import ManagerConfig, ProvisioningError, UnknownDeviceError
@@ -38,7 +40,7 @@ from slice_sentinel.policy import (
     extract_profile,
     parse_policy_rule,
 )
-from slice_sentinel.scenarios import TrafficDriver
+from slice_sentinel.scenarios import UE_MACS, TrafficDriver, load_default_config
 from slice_sentinel.security_functions import (
     AccessVerdict,
     Alert,
@@ -50,11 +52,10 @@ from conftest import build_world, drive
 
 
 def ue_packet(ue: int, dst_ip: str, flow: str, payload: bytes = b"data", ts: int = 0) -> Packet:
-    macs = {1: "00:09:00:AA", 2: "00:09:00:AC", 3: "00:09:00:AD", 4: "00:09:00:AE"}
     return Packet(
         src_ip=f"10.0.0.{ue}",
         dst_ip=dst_ip,
-        src_mac=macs[ue],
+        src_mac=UE_MACS[ue],
         dst_mac="00:09:00:BB",
         payload=payload,
         flow_id=flow,
@@ -366,6 +367,14 @@ def switches_of(fabric) -> list[str]:
     return sorted(n for n, node in fabric.nodes.items() if node.kind != NodeKind.HOST)
 
 
+def assert_records_name_installed_rules(fabric, manager) -> None:
+    """Every (node, rule id) a flow record names is in that node's table."""
+    for flow_id, record in manager.flows.items():
+        for node, rule_id in record.rules:
+            installed = {r.rule_id for r in fabric.nodes[node].table.rules()}
+            assert rule_id in installed, (flow_id, node, rule_id)
+
+
 class TestTickAudit:
     def test_tick_equals_one_audit_now_per_switch(self, topology_doc, policy_doc, signature_doc):
         _fabric, _repo, ticked = churned_world(topology_doc, policy_doc, signature_doc)
@@ -470,21 +479,37 @@ class TestTickAudit:
     def test_a_second_flow_on_the_same_addresses_replaces_the_first_flows_rules(self, world):
         fabric, _repo, manager = world
         drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-a"), ("OVS1", 1))
+        first = list(manager.flows["f-a"].rules)
         # The first flow's rules now match every packet on these addresses,
         # so the second flow id reaches the controller only as its own punt.
         header = replace(ue_packet(1, "10.0.0.8", "f-b"), payload=b"")
+        before = len(manager.log)
         assert manager.new_flow(PuntEvent(node="OVS1", port=1, packet=header)).verdict == "permitted"
-        first, second = manager.flows["f-a"], manager.flows["f-b"]
-        assert [n for n, _r in first.rules] == [n for n, _r in second.rules]
-        for (node, old_id), (_node, new_id) in zip(first.rules, second.rules):
-            ids = {r.rule_id for r in fabric.nodes[node].table.rules()}
-            assert old_id not in ids and new_id in ids
+        # The second flow retires the first: its deletes, then the new installs.
+        second = list(manager.flows["f-b"].rules)
+        logged = [
+            (e["type"], e["node"], e.get("rule_id") or e["rule"]["rule_id"])
+            for e in manager.log.events()[before:]
+        ]
+        assert logged == [(pol.EV_RULE_DELETED, n, r) for n, r in first] + [
+            (pol.EV_RULE_INSTALLED, n, r) for n, r in second
+        ]
+        assert list(manager.flows) == ["f-b"]
+        with pytest.raises(ValueError, match="unknown flow"):
+            manager.provision_security("f-a")
+        assert_records_name_installed_rules(fabric, manager)
         interval = manager.config.audit_interval_ms
         assert all(r.clean for r in manager.tick(now_ms=interval))
-        # Blacklisting clears both flows: the first flow's ids are gone from
-        # the tables already, and its drop rule is replaced by the second's.
+        # Blacklisting clears the one remaining flow and anchors its drop.
         alert = Alert("flow-validator", "00:09:00:AA", "f-b", "anomaly:rate", "high", 5)
+        before = len(manager.log)
         assert manager.alert(alert) == "blacklisted"
+        deleted = [
+            (e["node"], e["rule_id"])
+            for e in manager.log.events()[before:] if e["type"] == pol.EV_RULE_DELETED
+        ]
+        assert deleted == second
+        assert_records_name_installed_rules(fabric, manager)
         results = manager.tick(now_ms=2 * interval)
         assert len(results) == len(switches_of(fabric))
         assert all(r.clean for r in results), [r.to_dict() for r in results if not r.clean]
@@ -506,6 +531,47 @@ class TestTickAudit:
         assert len(manager.log) == entries
         assert {n: node.table.rules() for n, node in fabric.nodes.items()} == tables
         assert manager.admin_alerts == alerts
+
+
+# One step on the bundled topologies: UE ``ue`` punts a first packet to a
+# service IP under a fresh flow id (an address pair may repeat), is reported
+# by an alert, or hands over to its other edge, if it has one.
+FLOW_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("flow"), st.integers(1, 4), st.sampled_from(
+        ["10.0.0.5", "10.0.0.6", "10.0.0.7", "10.0.0.8"])),
+    st.tuples(st.just("alert"), st.integers(1, 4), st.none()),
+    st.tuples(st.just("handover"), st.integers(1, 4), st.none()),
+), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["topology.json", "topology_handover.json"]), FLOW_STEPS)
+def test_flow_records_name_only_installed_rules(topology, steps):
+    fabric, _repo, manager = build_world(
+        load_default_config(topology), load_default_config("policies.json"),
+        load_default_config("signatures.json"),
+    )
+    edges = sorted(n for n, node in fabric.nodes.items() if node.kind is NodeKind.EDGE)
+    homes = {ue: [e for e in edges if fabric.port_toward(e, f"UE{ue}") is not None] for ue in UE_MACS}
+    at = {ue: homes[ue][0] for ue in UE_MACS}
+    interval = manager.config.audit_interval_ms
+    for step, (kind, ue, dst_ip) in enumerate(steps, start=1):
+        if kind == "flow":
+            header = replace(ue_packet(ue, dst_ip, f"f-{step}"), payload=b"")
+            port = fabric.port_toward(at[ue], f"UE{ue}")
+            manager.new_flow(PuntEvent(node=at[ue], port=port, packet=header))
+        elif kind == "alert":
+            manager.alert(Alert("flow-validator", UE_MACS[ue], "f", "anomaly:rate", "high", 1))
+        elif len(homes[ue]) > 1:
+            to_edge = next(e for e in homes[ue] if e != at[ue])
+            try:
+                manager.handover(UE_MACS[ue], at[ue], to_edge)
+                at[ue] = to_edge
+            except UnknownDeviceError:
+                pass  # no state at its edge yet: nothing changed
+        assert_records_name_installed_rules(fabric, manager)
+        results = manager.tick(now_ms=step * interval)
+        assert all(r.clean for r in results), [r.to_dict() for r in results if not r.clean]
 
 
 class TestAttestationGate:

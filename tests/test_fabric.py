@@ -173,6 +173,28 @@ class TestBuildTopology:
         with pytest.raises(TopologyError, match="VLAN"):
             build_topology(config)
 
+    @pytest.mark.parametrize("latency", [-5, 1.7, True, "3", None])
+    def test_link_latency_must_be_an_integer_at_least_zero(self, latency):
+        config = {
+            "nodes": [{"id": "A", "kind": "core"}, {"id": "B", "kind": "core"}],
+            "links": [{"a": "A", "b": "B", "latency_ms": latency}],
+        }
+        with pytest.raises(TopologyError, match="link A-B latency_ms"):
+            build_topology(config)
+
+    def test_zero_latency_link_loads(self):
+        config = {
+            "nodes": [{"id": "A", "kind": "core"}, {"id": "B", "kind": "core"}],
+            "links": [{"a": "A", "b": "B", "latency_ms": 0}],
+        }
+        assert build_topology(config).nodes["A"].ports == {1: ("B", 1, 0)}
+
+    @pytest.mark.parametrize("vlan", [True, 100.9, "100", None])
+    def test_slice_vlan_must_be_an_integer(self, vlan):
+        config = {"nodes": [], "slices": [{"vlan": vlan, "name": "bad", "hosts": []}]}
+        with pytest.raises(TopologyError, match="slice vlan must be an integer"):
+            build_topology(config)
+
 
 class TestInjectPacket:
     def test_first_packet_punts_and_emits_header_event(self):
@@ -428,14 +450,18 @@ class TestReports:
         assert canonical_json(first) == canonical_json(second)
 
 
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children), st.lists(children).map(tuple), st.dictionaries(st.text(), children),
+    )
+
+
 json_values = st.recursive(
     st.one_of(
         st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
         st.floats(allow_nan=True, allow_infinity=True), st.text(),
     ),
-    lambda children: st.one_of(
-        st.lists(children), st.lists(children).map(tuple), st.dictionaries(st.text(), children),
-    ),
+    _json_containers,
     max_leaves=20,
 )
 

@@ -84,7 +84,6 @@ class TestLoadPolicies:
         assert repo.rules == {}
         assert repo.service_at("10.0.0.8") is None
         assert repo.user_of_device("aa:bb") is None
-        assert not repo.device_known("aa:bb")
 
     def test_duplicate_policy_id_rejected(self):
         doc = sample_policy_doc()
@@ -127,7 +126,7 @@ class TestLoadPolicies:
         assert "(200, 'Service1')" in message and "(300, 'Other')" in message
         assert repo.rules == rules_before
         assert repo.service_at("10.0.0.8") == (200, "Service1")
-        assert not repo.device_known("00:09:00:AD")
+        assert repo.user_of_device("00:09:00:AD") is None
 
     def test_action_no_destination_serves_is_rejected(self):
         # 10.0.0.6 stands for the first pair only, and no rule serves the second.

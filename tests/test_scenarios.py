@@ -52,7 +52,7 @@ def test_a_flow_the_controller_cannot_resolve_is_an_unresolved_punt(
     )
     trace = driver.send(stranger, ("OVS1", 1), "guest")
     assert trace.outcome == Punted(node="OVS1")
-    assert driver.stream_counts() == {"guest": {
+    assert driver.counts == {"guest": {
         "delivered": 0, "dropped_at_entry": 1, "dropped_in_slice": 0, "injected": 1,
         "reasons": {"unresolved-punt": 1},
     }}
