@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import ClassVar, Optional
 
 from . import policy as pol
@@ -75,6 +76,18 @@ class ManagerConfig:
         return self.dispatch_hops * self.hop_cost_us
 
 
+# What a destination no rule serves stands for.
+_GENERIC_PAIR = (ManagerConfig.generic_slice, "generic")
+
+
+@lru_cache(maxsize=256)
+def _decision(reason: Optional[str], cost_us: int) -> IngressDecision:
+    """The one shared decision per (reason, cost); no reason admits.  The
+    cache is bounded: reasons name signatures, and a process may load many
+    signature sets."""
+    return IngressDecision(reason is None, reason, cost_us)
+
+
 @dataclass
 class FlowRecord:
     src_ip: str
@@ -129,16 +142,18 @@ class IngressProcessor:
         """
         mgr = self.manager
         cfg = mgr.config
-        verdict = sf.check_slice_access(self.access, packet, mgr.requested_pair(packet.dst_ip))
+        verdict = sf.check_slice_access(
+            self.access, packet, mgr.repository.service_at(packet.dst_ip) or _GENERIC_PAIR
+        )
         if verdict in _DENIALS:
             mgr.log_access_denied(self.node, packet.src_mac, flow_id_of(packet), verdict.value)
-            return verdict, IngressDecision(False, verdict.value, cfg.access_check_us)
+            return verdict, _decision(verdict.value, cfg.access_check_us)
         result = sf.validate_flow(self.validator, packet, headers_only)
         if result.alert is not None:
             mgr.record_alert(result.alert)
         cost = (cfg.access_check_us + cfg.flow_validation_base_us
                 + result.signatures_scanned * cfg.signature_scan_us)
-        return verdict, IngressDecision(result.drop_reason is None, result.drop_reason, cost)
+        return verdict, _decision(result.drop_reason, cost)
 
     def process(self, packet: Packet) -> IngressDecision:
         return self.screen(packet)[1]
@@ -202,10 +217,7 @@ class SecurityManager:
 
     def requested_pair(self, dst_ip: str) -> tuple[int, str]:
         """What (slice, service) a destination stands for; generic if unknown."""
-        found = self.repository.service_at(dst_ip)
-        if found is not None:
-            return found
-        return (self.config.generic_slice, "generic")
+        return self.repository.service_at(dst_ip) or _GENERIC_PAIR
 
     def record_alert(self, alert: sf.Alert) -> None:
         """Log an alert into the activity log and queue it for handling."""
@@ -353,7 +365,7 @@ class SecurityManager:
                 pair = self.requested_pair(packet.dst_ip)
                 reqs = self.repository.security_reqs(device, pair)
             elif access is sf.AccessVerdict.ROUTE_GENERIC:
-                dst_node, pair = self._generic_host(), (cfg.generic_slice, "generic")
+                dst_node, pair = self._generic_host(), _GENERIC_PAIR
                 if dst_node is None:
                     verdict, error = "error", f"no host in generic slice {cfg.generic_slice}"
 
@@ -501,7 +513,11 @@ class SecurityManager:
         """Move a device's authorizations from one edge to another.
 
         Entries are copied, never re-extracted: the repository is not
-        consulted and no profile extraction event appears in the log.
+        consulted and no profile extraction event appears in the log.  A
+        re-routed flow with provisioned ciphers takes them to its new edge
+        and egress once each endpoint new to the key passes attestation;
+        one that fails is contained at the new edge instead, with a
+        ``provisioning-refused`` alert.  The old endpoints keep no cipher.
         """
         self.fabric.node(to_edge)
         from_dep = self.fabric.ingress_processors.get(from_edge)
@@ -519,9 +535,11 @@ class SecurityManager:
             to_dep.validator.windows[device_id] = window.copy()
 
         reanchored = 0
-        for record in self._device_flows.get(device_id, {}).values():
+        for flow_id, record in self._device_flows.get(device_id, {}).items():
             if record.edge != from_edge:
                 continue
+            old_endpoints = (record.edge, record.path[-2])
+            ciphers = [self.fabric.pop_flow_cipher(node, flow_id) for node in old_endpoints]
             self._clear_rules(record)
             if blacklisted:
                 # Carry the containment, not the connectivity.
@@ -529,7 +547,21 @@ class SecurityManager:
                 continue
             src_node = self.fabric.host_by_ip(record.src_ip)
             port = self.fabric.port_toward(to_edge, src_node) if src_node is not None else None
-            reanchored += self._route(record, to_edge, port, record.path[-1]) or 0
+            installed = self._route(record, to_edge, port, record.path[-1])
+            if installed is None:
+                continue
+            endpoints = (record.edge, record.path[-2])
+            if None not in ciphers and endpoints[0] != endpoints[1]:
+                new = [node for node in endpoints if node not in old_endpoints]
+                if self._attest_endpoints(flow_id, new) is not None:
+                    self._clear_rules(record)
+                    self._contain(record, to_edge)
+                    continue
+                for node, (mode, cipher) in zip(endpoints, ciphers):
+                    self.fabric.set_flow_cipher(node, flow_id, mode, cipher)
+                    if node in new:
+                        self._log(pol.EV_KEY_DISTRIBUTED, node, key_id=cipher.key_id)
+            reanchored += installed
         self._log(pol.EV_HANDOVER, to_edge, device_id=device_id, **{"from": from_edge, "to": to_edge})
         return HandoverResult(rules_reanchored=reanchored)
 
@@ -549,16 +581,10 @@ class SecurityManager:
             raise ProvisioningError(
                 f"flow {flow_id!r} enters and exits at {ingress!r}; nothing to secure"
             )
-        for endpoint in (ingress, egress):
-            verdict = self.attest_node(endpoint)
-            if verdict != sf.TrustVerdict.TRUSTED:
-                self._admin_alert(
-                    "provisioning-refused",
-                    {"flow_id": flow_id, "node": endpoint, "verdict": verdict.value},
-                )
-                raise ProvisioningError(
-                    f"endpoint {endpoint!r} failed attestation ({verdict.value})"
-                )
+        refused = self._attest_endpoints(flow_id, (ingress, egress))
+        if refused is not None:
+            endpoint, verdict = refused
+            raise ProvisioningError(f"endpoint {endpoint!r} failed attestation ({verdict.value})")
         key = self.keygen.generate((ingress, egress))
         self._log(pol.EV_KEY_GENERATED, None, key_id=key.key_id, endpoints=[ingress, egress])
         self.fabric.set_flow_cipher(ingress, flow_id, "encrypt", sf.FlowCipher(key))
@@ -566,3 +592,19 @@ class SecurityManager:
         for endpoint in (ingress, egress):
             self._log(pol.EV_KEY_DISTRIBUTED, endpoint, key_id=key.key_id)
         return key.key_id
+
+    def _attest_endpoints(
+        self, flow_id: str, endpoints
+    ) -> Optional[tuple[str, sf.TrustVerdict]]:
+        """Attest the nodes that are to hold a flow's key, in order.  The
+        first that fails alerts the administrator and is returned with its
+        verdict; None when all pass."""
+        for endpoint in endpoints:
+            verdict = self.attest_node(endpoint)
+            if verdict != sf.TrustVerdict.TRUSTED:
+                self._admin_alert(
+                    "provisioning-refused",
+                    {"flow_id": flow_id, "node": endpoint, "verdict": verdict.value},
+                )
+                return endpoint, verdict
+        return None

@@ -24,6 +24,10 @@ VLAN_MAX = 4094
 DEFAULT_PUNT_RULE_ID = "default-punt"
 DEFAULT_LINK_LATENCY_MS = 1
 MAX_HOPS = 64
+# A fabric's walk memo holds at most this many keys; the next new key empties it.
+MAX_WALKS = 8192
+# The memo's entry for a key that has walked unpunted but has no kept walk.
+_SEEN = object()
 
 
 class TopologyError(ValueError):
@@ -270,9 +274,13 @@ class FlowTable:
     one bucket per match (a tuple of its fields), holding its rules by priority
     descending, and a count of buckets per wildcard mask.  A lookup probes one
     bucket per mask present instead of scanning every rule.
+
+    ``version`` counts the adds and the deletes that removed a rule: a
+    lookup whose table still has the version it saw would return the same
+    rule again.
     """
 
-    __slots__ = ("_rules", "_buckets", "_masks", "_reported")
+    __slots__ = ("_rules", "_buckets", "_masks", "_reported", "version")
 
     def __init__(self) -> None:
         self._rules: dict[str, FlowRule] = {}
@@ -280,6 +288,7 @@ class FlowTable:
         self._masks: dict[itemgetter, int] = {}
         # The rules in canonical order; None once an add or delete changes them.
         self._reported: Optional[tuple[FlowRule, ...]] = None
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -295,6 +304,7 @@ class FlowTable:
 
     def add(self, rule: FlowRule) -> None:
         self._reported = None
+        self.version += 1
         previous = self._rules.pop(rule.rule_id, None)
         if previous is not None:
             self._unindex(previous)
@@ -320,6 +330,7 @@ class FlowTable:
         rule = self._rules.pop(rule_id, None)
         if rule is not None:
             self._reported = None
+            self.version += 1
             self._unindex(rule)
 
     def _unindex(self, rule: FlowRule) -> None:
@@ -416,9 +427,10 @@ class PuntEvent:
     packet: Packet
 
 
-@dataclass
+@dataclass(frozen=True)
 class IngressDecision:
-    """What an ingress security processor tells the datapath."""
+    """What an ingress security processor tells the datapath.  Frozen: a
+    processor may hand the same decision to every packet it judges alike."""
 
     allow: bool
     reason: Optional[str] = None
@@ -445,7 +457,14 @@ class Node:
 
 
 class Fabric:
-    """A built topology plus its mutable runtime state."""
+    """A built topology plus its mutable runtime state.
+
+    ``build_topology`` fixes the nodes, their kinds and links, and the
+    slices; afterwards only the flow tables, the flow ciphers (changed
+    through ``set_flow_cipher`` and ``pop_flow_cipher``), the ingress
+    processors, the tamper flags and the clock change.  ``inject_packet``
+    keeps walks on that basis (see ``_plan_walk``).
+    """
 
     def __init__(self) -> None:
         self.nodes: dict[str, Node] = {}
@@ -461,6 +480,8 @@ class Fabric:
         self._host_by_ip: dict[str, str] = {}
         # host node id -> the one outcome every delivery to it returns
         self._delivered: dict[str, Delivered] = {}
+        # walk key -> its kept walk, or _SEEN once the key walked unpunted
+        self._walks: dict[tuple, object] = {}
 
     # -- node helpers -------------------------------------------------------
 
@@ -488,6 +509,19 @@ class Fabric:
             raise ValueError(f"cipher mode must be encrypt or decrypt, got {mode!r}")
         self.node(node_id)
         self.flow_ciphers.setdefault(node_id, {})[flow_id] = (mode, cipher)
+        self._drop_walks()
+
+    def pop_flow_cipher(self, node_id: str, flow_id: str) -> Optional[tuple[str, object]]:
+        """Remove a flow's cipher at a node; returns its (mode, cipher) entry."""
+        entry = self.flow_ciphers.get(node_id, {}).pop(flow_id, None)
+        if entry is not None:
+            self._drop_walks()
+        return entry
+
+    def _drop_walks(self) -> None:
+        # A kept walk records the ciphers it met.  Its key has still walked
+        # unpunted, so its next walk is kept again.
+        self._walks = dict.fromkeys(self._walks, _SEEN)
 
     # -- routing ------------------------------------------------------------
 
@@ -669,19 +703,13 @@ def measure_attestation(fabric: Fabric, node_id: str, nonce: bytes) -> Attestati
     return AttestationReport(measured_hash=hashlib.sha256(material).digest(), nonce=nonce)
 
 
-def _apply_ciphers(
-    ciphers: dict[str, tuple[str, object]],
-    flow_id: str,
-    payload: bytes,
-    encrypted: bool,
-    next_is_host: bool,
+def _apply_cipher(
+    entry: tuple[str, object], payload: bytes, encrypted: bool, next_is_host: bool
 ) -> tuple[Optional[bytes], bool]:
-    """Run a node's cipher for this flow on the outgoing payload.
-
-    ``ciphers`` is the node's ``flow_ciphers`` entry, which holds ``flow_id``.
+    """Run a node's (mode, cipher) entry for a flow on the outgoing payload.
     The payload comes back as ``None`` when an envelope fails authentication.
     """
-    mode, cipher = ciphers[flow_id]
+    mode, cipher = entry
     if mode == "encrypt" and not encrypted:
         return cipher.encrypt(payload), True
     if mode == "decrypt" and encrypted and next_is_host:
@@ -695,40 +723,45 @@ def _apply_ciphers(
     return payload, encrypted
 
 
-def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> ForwardingTrace:
-    """Push a packet into the fabric at an edge and run it to an outcome.
+def _plan_walk(
+    fabric: Fabric, packet: Packet, at: str, port: int, timestamp: int, plan: Optional[list]
+) -> tuple[list[LinkHop], Outcome, int]:
+    """Walk a packet from node ``at``, where it arrived on ``port`` at
+    ``timestamp``, through the tables to an outcome.  Returns the hops, the
+    outcome and the timestamp at the end.
 
-    The ingress node's security processor (if deployed) runs before table
-    lookup.  The walk keeps the packet's slice tag, payload and virtual
-    timestamp in locals; ``packet`` is never changed.  A punt emits a
-    controller event naming the port the packet arrived on at the punting
-    node, and carrying a new packet cut to its header: empty payload, the
-    slice tag and timestamp it had at that node.  The flow's ciphers and the
-    punted header both name the flow by ``flow_id_of(packet)``.  The trace
-    holds the link hops the packet crossed, in order.
+    The walk keeps the packet's slice tag, payload and timestamp in locals.
+    A punt emits a controller event naming the port the packet arrived on
+    at the punting node, and carrying a new packet cut to its header: empty
+    payload, the slice tag and timestamp it had at that node.  The flow's
+    ciphers and the punted header both name the flow by
+    ``flow_id_of(packet)``.
+
+    ``plan``, when given, is ``[lookups, links, None]`` and records what the
+    walk met, which is the same for every packet of its walk key (the
+    ingress node and port, the header fields, the slice tag and the flow
+    id): ``[table, header tuple, rule it returned, table version then]`` per
+    lookup, ``(node, peer, latency ms, the node's cipher entry for the flow
+    or None, whether the peer is a host)`` per link crossed, and last the
+    outcome, which stays None after a punt.  An envelope that fails
+    authentication fails for every packet of the key while the ciphers it
+    met stay, so that outcome is planned like any other.
     """
-    node_id, port = ingress
-    node = fabric.node(node_id)
-    hops: list[LinkHop] = []
+    src_ip, dst_ip, src_mac, dst_mac = packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac
     slice_id = packet.slice_id
     payload = packet.payload
-    timestamp = packet.virtual_timestamp
-    encrypted = False
-
-    processor = fabric.ingress_processors.get(node_id)
-    if processor is not None:
-        decision: IngressDecision = processor.process(packet)
-        timestamp += decision.cost_us // 1000
-        if not decision.allow:
-            fabric.clock_ms = max(fabric.clock_ms, timestamp)
-            return ForwardingTrace(hops, Dropped(node=node_id, reason=decision.reason))
-
-    src_ip, dst_ip, src_mac, dst_mac = packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac
     flow_id = flow_id_of(packet)
+    nodes = fabric.nodes
     flow_ciphers = fabric.flow_ciphers
-    at = node_id
+    node = nodes[at]
+    hops: list[LinkHop] = []
+    encrypted = False
     for _hop in range(MAX_HOPS):
-        rule = node.table.lookup((src_ip, dst_ip, src_mac, dst_mac, slice_id, None))
+        table = node.table
+        fields = (src_ip, dst_ip, src_mac, dst_mac, slice_id, None)
+        rule = table.lookup(fields)
+        if plan is not None:
+            plan[0].append([table, fields, rule, table.version])
         if rule is None:
             outcome = Dropped(node=at, reason="no-matching-rule")
             break
@@ -738,9 +771,8 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
                 header = Packet(src_ip, dst_ip, src_mac, dst_mac, b"", flow_id,
                                 slice_id, timestamp)
                 fabric.punt_events.append(PuntEvent(node=at, port=port, packet=header))
-                outcome = Punted(node=at)
-            else:
-                outcome = Dropped(node=at, reason=f"drop-rule:{rule.rule_id}")
+                return hops, Punted(node=at), timestamp
+            outcome = Dropped(node=at, reason=f"drop-rule:{rule.rule_id}")
             break
 
         slice_id = action.slice_id
@@ -749,18 +781,20 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
             outcome = Dropped(node=at, reason="dead-port")
             break
         peer_id, peer_port, latency = link
-        peer = fabric.nodes[peer_id]
+        peer = nodes[peer_id]
         to_host = peer.kind is NodeKind.HOST
         ciphers = flow_ciphers.get(at)
-        if ciphers is not None and flow_id in ciphers:
-            payload, encrypted = _apply_ciphers(
-                ciphers, flow_id, payload, encrypted, next_is_host=to_host
-            )
+        cipher = ciphers.get(flow_id) if ciphers else None
+        if plan is not None:
+            plan[1].append((at, peer_id, latency, cipher, to_host))
+        if cipher is not None:
+            payload, encrypted = _apply_cipher(cipher, payload, encrypted, to_host)
             if payload is None:
                 outcome = Dropped(node=at, reason="auth-failed")
                 break
         timestamp += latency
-        hops.append(LinkHop(at, peer_id, encrypted, payload))
+        # LinkHop(...), without the named tuple's Python-level __new__
+        hops.append(tuple.__new__(LinkHop, (at, peer_id, encrypted, payload)))
         if to_host:
             if slice_id is not None and peer_id not in fabric.slices.get(slice_id, ()):
                 outcome = Dropped(node=at, reason="slice-violation")
@@ -772,6 +806,73 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
         port = peer_port
     else:
         outcome = Dropped(node=at, reason="hop-limit")
+    if plan is not None:
+        plan[2] = outcome
+    return hops, outcome, timestamp
+
+
+def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> ForwardingTrace:
+    """Push a packet into the fabric at an edge and run it to an outcome.
+
+    The ingress node's security processor (if deployed) runs before table
+    lookup; ``packet`` is never changed.  The walk (``_plan_walk``) is
+    planned once per walk key and kept from the key's second unpunted walk
+    on: a punted walk is never kept.  A later packet replays the kept walk
+    after checking it: a table whose
+    version moved is looked up again, and the walk is planned afresh unless
+    the same rule wins.  The ciphers (and an ``auth-failed`` drop), the
+    timestamps and the hops are per packet.  The trace holds the link hops
+    the packet crossed, in order.
+    """
+    node_id, port = ingress
+    fabric.node(node_id)
+    timestamp = packet.virtual_timestamp
+
+    processor = fabric.ingress_processors.get(node_id)
+    if processor is not None:
+        decision: IngressDecision = processor.process(packet)
+        timestamp += decision.cost_us // 1000
+        if not decision.allow:
+            fabric.clock_ms = max(fabric.clock_ms, timestamp)
+            return ForwardingTrace([], Dropped(node=node_id, reason=decision.reason))
+
+    walks = fabric._walks
+    key = (node_id, port, packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac,
+           packet.slice_id, packet.flow_id)
+    walk = walks.get(key)
+    if walk is not None and walk is not _SEEN:
+        for lookup in walk[0]:
+            table = lookup[0]
+            if table.version != lookup[3]:
+                if table.lookup(lookup[1]) is not lookup[2]:
+                    walk = _SEEN
+                    break
+                lookup[3] = table.version
+    if walk is None or walk is _SEEN:
+        plan = None if walk is None else [[], [], None]
+        hops, outcome, timestamp = _plan_walk(fabric, packet, node_id, port, timestamp, plan)
+        if isinstance(outcome, Punted):
+            if walk is not None:
+                del walks[key]
+        elif plan is not None:
+            walks[key] = plan
+        else:
+            if len(walks) >= MAX_WALKS:
+                walks.clear()
+            walks[key] = _SEEN
+    else:
+        _lookups, links, outcome = walk
+        payload = packet.payload
+        hops = []
+        encrypted = False
+        for at, peer_id, latency, cipher, to_host in links:
+            if cipher is not None:
+                payload, encrypted = _apply_cipher(cipher, payload, encrypted, to_host)
+                if payload is None:
+                    outcome = Dropped(node=at, reason="auth-failed")
+                    break
+            timestamp += latency
+            hops.append(tuple.__new__(LinkHop, (at, peer_id, encrypted, payload)))
 
     fabric.clock_ms = max(fabric.clock_ms, timestamp)
     return ForwardingTrace(hops, outcome)

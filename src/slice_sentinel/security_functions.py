@@ -13,6 +13,7 @@ import hashlib
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from cryptography.exceptions import InvalidTag
@@ -120,8 +121,10 @@ class Alert:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowValidationResult:
+    """Frozen: every packet a validator passes gets its one pass result."""
+
     # None forwards the packet; otherwise "signature:<id>" or "anomaly"
     drop_reason: Optional[str]
     alert: Optional[Alert]
@@ -140,9 +143,25 @@ class FlowValidatorState:
 
     signatures: list[Signature] = field(default_factory=list)
     windows: dict[str, deque] = field(default_factory=dict)
+    # (sig_id, pattern, is_header) per signature, in scan order
+    _scan: tuple[tuple[str, bytes, bool], ...] = field(init=False, repr=False, compare=False)
+    # What every packet that passes gets: all signatures scanned, no alert.
+    _passed: FlowValidationResult = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.signatures = sorted(self.signatures, key=lambda s: s.sig_id)
+        self._scan, self._passed = _scan_plan(tuple(self.signatures))
+
+
+@lru_cache(maxsize=16)
+def _scan_plan(
+    signatures: tuple[Signature, ...],
+) -> tuple[tuple[tuple[str, bytes, bool], ...], FlowValidationResult]:
+    """A signature set's scan tuple and pass result, built once per set and
+    shared by every validator that holds it (every edge of a manager holds
+    the manager's set).  Bounded, as a process may load many sets."""
+    scan = tuple((s.sig_id, s.pattern, s.scope == "header") for s in signatures)
+    return scan, FlowValidationResult(None, None, len(scan))
 
 
 def validate_flow(
@@ -154,12 +173,11 @@ def validate_flow(
     skipped; that mode serves flow-setup decisions where only the header has
     reached the controller.
     """
-    device = packet.src_mac
     header = None  # built at the first header-scope signature
     scanned = 0
-    for sig in state.signatures:
+    for sig_id, pattern, is_header in state._scan:
         scanned += 1
-        if sig.scope == "header":
+        if is_header:
             if header is None:
                 header = packet_header_bytes(packet)
             haystack = header
@@ -167,12 +185,13 @@ def validate_flow(
             continue
         else:
             haystack = packet.payload
-        if sig.pattern and sig.pattern in haystack:
-            drop = alert_reason = f"signature:{sig.sig_id}"
+        if pattern and pattern in haystack:
+            drop = alert_reason = f"signature:{sig_id}"
             break
     else:
         if headers_only:
-            return FlowValidationResult(None, None, scanned)
+            return state._passed
+        device = packet.src_mac
         window = state.windows.get(device)
         if window is None:
             window = state.windows[device] = deque()
@@ -182,12 +201,12 @@ def validate_flow(
             window.popleft()
         window.append(now)
         if len(window) <= DEFAULT_ANOMALY_THRESHOLD:
-            return FlowValidationResult(None, None, scanned)
+            return state._passed
         drop, alert_reason = "anomaly", "anomaly:rate"
 
     alert = Alert(
         source="flow-validator",
-        device_id=device,
+        device_id=packet.src_mac,
         flow_id=flow_id_of(packet),
         reason=alert_reason,
         severity="high",
@@ -342,6 +361,7 @@ class FlowCipher:
     """
 
     def __init__(self, key: SymmetricKey) -> None:
+        self.key_id = key.key_id
         self._nonce_counter = 0
         self._aead = AESGCM(key.key_bytes)
         self._key_id = key.key_id.encode()

@@ -2,7 +2,7 @@
 handover and key provisioning."""
 
 import json
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -640,10 +640,71 @@ class TestHandover:
         assert (record.edge, record.path, record.rules) == ("OVS1", path, [])
         assert all(audit.clean for audit in manager.tick(1000))
 
+    @pytest.fixture
+    def confidential_handover_world(self, handover_topology_doc, policy_doc, signature_doc):
+        """UE1, linked to both edges, has a provisioned flow from OVS1 to SVC1."""
+        for rule in policy_doc:
+            if rule["hostmac"] == "00:09:00:AA":
+                rule["actions"][0]["security"].append("confidentiality")
+        fabric, repo, manager = build_world(handover_topology_doc, policy_doc, signature_doc)
+        drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
+        key_id = manager.provision_security("f-ue1")
+        return fabric, manager, key_id
+
+    def test_a_provisioned_flow_stays_encrypted_after_a_handover(
+        self, confidential_handover_world
+    ):
+        fabric, manager, key_id = confidential_handover_world
+        assert manager.handover("00:09:00:AA", "OVS1", "OVS2").rules_reanchored == 4
+        port = fabric.port_toward("OVS2", "UE1")
+        packet = ue_packet(1, "10.0.0.8", "f-ue1", payload=b"vitals")
+        trace = inject_packet(fabric, packet, ("OVS2", port))
+        assert trace.outcome == Delivered(host="SVC1")
+        first, last = trace.events
+        assert (first.node, first.to, first.encrypted) == ("OVS2", "CORE1", True)
+        assert b"vitals" not in first.payload
+        assert (last.to, last.encrypted, last.payload) == ("SVC1", False, b"vitals")
+        # The encrypt side moved from OVS1 to OVS2; the egress kept its side.
+        assert {node: set(ciphers) for node, ciphers in fabric.flow_ciphers.items()} == {
+            "OVS1": set(), "OVS2": {"f-ue1"}, "CORE1": {"f-ue1"},
+        }
+        distributed = [(e["node"], e["key_id"]) for e in manager.log.events(pol.EV_KEY_DISTRIBUTED)]
+        assert distributed == [("OVS1", key_id), ("CORE1", key_id), ("OVS2", key_id)]
+        assert all(audit.clean for audit in manager.tick(1000))
+
+    def test_a_handover_to_an_edge_failing_attestation_contains_a_provisioned_flow(
+        self, confidential_handover_world
+    ):
+        fabric, manager, key_id = confidential_handover_world
+        fabric.set_tampered("OVS2", True)
+        assert manager.handover("00:09:00:AA", "OVS1", "OVS2").rules_reanchored == 0
+        refused = [(a["flow_id"], a["node"], a["verdict"])
+                   for a in manager.admin_alerts if a["kind"] == "provisioning-refused"]
+        assert refused == [("f-ue1", "OVS2", "compromised")]
+        assert not any(fabric.flow_ciphers.values())
+        port = fabric.port_toward("OVS2", "UE1")
+        trace = inject_packet(fabric, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS2", port))
+        [(_node, drop_id)] = manager.flows["f-ue1"].rules
+        assert trace.outcome == Dropped(node="OVS2", reason=f"drop-rule:{drop_id}")
+        assert trace.events == []
+        assert all(audit.clean for audit in manager.tick(1000))
+
     def test_unknown_device_handover_rejected(self, handover_world):
         fabric, repo, manager = handover_world
         with pytest.raises(UnknownDeviceError):
             manager.handover("no:such:mac", "OVS1", "OVS2")
+
+
+def test_packets_screened_alike_share_one_frozen_decision(world):
+    fabric, repo, manager = world
+    drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
+    dep = fabric.ingress_processors["OVS1"]
+    admitted = [dep.process(ue_packet(1, "10.0.0.8", "f-ue1", ts=t)) for t in (10, 11)]
+    denied = [dep.process(ue_packet(1, "10.0.0.6", "f-home", ts=t)) for t in (12, 13)]
+    assert admitted[0] is admitted[1] and admitted[0].allow
+    assert denied[0] is denied[1] and denied[0].reason == "deny-unauthorized"
+    with pytest.raises(FrozenInstanceError):
+        admitted[0].allow = False
 
 
 class TestOneDeploymentPerEdge:

@@ -8,15 +8,19 @@ step takes the fabric and node id, and a punt names the port the packet
 arrived on at the punting node, not the ingress port.  Two identical worlds
 run the same generated traffic in lockstep, one through ``inject_packet`` and
 one through the reference, and must agree on every hop, outcome, punt, clock
-reading and log byte.
+reading and log byte.  The reference plans nothing, so the lockstep also
+checks the walk memo of ``inject_packet``: a repeated send replays a kept
+walk, and the delete, replace and cipher steps change what it met.
 """
 
+import sys
 from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slice_sentinel import fabric as fabric_module
 from slice_sentinel.controller import ManagerConfig, SecurityManager
 from slice_sentinel.fabric import (
     MAX_HOPS,
@@ -214,6 +218,11 @@ steps = st.lists(
         # UE, every packet)
         st.tuples(st.just("rule"), st.sampled_from(EXTERNAL_RULES), st.integers(0, 4),
                   st.integers(0, 5)),
+        # an external delete of a switch's rule, by its place in rule id order
+        st.tuples(st.just("delete"), st.integers(0, 5), st.integers(0, 9)),
+        # an external add with a rule's (match, priority): a new id, and its
+        # action or a drop
+        st.tuples(st.just("replace"), st.integers(0, 5), st.integers(0, 9), st.booleans()),
         # a flow cipher pair, keyed alike or (tampered) apart
         st.tuples(st.just("cipher"), st.integers(0, 4), st.booleans()),
         st.tuples(st.just("alerts")),
@@ -325,6 +334,18 @@ def run_lockstep(fleet_documents, security_on, plan) -> set[str]:
                 for j, (node, action) in enumerate(pairs):
                     rule = FlowRule(f"x-{n:03d}-{j}", match, action, priority=50)
                     apply_flow_mod(w.fabric, node, FlowMod.add(rule), Provenance.EXTERNAL)
+        elif kind in ("delete", "replace"):
+            for w in worlds:
+                table = w.fabric.nodes[switches[step[1] % len(switches)]].table
+                rules = sorted(table.rules(), key=lambda r: r.rule_id)
+                if not rules:
+                    continue
+                rule = rules[step[2] % len(rules)]
+                if kind == "delete":
+                    table.delete(rule.rule_id)
+                else:
+                    action = Drop() if step[3] else rule.action
+                    table.add(FlowRule(f"x-{n:03d}-r", rule.match, action, rule.priority))
         elif kind == "cipher":
             _kind, i, tampered = step
             ue, edge, _port, _ip, _mac = ues[i % len(ues)]
@@ -358,20 +379,31 @@ FIXED_FLEET = [(0, 1, {100}, {"S1": ("amy", ("confidentiality",))}),
                (0, 2, {200}, {"S2": ("ben", ())}),
                (1, 1, {4094}, {})]
 FIXED_PLAN = [
-    ("send", 0, SERVICES["S1"][0], b"data", "own", None, 2),     # punt, then delivered
+    # punt, then delivered; the walk is kept from its second delivery on
+    ("send", 0, SERVICES["S1"][0], b"data", "own", None, 4),
+    ("delete", 0, 1),                                            # C0: U0's reverse rule
+    ("send", 0, SERVICES["S1"][0], b"data", "own", None, 2),     # same winner: still kept
+    ("replace", 0, 0, False),                                    # C0: U0's forward rule
+    ("send", 0, SERVICES["S1"][0], b"data", "own", None, 2),     # a new winner: planned afresh
+    ("delete", 0, 0),                                            # C0: that winner
+    ("send", 0, SERVICES["S1"][0], b"data", "own", None, 2),     # no-matching-rule at C0
+    ("tick",),                                                   # restores C0
+    ("send", 0, SERVICES["S1"][0], b"data", "own", None, 2),     # delivered again
     ("send", 0, SERVICES["S2"][0], b"data", "own", None, 1),     # deny-unauthorized
     ("send", 2, UNKNOWN_IP, b"data", "none", None, 2),           # generic route to G
     ("send", 1, SERVICES["S2"][0], SHELLSHOCK, "own", None, 1),  # signature
-    ("cipher", 0, True),
-    ("send", 0, SERVICES["S1"][0], b"data", "own", None, 1),     # auth-failed
+    ("cipher", 0, True),                                         # swapped under a kept walk
+    ("send", 0, SERVICES["S1"][0], b"data", "own", None, 2),     # auth-failed
     ("cipher", 0, False),
-    ("send", 0, SERVICES["S1"][0], b"data", "own", None, 1),     # encrypted, delivered
+    ("send", 0, SERVICES["S1"][0], b"data", "own", None, 2),     # encrypted, delivered
     ("rule", "wrong-slice", 0, 0),                               # at C0, for U0
     ("send", 0, SERVICES["S1"][0], b"data", "own", None, 1),     # slice-violation
     ("rule", "dead-port", 2, 1),                                 # at E0, for U1
     ("send", 1, SERVICES["S2"][0], b"data", "own", None, 1),     # dead-port
     ("rule", "drop", 3, 2),                                      # at E1, for U2
-    ("send", 2, UNKNOWN_IP, b"data", "none", None, 1),           # drop-rule
+    ("send", 2, UNKNOWN_IP, b"data", "none", None, 3),           # drop-rule
+    ("replace", 3, -1, True),                                    # E1: that drop, under a new id
+    ("send", 2, UNKNOWN_IP, b"data", "none", None, 2),           # drop-rule, naming the new id
     ("tick",),                                                   # removes the external rules
     ("rule", "stray", 3, 9),                                     # at E1, for everyone
     ("send", 2, SERVICES["S1"][0], b"data", "own", None, 1),     # no-matching-rule at C0
@@ -387,8 +419,17 @@ FIXED_PLAN = [
 ]
 
 
-def test_the_fixed_plan_reaches_every_outcome():
+def test_the_fixed_plan_reaches_every_outcome(monkeypatch):
+    """Every outcome, and kept walks: most packets replay a walk planned
+    for an earlier packet of their key."""
+    inject, plan_walk = inject_packet, fabric_module._plan_walk
+    sent, planned = [], []
+    monkeypatch.setattr(fabric_module, "_plan_walk",
+                        lambda *args: planned.append(1) or plan_walk(*args))
+    monkeypatch.setattr(sys.modules[__name__], "inject_packet",
+                        lambda *args: sent.append(1) or inject(*args))
     seen = run_lockstep(fleet(FIXED_FLEET), True, FIXED_PLAN)
+    assert 0 < 4 * len(planned) < len(sent)
     assert seen == {
         "Punted", "Punted-past-ingress", "Delivered", "deny-unauthorized", "deny-blacklisted",
         "signature", "anomaly", "auth-failed", "dead-port", "no-matching-rule", "hop-limit",

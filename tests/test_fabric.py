@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from slice_sentinel.fabric import (
     DEFAULT_PUNT_RULE_ID,
+    MAX_WALKS,
     Delivered,
     Drop,
     Dropped,
     FlowKey,
     FlowMod,
     FlowRule,
+    FlowTable,
     Forward,
     Packet,
     Provenance,
@@ -294,6 +296,99 @@ class TestInjectPacket:
         dropped = [o for o in outcomes if isinstance(o, Dropped)]
         assert len(delivered) == 1 and len(dropped) == 2
         assert len(outcomes) == len(delivered) + len(dropped)
+
+
+def _install_path(fabric, priority: int = 10, rule_ids=("r1", "r2")) -> None:
+    """OVS1 and CORE1 forward UE1's packets to SVC1 on slice 200."""
+    match = FlowKey(src_ip="10.0.0.1", dst_ip="10.0.0.8")
+    for node, rule_id in zip(("OVS1", "CORE1"), rule_ids):
+        apply_flow_mod(
+            fabric, node,
+            FlowMod.add(FlowRule(rule_id, match, Forward(port=2, slice_id=200), priority)),
+        )
+
+
+class TestWalkMemo:
+    """``inject_packet`` keeps a walk from its key's second unpunted walk on,
+    and replays it while every table it read returns the same rule."""
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        calls = []
+        lookup = FlowTable.lookup
+        monkeypatch.setattr(
+            FlowTable, "lookup", lambda table, fields: calls.append(fields) or lookup(table, fields)
+        )
+        return calls
+
+    def test_a_kept_walk_replays_without_lookups(self, lookups):
+        fabric = build_topology(small_topology())
+        _install_path(fabric)
+        traces = [inject_packet(fabric, ue_packet(), ("OVS1", 1)) for _ in range(4)]
+        # Two walks planned, one lookup per switch each; two replayed.
+        assert len(lookups) == 4
+        assert [t.outcome for t in traces] == [Delivered(host="SVC1")] * 4
+        assert all(t.events == traces[0].events for t in traces)
+
+    def test_a_moved_table_is_looked_up_again_and_a_new_winner_replans(self, lookups):
+        fabric = build_topology(small_topology())
+        _install_path(fabric)
+        for _ in range(2):
+            inject_packet(fabric, ue_packet(), ("OVS1", 1))
+        del lookups[:]
+        # A rule that loses at CORE1: one lookup there, and the walk is kept.
+        apply_flow_mod(fabric, "CORE1", FlowMod.add(
+            FlowRule("other", FlowKey(src_ip="10.0.0.2"), Drop(), priority=99)))
+        assert inject_packet(fabric, ue_packet(), ("OVS1", 1)).outcome == Delivered(host="SVC1")
+        assert inject_packet(fabric, ue_packet(), ("OVS1", 1)).outcome == Delivered(host="SVC1")
+        assert len(lookups) == 1
+        # The winner at CORE1 deleted: the walk is planned afresh.
+        apply_flow_mod(fabric, "CORE1", FlowMod.delete("r2"))
+        trace = inject_packet(fabric, ue_packet(), ("OVS1", 1))
+        assert trace.outcome == Dropped(node="CORE1", reason="no-matching-rule")
+        # The winner replaced under its (match, priority): planned afresh again.
+        _install_path(fabric, rule_ids=("r1b", "r2"))
+        assert inject_packet(fabric, ue_packet(), ("OVS1", 1)).outcome == Delivered(host="SVC1")
+        apply_flow_mod(fabric, "OVS1", FlowMod.add(
+            FlowRule("deny", FlowKey(src_ip="10.0.0.1", dst_ip="10.0.0.8"), Drop(), priority=10)))
+        trace = inject_packet(fabric, ue_packet(), ("OVS1", 1))
+        assert trace.outcome == Dropped(node="OVS1", reason="drop-rule:deny")
+
+    def test_a_cipher_set_after_a_walk_was_kept_applies(self):
+        fabric = build_topology(small_topology())
+        _install_path(fabric)
+        for _ in range(3):
+            assert not inject_packet(fabric, ue_packet(), ("OVS1", 1)).events[0].encrypted
+        key = KeyGenerator(seed=1).generate(("OVS1", "CORE1"))
+        fabric.set_flow_cipher("OVS1", "78b34x", "encrypt", FlowCipher(key))
+        fabric.set_flow_cipher("CORE1", "78b34x", "decrypt", FlowCipher(key))
+        for _ in range(3):
+            first, last = inject_packet(fabric, ue_packet(), ("OVS1", 1)).events
+            assert first.encrypted and b"hello" not in first.payload
+            assert (last.encrypted, last.payload) == (False, b"hello")
+        assert fabric.pop_flow_cipher("OVS1", "78b34x")[0] == "encrypt"
+        assert fabric.pop_flow_cipher("OVS1", "78b34x") is None
+        first, _last = inject_packet(fabric, ue_packet(), ("OVS1", 1)).events
+        assert (first.encrypted, first.payload) == (False, b"hello")
+
+    def test_spoofed_first_packets_that_punt_leave_the_memo_empty(self):
+        fabric = build_topology(small_topology())
+        for _round in range(2):
+            for i in range(200):
+                packet = ue_packet(src_mac=f"02:00:00:00:{i:04x}", flow_id=f"spoof-{i}")
+                assert inject_packet(fabric, packet, ("OVS1", 1)).outcome == Punted(node="OVS1")
+        assert len(fabric.punt_events) == 400
+        assert fabric._walks == {}
+
+    def test_the_memo_empties_when_it_reaches_its_cap(self):
+        fabric = build_topology(small_topology())
+        # CORE1 has no rules: every walk from it ends there, unpunted.
+        for i in range(MAX_WALKS):
+            inject_packet(fabric, ue_packet(flow_id=f"f-{i}"), ("CORE1", 1))
+        assert len(fabric._walks) == MAX_WALKS
+        inject_packet(fabric, ue_packet(flow_id="one-more"), ("CORE1", 1))
+        assert list(fabric._walks) == [("CORE1", 1, "10.0.0.1", "10.0.0.8", "00:09:00:AA",
+                                        "00:09:00:BB", None, "one-more")]
 
 
 class TestPriorityMatching:

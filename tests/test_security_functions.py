@@ -1,6 +1,8 @@
 """Security function unit tests: access control, flow validation, attestation,
 rule audit, key generation and flow encryption."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,19 @@ class TestFlowValidation:
         assert result.drop_reason == "signature:sig-shellshock"
         assert result.alert is not None
         assert result.alert.reason == "signature:sig-shellshock"
+
+    def test_every_pass_is_one_shared_frozen_result(self):
+        sigs = [Signature("sig-shellshock", SHELLSHOCK, "payload"),
+                Signature("sig-evil", b"flow=evil", "header")]
+        state = FlowValidatorState(signatures=sigs)
+        passes = [validate_flow(state, packet(payload=b"hello", ts=t)) for t in (1, 2)]
+        passes.append(validate_flow(state, packet(payload=SHELLSHOCK), headers_only=True))
+        assert passes[0] is passes[1] is passes[2]
+        assert (passes[0].drop_reason, passes[0].alert, passes[0].signatures_scanned) == (None, None, 2)
+        # Another validator of the same signature set shares it too.
+        assert validate_flow(FlowValidatorState(signatures=sigs[::-1]), packet()) is passes[0]
+        with pytest.raises(FrozenInstanceError):
+            passes[0].drop_reason = "signature:sig-shellshock"
 
     def test_benign_packet_forwards_with_empty_signature_set(self):
         state = FlowValidatorState()
