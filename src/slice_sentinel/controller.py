@@ -289,7 +289,7 @@ class SecurityManager:
         subscribed to.  ``None`` yields a generic-only deployment.  Every edge
         shares the one global blacklist.
         """
-        dep = self.fabric.ingress_processors.get(node)
+        dep = self.fabric.node(node).processor
         if dep is None:
             dep = IngressProcessor(
                 manager=self,
@@ -341,7 +341,7 @@ class SecurityManager:
             # Baseline reactive forwarding: no security functions at all.
             verdict, pair = "permitted", self.requested_pair(packet.dst_ip)
         else:
-            dep = fabric.ingress_processors.get(punt.node)
+            dep = fabric.nodes[punt.node].processor
             user_id = self.repository.user_of_device(device)
             if dep is None or (user_id is not None and user_id not in dep.covered_users):
                 # A guest (no registered user) gets a generic-only bundle, so
@@ -519,13 +519,13 @@ class SecurityManager:
         one that fails is contained at the new edge instead, with a
         ``provisioning-refused`` alert.  The old endpoints keep no cipher.
         """
-        self.fabric.node(to_edge)
-        from_dep = self.fabric.ingress_processors.get(from_edge)
+        to_dep = self.fabric.node(to_edge).processor
+        # An unknown from_edge has no state, like an edge with no processor.
+        from_dep = getattr(self.fabric.nodes.get(from_edge), "processor", None)
         blacklisted = device_id in self.global_blacklist
         if from_dep is None or (device_id not in from_dep.access.allowed and not blacklisted):
             raise UnknownDeviceError(f"device {device_id!r} has no state at {from_edge!r}")
 
-        to_dep = self.fabric.ingress_processors.get(to_edge)
         if to_dep is None:
             to_dep = self.deploy_functions(to_edge, None)
         if device_id in from_dep.access.allowed:

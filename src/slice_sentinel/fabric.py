@@ -454,16 +454,19 @@ class Node:
     ports: dict[int, tuple[str, int, int]] = field(default_factory=dict)
     # peer node id -> lowest port linked to it
     port_to: dict[str, int] = field(default_factory=dict)
+    # flow id -> ("encrypt"|"decrypt", cipher); never replaced, only changed
+    ciphers: dict[str, tuple[str, object]] = field(default_factory=dict)
+    # the ingress security processor, once one is deployed
+    processor: Optional[object] = None
 
 
 class Fabric:
     """A built topology plus its mutable runtime state.
 
     ``build_topology`` fixes the nodes, their kinds and links, and the
-    slices; afterwards only the flow tables, the flow ciphers (changed
-    through ``set_flow_cipher`` and ``pop_flow_cipher``), the ingress
-    processors, the tamper flags and the clock change.  ``inject_packet``
-    keeps walks on that basis (see ``_plan_walk``).
+    slices; afterwards only each node's flow table, ciphers, ingress
+    processor and tamper flag, and the clock, change.  A walk
+    ``inject_packet`` keeps is valid while its tables keep their winners.
     """
 
     def __init__(self) -> None:
@@ -472,9 +475,6 @@ class Fabric:
         self.slices: dict[int, frozenset[str]] = {}
         self.clock_ms: int = 0
         self.punt_events: deque[PuntEvent] = deque()
-        self.ingress_processors: dict[str, object] = {}
-        # node -> flow_id -> ("encrypt"|"decrypt", cipher)
-        self.flow_ciphers: dict[str, dict[str, tuple[str, object]]] = {}
         self._route_cache: dict[str, dict[str, str]] = {}
         # host ip -> host node id; the first host in document order wins
         self._host_by_ip: dict[str, str] = {}
@@ -501,27 +501,16 @@ class Fabric:
         self.node(node_id).tampered = tampered
 
     def set_ingress_processor(self, node_id: str, processor: object) -> None:
-        self.node(node_id)
-        self.ingress_processors[node_id] = processor
+        self.node(node_id).processor = processor
 
     def set_flow_cipher(self, node_id: str, flow_id: str, mode: str, cipher: object) -> None:
         if mode not in ("encrypt", "decrypt"):
             raise ValueError(f"cipher mode must be encrypt or decrypt, got {mode!r}")
-        self.node(node_id)
-        self.flow_ciphers.setdefault(node_id, {})[flow_id] = (mode, cipher)
-        self._drop_walks()
+        self.node(node_id).ciphers[flow_id] = (mode, cipher)
 
     def pop_flow_cipher(self, node_id: str, flow_id: str) -> Optional[tuple[str, object]]:
         """Remove a flow's cipher at a node; returns its (mode, cipher) entry."""
-        entry = self.flow_ciphers.get(node_id, {}).pop(flow_id, None)
-        if entry is not None:
-            self._drop_walks()
-        return entry
-
-    def _drop_walks(self) -> None:
-        # A kept walk records the ciphers it met.  Its key has still walked
-        # unpunted, so its next walk is kept again.
-        self._walks = dict.fromkeys(self._walks, _SEEN)
+        return self.node(node_id).ciphers.pop(flow_id, None)
 
     # -- routing ------------------------------------------------------------
 
@@ -600,12 +589,15 @@ def build_topology(config: dict) -> Fabric:
             raise TopologyError(f"unknown node kind {raw.get('kind')!r}") from None
         if not isinstance(raw.get("ip", ""), str):
             raise TopologyError(f"node {node_id!r} ip must be a string, got {raw['ip']!r}")
+        tampered = raw.get("tampered", False)
+        if not isinstance(tampered, bool):
+            raise TopologyError(f"node {node_id!r} tampered must be a boolean, got {tampered!r}")
         descriptor = _node_descriptor(node_id, kind.value, raw.get("ip"))
         node = Node(
             node_id=node_id,
             kind=kind,
             ip=raw.get("ip"),
-            tampered=bool(raw.get("tampered", False)),
+            tampered=tampered,
             descriptor=descriptor,
             expected_hash=hashlib.sha256(descriptor).digest(),
         )
@@ -739,20 +731,17 @@ def _plan_walk(
 
     ``plan``, when given, is ``[lookups, links, None]`` and records what the
     walk met, which is the same for every packet of its walk key (the
-    ingress node and port, the header fields, the slice tag and the flow
-    id): ``[table, header tuple, rule it returned, table version then]`` per
-    lookup, ``(node, peer, latency ms, the node's cipher entry for the flow
-    or None, whether the peer is a host)`` per link crossed, and last the
-    outcome, which stays None after a punt.  An envelope that fails
-    authentication fails for every packet of the key while the ciphers it
-    met stay, so that outcome is planned like any other.
+    ingress node and port, the header fields and the slice tag):
+    ``[table, header tuple, rule it returned, table version then]`` per
+    lookup, ``(node, peer, latency ms, the node's cipher dict, whether the
+    peer is a host)`` per link crossed, and last the outcome, which stays
+    None after a punt or a failed authentication.
     """
     src_ip, dst_ip, src_mac, dst_mac = packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac
     slice_id = packet.slice_id
     payload = packet.payload
     flow_id = flow_id_of(packet)
     nodes = fabric.nodes
-    flow_ciphers = fabric.flow_ciphers
     node = nodes[at]
     hops: list[LinkHop] = []
     encrypted = False
@@ -783,15 +772,14 @@ def _plan_walk(
         peer_id, peer_port, latency = link
         peer = nodes[peer_id]
         to_host = peer.kind is NodeKind.HOST
-        ciphers = flow_ciphers.get(at)
+        ciphers = node.ciphers
         cipher = ciphers.get(flow_id) if ciphers else None
         if plan is not None:
-            plan[1].append((at, peer_id, latency, cipher, to_host))
+            plan[1].append((at, peer_id, latency, ciphers, to_host))
         if cipher is not None:
             payload, encrypted = _apply_cipher(cipher, payload, encrypted, to_host)
             if payload is None:
-                outcome = Dropped(node=at, reason="auth-failed")
-                break
+                return hops, Dropped(node=at, reason="auth-failed"), timestamp
         timestamp += latency
         # LinkHop(...), without the named tuple's Python-level __new__
         hops.append(tuple.__new__(LinkHop, (at, peer_id, encrypted, payload)))
@@ -815,20 +803,18 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
     """Push a packet into the fabric at an edge and run it to an outcome.
 
     The ingress node's security processor (if deployed) runs before table
-    lookup; ``packet`` is never changed.  The walk (``_plan_walk``) is
-    planned once per walk key and kept from the key's second unpunted walk
-    on: a punted walk is never kept.  A later packet replays the kept walk
-    after checking it: a table whose
-    version moved is looked up again, and the walk is planned afresh unless
-    the same rule wins.  The ciphers (and an ``auth-failed`` drop), the
-    timestamps and the hops are per packet.  The trace holds the link hops
-    the packet crossed, in order.
+    lookup; ``packet`` is never changed.  The walk (``_plan_walk``) is kept
+    from its key's second walk on, unless it punted or failed
+    authentication, and a kept walk is valid while its tables keep their
+    winners: a later packet looks up again only in a table whose version
+    moved, and the walk is planned afresh unless the same rule wins.  The
+    ciphers (and an ``auth-failed`` drop), the timestamps and the hops are
+    per packet.  The trace holds the link hops the packet crossed, in order.
     """
     node_id, port = ingress
-    fabric.node(node_id)
     timestamp = packet.virtual_timestamp
 
-    processor = fabric.ingress_processors.get(node_id)
+    processor = fabric.node(node_id).processor
     if processor is not None:
         decision: IngressDecision = processor.process(packet)
         timestamp += decision.cost_us // 1000
@@ -838,7 +824,7 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
 
     walks = fabric._walks
     key = (node_id, port, packet.src_ip, packet.dst_ip, packet.src_mac, packet.dst_mac,
-           packet.slice_id, packet.flow_id)
+           packet.slice_id)
     walk = walks.get(key)
     if walk is not None and walk is not _SEEN:
         for lookup in walk[0]:
@@ -855,7 +841,8 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
             if walk is not None:
                 del walks[key]
         elif plan is not None:
-            walks[key] = plan
+            # A walk that failed authentication is not kept.
+            walks[key] = plan if plan[2] is not None else _SEEN
         else:
             if len(walks) >= MAX_WALKS:
                 walks.clear()
@@ -865,7 +852,8 @@ def inject_packet(fabric: Fabric, packet: Packet, ingress: tuple[str, int]) -> F
         payload = packet.payload
         hops = []
         encrypted = False
-        for at, peer_id, latency, cipher, to_host in links:
+        for at, peer_id, latency, ciphers, to_host in links:
+            cipher = ciphers.get(flow_id_of(packet)) if ciphers else None
             if cipher is not None:
                 payload, encrypted = _apply_cipher(cipher, payload, encrypted, to_host)
                 if payload is None:

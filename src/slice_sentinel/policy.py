@@ -73,6 +73,9 @@ def _parse_action(raw: dict, policy_id: str) -> PolicyAction:
         raise PolicyError(f"policy {policy_id!r}: action must be an object, got {raw!r}")
     if "Service" not in raw or "Slice-id" not in raw:
         raise PolicyError(f"policy {policy_id!r}: action needs Service and Slice-id")
+    service = raw["Service"]
+    if not isinstance(service, str):
+        raise PolicyError(f"policy {policy_id!r}: Service must be a string, got {service!r}")
     security = raw.get("security", [])
     if not isinstance(security, list) or not all(isinstance(r, str) for r in security):
         raise PolicyError(
@@ -89,7 +92,7 @@ def _parse_action(raw: dict, policy_id: str) -> PolicyAction:
             "remove it from the action"
         )
     return PolicyAction(
-        service=raw["Service"],
+        service=service,
         slice_id=_parse_slice_id(raw["Slice-id"]),
         security_reqs=reqs,
     )
@@ -102,6 +105,9 @@ def parse_policy_rule(raw: dict) -> PolicyRule:
         if key not in raw:
             raise PolicyError(f"policy entry missing required field {key!r}")
     policy_id = str(raw["id"])
+    for key in ("hostmac", "destip"):
+        if not isinstance(raw[key], str):
+            raise PolicyError(f"policy {policy_id!r}: {key} must be a string, got {raw[key]!r}")
     if not isinstance(raw["actions"], list):
         raise PolicyError(f"policy {policy_id!r}: actions must be a list")
     user_raw = raw.get("user", {})

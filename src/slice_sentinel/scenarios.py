@@ -406,11 +406,11 @@ def _scenario_attack4(config: dict, seed: int) -> ScenarioReport:
     for i, t in enumerate(_schedule(10, 10)):
         driver.send(ue1(i, t), ("OVS1", 1), "pre-handover")
 
-    pairs_before = frozenset(fabric.ingress_processors["OVS1"].access.allowed[UE_MACS[1]])
+    pairs_before = frozenset(fabric.nodes["OVS1"].processor.access.allowed[UE_MACS[1]])
     extractions_before = len(manager.log.events(pol.EV_PROFILE_EXTRACTED))
     handover = manager.handover(UE_MACS[1], "OVS1", "OVS2")
     extractions_during = len(manager.log.events(pol.EV_PROFILE_EXTRACTED)) - extractions_before
-    pairs_after = frozenset(fabric.ingress_processors["OVS2"].access.allowed.get(UE_MACS[1], set()))
+    pairs_after = frozenset(fabric.nodes["OVS2"].processor.access.allowed.get(UE_MACS[1], set()))
 
     new_port = fabric.port_toward("OVS2", "UE1")
     for i, t in enumerate(_schedule(10, n_post, start_ms=200)):
@@ -555,8 +555,8 @@ def _scenario_fsf_path(config: dict, seed: int) -> ScenarioReport:
         mid_clean
         and delivered_intact
         and secured_bucket["delivered"] == len(plaintexts)
-        and fabric.flow_ciphers.get("OVS1", {}).get("flow-scada", (None,))[0] == "encrypt"
-        and fabric.flow_ciphers.get("CORE1", {}).get("flow-scada", (None,))[0] == "decrypt"
+        and fabric.nodes["OVS1"].ciphers.get("flow-scada", (None,))[0] == "encrypt"
+        and fabric.nodes["CORE1"].ciphers.get("flow-scada", (None,))[0] == "decrypt"
     )
     return _driver_report("fsf_path", seed, driver, verdict, {
         "key_id": key_id,

@@ -90,14 +90,18 @@ def parse_signatures(document: list) -> list[Signature]:
         for key in ("id", "pattern_hex"):
             if key not in raw:
                 raise ValueError(f"signature entry missing required field {key!r}")
-        sig_id = raw["id"]
+        sig_id, pattern_hex = raw["id"], raw["pattern_hex"]
+        if not isinstance(sig_id, str):
+            raise ValueError(f"signature id must be a string, got {sig_id!r}")
+        if not isinstance(pattern_hex, str):
+            raise ValueError(f"signature {sig_id!r}: pattern_hex must be a string")
         if sig_id in seen:
             raise ValueError(f"duplicate signature id {sig_id!r}")
         seen.add(sig_id)
         scope = raw.get("scope", "payload")
         if scope not in ("payload", "header"):
             raise ValueError(f"signature {sig_id!r}: unknown scope {scope!r}")
-        sigs.append(Signature(sig_id=sig_id, pattern=bytes.fromhex(raw["pattern_hex"]), scope=scope))
+        sigs.append(Signature(sig_id=sig_id, pattern=bytes.fromhex(pattern_hex), scope=scope))
     return sigs
 
 

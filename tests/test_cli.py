@@ -97,12 +97,31 @@ BAD_INPUT_FILES = {
         "--policies", json.dumps(_edited("policies.json", lambda d: d[0].update(actions=[]))),
         "policy '02': empty actions",
     ),
+    "policy-hostmac-not-string": (
+        "--policies",
+        json.dumps(_edited("policies.json", lambda d: d[0].update(hostmac=["00:09:00:AA"]))),
+        "policy '02': hostmac must be a string, got ['00:09:00:AA']",
+    ),
+    "policy-service-not-string": (
+        "--policies",
+        json.dumps(_edited("policies.json", lambda d: d[0]["actions"][0].update(Service=["S"]))),
+        "policy '02': Service must be a string, got ['S']",
+    ),
+    "node-tampered-not-boolean": (
+        "--topology",
+        json.dumps(_edited("topology.json", lambda d: d["nodes"][0].update(tampered="false"))),
+        "node 'OVS1' tampered must be a boolean, got 'false'",
+    ),
     "policy-document-not-array": ("--policies", "{}", "policy document must be a JSON array"),
     "signature-document-not-array": (
         "--signatures", "{}", "signature document must be a JSON array"
     ),
     "signature-entry-not-object": (
         "--signatures", "[5]", "signature entry must be an object, got 5"
+    ),
+    "signature-pattern-not-string": (
+        "--signatures", json.dumps([{"id": "s", "pattern_hex": 5}]),
+        "signature 's': pattern_hex must be a string",
     ),
     "dataset-without-label": ("--dataset", "a,b\n1,2\n", "dataset CSV needs a 'label' column"),
 }

@@ -23,6 +23,7 @@ from slice_sentinel.fabric import (
     Provenance,
     PuntEvent,
     Punted,
+    UnknownNodeError,
     apply_flow_mod,
     canonical_json,
     inject_packet,
@@ -66,6 +67,16 @@ def ue_packet(ue: int, dst_ip: str, flow: str, payload: bytes = b"data", ts: int
 OVS1_UE_PORT = {1: 1, 2: 2, 3: 3, 4: 4}
 
 
+def processors(fabric) -> dict:
+    """The deployed ingress processors, by node id."""
+    return {n: node.processor for n, node in fabric.nodes.items() if node.processor is not None}
+
+
+def ciphers(fabric) -> dict:
+    """The flow ciphers of each node that holds one, by node id."""
+    return {n: node.ciphers for n, node in fabric.nodes.items() if node.ciphers}
+
+
 class TestNewFlow:
     def test_first_flow_deploys_permits_and_installs_bidirectional_rules(self, world):
         fabric, repo, manager = world
@@ -75,7 +86,7 @@ class TestNewFlow:
         record = manager.flows[decision.flow_id]
         assert record.slice_id == 200 and record.service == "Service1"
         assert trace.outcome == Delivered(host="SVC1")
-        assert "OVS1" in fabric.ingress_processors
+        assert fabric.nodes["OVS1"].processor is not None
         # forward and reverse rules at both OVS1 and CORE1
         nodes = [node for node, _rid in manager.flows["flow-ue1"].rules]
         assert nodes.count("OVS1") == 2 and nodes.count("CORE1") == 2
@@ -102,7 +113,7 @@ class TestNewFlow:
     def test_deployment_covers_all_devices_of_the_user(self, world):
         fabric, repo, manager = world
         drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
-        dep = fabric.ingress_processors["OVS1"]
+        dep = fabric.nodes["OVS1"].processor
         assert dep.access.allowed["00:09:00:AA"] == {(200, "Service1")}
         assert dep.access.allowed["00:09:00:AC"] == {(300, "Service2")}
 
@@ -224,7 +235,7 @@ class TestNewFlowSecurityOff:
             cfg.dispatch_us() + cfg.path_compute_us + 4 * cfg.rule_install_us
         )
         assert manager.log.events(EV_PROFILE_EXTRACTED) == []
-        assert "OVS1" not in fabric.ingress_processors
+        assert fabric.nodes["OVS1"].processor is None
         assert len(manager.log) == log_before + 4  # the four rule installs only
         assert trace.outcome == Delivered(host="SVC1")
 
@@ -247,7 +258,7 @@ class TestComposeDeployment:
         dep = manager.deploy_functions("OVS1", "alice")
         assert set(dep.access.allowed) == {"00:09:00:AA", "00:09:00:AC"}
         assert dep.access.allowed == extract_profile(repo, "alice")
-        assert fabric.ingress_processors["OVS1"] is dep
+        assert fabric.nodes["OVS1"].processor is dep
 
     def test_no_profile_gives_generic_only_deployment(self, world):
         fabric, repo, manager = world
@@ -268,7 +279,7 @@ class TestAlertHandling:
         )
         action = manager.alert(alert)
         assert action == "blacklisted"
-        assert "00:09:00:AE" in fabric.ingress_processors["OVS1"].access.blacklist
+        assert "00:09:00:AE" in fabric.nodes["OVS1"].processor.access.blacklist
         # subsequent packets die at the entry node
         trace = inject_packet(fabric, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS1", 4))
         assert trace.outcome == Dropped(node="OVS1", reason="deny-blacklisted")
@@ -603,10 +614,10 @@ class TestHandover:
     def test_authorizations_conserved_and_no_new_extraction(self, handover_world):
         fabric, repo, manager = handover_world
         drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
-        before = frozenset(fabric.ingress_processors["OVS1"].access.allowed["00:09:00:AA"])
+        before = frozenset(fabric.nodes["OVS1"].processor.access.allowed["00:09:00:AA"])
         extractions = len(manager.log.events(EV_PROFILE_EXTRACTED))
         manager.handover("00:09:00:AA", "OVS1", "OVS2")
-        assert frozenset(fabric.ingress_processors["OVS2"].access.allowed["00:09:00:AA"]) == before
+        assert frozenset(fabric.nodes["OVS2"].processor.access.allowed["00:09:00:AA"]) == before
         assert len(manager.log.events(EV_PROFILE_EXTRACTED)) == extractions
         # flow continues from the new edge (UE1 attaches to OVS2 at port 5)
         port = fabric.port_toward("OVS2", "UE1")
@@ -665,8 +676,8 @@ class TestHandover:
         assert b"vitals" not in first.payload
         assert (last.to, last.encrypted, last.payload) == ("SVC1", False, b"vitals")
         # The encrypt side moved from OVS1 to OVS2; the egress kept its side.
-        assert {node: set(ciphers) for node, ciphers in fabric.flow_ciphers.items()} == {
-            "OVS1": set(), "OVS2": {"f-ue1"}, "CORE1": {"f-ue1"},
+        assert {node: set(held) for node, held in ciphers(fabric).items()} == {
+            "OVS2": {"f-ue1"}, "CORE1": {"f-ue1"},
         }
         distributed = [(e["node"], e["key_id"]) for e in manager.log.events(pol.EV_KEY_DISTRIBUTED)]
         assert distributed == [("OVS1", key_id), ("CORE1", key_id), ("OVS2", key_id)]
@@ -681,7 +692,7 @@ class TestHandover:
         refused = [(a["flow_id"], a["node"], a["verdict"])
                    for a in manager.admin_alerts if a["kind"] == "provisioning-refused"]
         assert refused == [("f-ue1", "OVS2", "compromised")]
-        assert not any(fabric.flow_ciphers.values())
+        assert not ciphers(fabric)
         port = fabric.port_toward("OVS2", "UE1")
         trace = inject_packet(fabric, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS2", port))
         [(_node, drop_id)] = manager.flows["f-ue1"].rules
@@ -694,11 +705,22 @@ class TestHandover:
         with pytest.raises(UnknownDeviceError):
             manager.handover("no:such:mac", "OVS1", "OVS2")
 
+    def test_a_handover_from_or_to_an_unknown_edge_is_rejected(self, handover_world):
+        fabric, repo, manager = handover_world
+        drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
+        logged = len(manager.log)
+        with pytest.raises(UnknownDeviceError):
+            manager.handover("00:09:00:AA", "NOWHERE", "OVS2")
+        with pytest.raises(UnknownNodeError):
+            manager.handover("00:09:00:AA", "OVS1", "NOWHERE")
+        assert len(manager.log) == logged
+        assert fabric.nodes["OVS2"].processor is None
+
 
 def test_packets_screened_alike_share_one_frozen_decision(world):
     fabric, repo, manager = world
     drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
-    dep = fabric.ingress_processors["OVS1"]
+    dep = fabric.nodes["OVS1"].processor
     admitted = [dep.process(ue_packet(1, "10.0.0.8", "f-ue1", ts=t)) for t in (10, 11)]
     denied = [dep.process(ue_packet(1, "10.0.0.6", "f-home", ts=t)) for t in (12, 13)]
     assert admitted[0] is admitted[1] and admitted[0].allow
@@ -714,14 +736,14 @@ class TestOneDeploymentPerEdge:
         fabric, repo, manager = handover_world
 
         def assert_one_object_per_edge():
-            for dep in fabric.ingress_processors.values():
+            for dep in processors(fabric).values():
                 assert dep.access.blacklist is manager.global_blacklist
 
         drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
         drive(fabric, manager, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS1", 4))
         assert_one_object_per_edge()
         manager.handover("00:09:00:AA", "OVS1", "OVS2")
-        assert set(fabric.ingress_processors) == {"OVS1", "OVS2"}
+        assert set(processors(fabric)) == {"OVS1", "OVS2"}
         assert_one_object_per_edge()
         manager.alert(Alert("flow-validator", "00:09:00:AE", "f-sensor", "anomaly:rate", "high", 1))
         assert_one_object_per_edge()
@@ -735,7 +757,7 @@ class TestOneDeploymentPerEdge:
             Alert("flow-validator", "00:09:00:AE", "f-sensor", "anomaly:rate", "high", 0)
         )
         assert action == "blacklisted"
-        assert "OVS2" not in fabric.ingress_processors
+        assert fabric.nodes["OVS2"].processor is None
         port = fabric.port_toward("OVS2", "UE4")
         trace, decision = drive(fabric, manager, ue_packet(4, "10.0.0.8", "f-sensor"), ("OVS2", port))
         assert decision.verdict == "deny-blacklisted"
@@ -777,13 +799,13 @@ def test_flow_setup_and_datapath_screen_a_header_alike(
     packet = Packet(src_ip=src_ip, dst_ip=dst_ip, src_mac=device, dst_mac="00:09:00:BB",
                     payload=b"data", flow_id=flow)
     assert isinstance(inject_packet(fabric, packet, ("OVS1", port)).outcome, Punted)
-    assert "OVS1" not in fabric.ingress_processors
+    assert fabric.nodes["OVS1"].processor is None
     logged = len(manager.log)
     decision = manager.new_flow(fabric.punt_events.popleft())
     setup_logged = [e["type"] for e in manager.log.events()[logged:]
                     if e["type"] not in (EV_PROFILE_EXTRACTED, EV_FUNCTIONS_DEPLOYED)]
     logged = len(manager.log)
-    ingress = fabric.ingress_processors["OVS1"].process(packet)
+    ingress = fabric.nodes["OVS1"].processor.process(packet)
     datapath_logged = [e["type"] for e in manager.log.events()[logged:]]
 
     setup_denied = decision.verdict.startswith("deny-")
@@ -826,8 +848,8 @@ class TestProvisionSecurity:
         drive(fabric, manager, ue_packet(2, "10.0.0.7", "f-ue2"), ("OVS1", 2))
         key_id = manager.provision_security("f-ue2")
         assert key_id.startswith("key-")
-        assert fabric.flow_ciphers["OVS1"]["f-ue2"][0] == "encrypt"
-        assert fabric.flow_ciphers["CORE1"]["f-ue2"][0] == "decrypt"
+        assert fabric.nodes["OVS1"].ciphers["f-ue2"][0] == "encrypt"
+        assert fabric.nodes["CORE1"].ciphers["f-ue2"][0] == "decrypt"
         # end-to-end delivery still yields the original payload
         trace = inject_packet(fabric, ue_packet(2, "10.0.0.7", "f-ue2", payload=b"ledger"), ("OVS1", 2))
         assert trace.outcome == Delivered(host="SVC2")
@@ -854,7 +876,7 @@ class TestProvisionSecurity:
         drive(fabric, manager, ue_packet(1, "10.0.0.8", "f-ue1"), ("OVS1", 1))
         with pytest.raises(ValueError, match="confidentiality"):
             manager.provision_security("f-ue1")
-        assert not fabric.flow_ciphers
+        assert not ciphers(fabric)
 
     def test_compromised_egress_refuses_provisioning(self, world):
         fabric, repo, manager = world
@@ -870,7 +892,7 @@ class TestProvisionSecurity:
         with pytest.raises(ValueError, match="unknown flow"):
             manager.provision_security("f-nowhere")
         assert not manager.log.events(pol.EV_KEY_GENERATED)
-        assert not fabric.flow_ciphers
+        assert not ciphers(fabric)
 
     def test_a_flow_that_exits_at_its_ingress_edge_is_refused(self, world):
         fabric, repo, manager = world
@@ -888,7 +910,7 @@ class TestProvisionSecurity:
         with pytest.raises(ProvisioningError, match="enters and exits at 'OVS1'"):
             manager.provision_security("f-local")
         assert not manager.log.events(pol.EV_KEY_GENERATED)
-        assert not fabric.flow_ciphers
+        assert not ciphers(fabric)
 
 
 class TestSliceAccessCompleteness:

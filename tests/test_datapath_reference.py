@@ -4,13 +4,17 @@
 into locals: it copies the packet once and mutates the copy hop by hop.  It
 differs from that original only where an interface changed since, and in one
 fix both walks take: ``FlowTable.lookup`` takes the header tuple, the cipher
-step takes the fabric and node id, and a punt names the port the packet
-arrived on at the punting node, not the ingress port.  Two identical worlds
+step takes the fabric and node id, the ciphers and the ingress processor are
+read from the node, and a punt names the port the packet arrived on at the
+punting node, not the ingress port.  Two identical worlds
 run the same generated traffic in lockstep, one through ``inject_packet`` and
 one through the reference, and must agree on every hop, outcome, punt, clock
 reading and log byte.  The reference plans nothing, so the lockstep also
 checks the walk memo of ``inject_packet``: a repeated send replays a kept
-walk, and the delete, replace and cipher steps change what it met.
+walk, and the delete, replace and cipher steps change what it met.  A
+kept walk is keyed by the header, not the flow id, so a second flow id on
+a header that has walked replays the first flow's walk with its own
+ciphers.
 """
 
 import sys
@@ -66,7 +70,7 @@ EXTERNAL_RULES = ["drop", "dead-port", "stray", "loop", "wrong-slice", "detour"]
 # -- the reference ------------------------------------------------------------
 
 def _reference_ciphers(fabric, node_id, flow_id, payload, encrypted, next_is_host):
-    entry = fabric.flow_ciphers.get(node_id, {}).get(flow_id)
+    entry = fabric.nodes[node_id].ciphers.get(flow_id)
     if entry is None:
         return payload, encrypted
     mode, cipher = entry
@@ -91,7 +95,7 @@ def reference_inject_packet(fabric, packet, ingress):
     hops = []
     encrypted = False
 
-    processor = fabric.ingress_processors.get(node_id)
+    processor = fabric.nodes[node_id].processor
     if processor is not None:
         decision: IngressDecision = processor.process(work)
         work.virtual_timestamp += decision.cost_us // 1000
@@ -207,10 +211,12 @@ ue_specs = st.lists(
 DESTINATIONS = [SERVICES["S1"][0], SERVICES["S2"][0], UNKNOWN_IP]
 steps = st.lists(
     st.one_of(
-        # send: UE, destination, payload, flow id kind, slice tag, packets in a row
+        # send: UE, destination, payload, flow id kind, slice tag, packets in a
+        # row; "second" is a flow id no cipher step provisions
         st.tuples(st.just("send"), st.integers(0, 4), st.sampled_from(DESTINATIONS),
                   st.sampled_from([b"data", b"", SHELLSHOCK, b"x" * 300]),
-                  st.sampled_from(["own", "none", "evil"]), st.sampled_from([None, 100, 200]),
+                  st.sampled_from(["own", "none", "evil", "second"]),
+                  st.sampled_from([None, 100, 200]),
                   st.integers(1, 3)),
         # a flood past the rate cap of 100 packets per 1000 ms
         st.tuples(st.just("flood"), st.integers(0, 4)),
@@ -313,7 +319,8 @@ def run_lockstep(fleet_documents, security_on, plan) -> set[str]:
             ue, edge, port, ip, mac = ues[step[1] % len(ues)]
             if kind == "send":
                 _kind, _i, dst_ip, payload, flow_kind, slice_id, count = step
-                flow_id = {"own": f"f-{ue}", "none": "", "evil": f"evil-{ue}"}[flow_kind]
+                flow_id = {"own": f"f-{ue}", "none": "", "evil": f"evil-{ue}",
+                           "second": f"g-{ue}"}[flow_kind]
             else:
                 dst_ip, payload, flow_id, count = SERVICES["S1"][0], b"flood", f"f-{ue}", 105
                 slice_id = None
@@ -394,8 +401,12 @@ FIXED_PLAN = [
     ("send", 1, SERVICES["S2"][0], SHELLSHOCK, "own", None, 1),  # signature
     ("cipher", 0, True),                                         # swapped under a kept walk
     ("send", 0, SERVICES["S1"][0], b"data", "own", None, 2),     # auth-failed
+    ("replace", 0, 0, False),                                    # C0: U0's forward rule
+    ("send", 0, SERVICES["S1"][0], b"data", "own", None, 2),     # auth-failed, never kept
     ("cipher", 0, False),
     ("send", 0, SERVICES["S1"][0], b"data", "own", None, 2),     # encrypted, delivered
+    ("send", 0, SERVICES["S1"][0], b"data", "second", None, 2),  # same kept walk, plain
+    ("send", 0, SERVICES["S1"][0], b"data", "own", None, 1),     # encrypted again
     ("rule", "wrong-slice", 0, 0),                               # at C0, for U0
     ("send", 0, SERVICES["S1"][0], b"data", "own", None, 1),     # slice-violation
     ("rule", "dead-port", 2, 1),                                 # at E0, for U1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slice_sentinel import fabric as fabric_module
 from slice_sentinel.fabric import (
     DEFAULT_PUNT_RULE_ID,
     MAX_WALKS,
@@ -191,6 +192,12 @@ class TestBuildTopology:
         }
         assert build_topology(config).nodes["A"].ports == {1: ("B", 1, 0)}
 
+    @pytest.mark.parametrize("tampered", ["false", "true", 0, 1, None, []])
+    def test_node_tampered_must_be_a_boolean(self, tampered):
+        config = {"nodes": [{"id": "A", "kind": "core", "tampered": tampered}]}
+        with pytest.raises(TopologyError, match="node 'A' tampered must be a boolean"):
+            build_topology(config)
+
     @pytest.mark.parametrize("vlan", [True, 100.9, "100", None])
     def test_slice_vlan_must_be_an_integer(self, vlan):
         config = {"nodes": [], "slices": [{"vlan": vlan, "name": "bad", "hosts": []}]}
@@ -242,6 +249,20 @@ class TestInjectPacket:
         fabric = build_topology(small_topology())
         with pytest.raises(UnknownNodeError):
             inject_packet(fabric, ue_packet(), ingress=("NOPE", 1))
+
+    def test_node_state_setters_name_a_known_node_and_a_cipher_mode(self):
+        fabric = build_topology(small_topology())
+        cipher = FlowCipher(KeyGenerator(seed=1).generate(("OVS1", "CORE1")))
+        for set_state in (lambda: fabric.set_flow_cipher("NOPE", "f", "encrypt", cipher),
+                          lambda: fabric.pop_flow_cipher("NOPE", "f"),
+                          lambda: fabric.set_ingress_processor("NOPE", object())):
+            with pytest.raises(UnknownNodeError):
+                set_state()
+        with pytest.raises(ValueError, match="cipher mode must be encrypt or decrypt"):
+            fabric.set_flow_cipher("OVS1", "f", "scramble", cipher)
+        assert not any(node.ciphers or node.processor for node in fabric.nodes.values())
+        # Each node holds its own cipher dict.
+        assert len({id(node.ciphers) for node in fabric.nodes.values()}) == len(fabric.nodes)
 
     def test_slice_confinement_blocks_wrong_slice_delivery(self):
         # Forward tags slice 100, but SVC1 is only attached to slice 200.
@@ -309,8 +330,10 @@ def _install_path(fabric, priority: int = 10, rule_ids=("r1", "r2")) -> None:
 
 
 class TestWalkMemo:
-    """``inject_packet`` keeps a walk from its key's second unpunted walk on,
-    and replays it while every table it read returns the same rule."""
+    """``inject_packet`` keeps a walk from its key's second walk on, unless
+    it punted or failed authentication, and replays it while every table it
+    read returns the same rule.  The key is the ingress and the header, not
+    the flow id; the ciphers are read from the nodes per packet."""
 
     @pytest.fixture
     def lookups(self, monkeypatch):
@@ -319,6 +342,14 @@ class TestWalkMemo:
         monkeypatch.setattr(
             FlowTable, "lookup", lambda table, fields: calls.append(fields) or lookup(table, fields)
         )
+        return calls
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        calls = []
+        plan_walk = fabric_module._plan_walk
+        monkeypatch.setattr(fabric_module, "_plan_walk",
+                            lambda *args: calls.append(args[5]) or plan_walk(*args))
         return calls
 
     def test_a_kept_walk_replays_without_lookups(self, lookups):
@@ -354,11 +385,12 @@ class TestWalkMemo:
         trace = inject_packet(fabric, ue_packet(), ("OVS1", 1))
         assert trace.outcome == Dropped(node="OVS1", reason="drop-rule:deny")
 
-    def test_a_cipher_set_after_a_walk_was_kept_applies(self):
+    def test_a_cipher_set_after_a_walk_was_kept_applies(self, lookups, plans):
         fabric = build_topology(small_topology())
         _install_path(fabric)
         for _ in range(3):
             assert not inject_packet(fabric, ue_packet(), ("OVS1", 1)).events[0].encrypted
+        assert (len(lookups), len(plans)) == (4, 2)
         key = KeyGenerator(seed=1).generate(("OVS1", "CORE1"))
         fabric.set_flow_cipher("OVS1", "78b34x", "encrypt", FlowCipher(key))
         fabric.set_flow_cipher("CORE1", "78b34x", "decrypt", FlowCipher(key))
@@ -368,8 +400,50 @@ class TestWalkMemo:
             assert (last.encrypted, last.payload) == (False, b"hello")
         assert fabric.pop_flow_cipher("OVS1", "78b34x")[0] == "encrypt"
         assert fabric.pop_flow_cipher("OVS1", "78b34x") is None
-        first, _last = inject_packet(fabric, ue_packet(), ("OVS1", 1)).events
-        assert (first.encrypted, first.payload) == (False, b"hello")
+        for _ in range(2):
+            first, _last = inject_packet(fabric, ue_packet(), ("OVS1", 1)).events
+            assert (first.encrypted, first.payload) == (False, b"hello")
+        # Neither the set nor the pop cost a lookup or a replan.
+        assert (len(lookups), len(plans)) == (4, 2)
+
+    def test_two_flow_ids_on_one_header_share_one_kept_walk(self, lookups, plans):
+        fabric = build_topology(small_topology())
+        _install_path(fabric)
+        key = KeyGenerator(seed=1).generate(("OVS1", "CORE1"))
+        fabric.set_flow_cipher("OVS1", "secret", "encrypt", FlowCipher(key))
+        fabric.set_flow_cipher("CORE1", "secret", "decrypt", FlowCipher(key))
+        for flow_id in ("secret", "plain", "secret", "plain", ""):
+            trace = inject_packet(fabric, ue_packet(flow_id=flow_id), ("OVS1", 1))
+            assert trace.outcome == Delivered(host="SVC1")
+            first, last = trace.events
+            assert first.encrypted == (flow_id == "secret")
+            assert (first.payload == b"hello") == (flow_id != "secret")
+            assert (last.encrypted, last.payload) == (False, b"hello")
+        assert (len(lookups), len(plans)) == (4, 2)
+        assert len(fabric._walks) == 1
+
+    def test_a_walk_that_fails_authentication_is_never_kept(self, plans):
+        fabric = build_topology(small_topology())
+        _install_path(fabric)
+        endpoints = ("OVS1", "CORE1")
+        good = KeyGenerator(seed=1).generate(endpoints)
+        fabric.set_flow_cipher("OVS1", "78b34x", "encrypt", FlowCipher(good))
+        fabric.set_flow_cipher(
+            "CORE1", "78b34x", "decrypt", FlowCipher(KeyGenerator(seed=2).generate(endpoints))
+        )
+        for _ in range(4):
+            trace = inject_packet(fabric, ue_packet(), ("OVS1", 1))
+            assert trace.outcome == Dropped(node="CORE1", reason="auth-failed")
+            assert [hop.encrypted for hop in trace.events] == [True]
+        # Every packet walked afresh: the first marked its key, the others
+        # planned a walk that was not kept.
+        assert [plan is None for plan in plans] == [True, False, False, False]
+        fabric.set_flow_cipher("CORE1", "78b34x", "decrypt", FlowCipher(good))
+        for _ in range(3):
+            trace = inject_packet(fabric, ue_packet(), ("OVS1", 1))
+            assert trace.outcome == Delivered(host="SVC1")
+            assert trace.events[-1].payload == b"hello"
+        assert len(plans) == 5
 
     def test_spoofed_first_packets_that_punt_leave_the_memo_empty(self):
         fabric = build_topology(small_topology())
@@ -382,13 +456,14 @@ class TestWalkMemo:
 
     def test_the_memo_empties_when_it_reaches_its_cap(self):
         fabric = build_topology(small_topology())
-        # CORE1 has no rules: every walk from it ends there, unpunted.
+        # CORE1 has no rules: every walk from it ends there, unpunted.  The
+        # source MAC varies, as the walk key holds the header, not the flow id.
         for i in range(MAX_WALKS):
-            inject_packet(fabric, ue_packet(flow_id=f"f-{i}"), ("CORE1", 1))
+            inject_packet(fabric, ue_packet(src_mac=f"02:00:{i:04x}"), ("CORE1", 1))
         assert len(fabric._walks) == MAX_WALKS
-        inject_packet(fabric, ue_packet(flow_id="one-more"), ("CORE1", 1))
-        assert list(fabric._walks) == [("CORE1", 1, "10.0.0.1", "10.0.0.8", "00:09:00:AA",
-                                        "00:09:00:BB", None, "one-more")]
+        inject_packet(fabric, ue_packet(src_mac="02:ff:0000"), ("CORE1", 1))
+        assert list(fabric._walks) == [("CORE1", 1, "10.0.0.1", "10.0.0.8", "02:ff:0000",
+                                        "00:09:00:BB", None)]
 
 
 class TestPriorityMatching:

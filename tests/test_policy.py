@@ -106,6 +106,23 @@ class TestLoadPolicies:
         with pytest.raises(PolicyError, match="slice reference"):
             load_policies(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("hostmac", ["00:09:00:AA"]), ("hostmac", 7), ("destip", {"ip": "10.0.0.8"}),
+        ("destip", None),
+    ])
+    def test_a_device_or_destination_that_is_not_a_string_is_rejected(self, field, value):
+        doc = sample_policy_doc()
+        doc[0][field] = value
+        with pytest.raises(PolicyError, match=f"policy '02': {field} must be a string"):
+            load_policies(doc)
+
+    @pytest.mark.parametrize("service", [["Service1"], {"name": "Service1"}, 1, None])
+    def test_a_service_that_is_not_a_string_is_rejected(self, service):
+        doc = sample_policy_doc()
+        doc[0]["actions"][0]["Service"] = service
+        with pytest.raises(PolicyError, match="policy '02': Service must be a string"):
+            load_policies(doc)
+
     def test_missing_required_field_rejected(self):
         doc = sample_policy_doc()
         del doc[0]["hostip"]

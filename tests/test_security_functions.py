@@ -204,6 +204,14 @@ class TestFlowValidation:
             parse_signatures([{"id": "s", "pattern_hex": "00"}, {"id": "s", "pattern_hex": "01"}])
         with pytest.raises(ValueError, match="scope"):
             parse_signatures([{"id": "s", "pattern_hex": "00", "scope": "weird"}])
+        with pytest.raises(ValueError, match="signature id must be a string"):
+            parse_signatures([{"id": ["s"], "pattern_hex": "00"}])
+        with pytest.raises(ValueError, match="signature id must be a string"):
+            parse_signatures([{"id": 7, "pattern_hex": "00"}])
+        with pytest.raises(ValueError, match="signature 's': pattern_hex must be a string"):
+            parse_signatures([{"id": "s", "pattern_hex": 0}])
+        with pytest.raises(ValueError, match="signature 's': pattern_hex must be a string"):
+            parse_signatures([{"id": "s", "pattern_hex": ["00"]}])
 
 
 class TestAttestationValidation:
